@@ -20,6 +20,7 @@ C001   coverage cell both waived and covered by a uca (warning)
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -384,9 +385,9 @@ def _longest_path_ranks(
         out[source].append(target)
         indegree[target] += 1
     ranks = {nid: 0 for nid in node_ids}
-    queue = [nid for nid in node_ids if indegree[nid] == 0]
+    queue = deque(nid for nid in node_ids if indegree[nid] == 0)
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         for target in out[node]:
             ranks[target] = max(ranks[target], ranks[node] + 1)
             indegree[target] -= 1

@@ -9,7 +9,9 @@ spans; stdout carries only the requested artifact.
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import math
 import os
 import sys
 from typing import Sequence, TextIO
@@ -80,9 +82,23 @@ def _print_diagnostics(diagnostics: Sequence[Diagnostic], streams: _Streams) -> 
         print(line, file=streams.stderr)
 
 
+def _read_stdin(stdin: TextIO) -> str:
+    """Read stdin the way a file is read: strict UTF-8 with universal
+    newlines. Streams without a byte buffer (such as an injected
+    ``io.StringIO``) are already decoded and are read as they are."""
+    buffer = getattr(stdin, "buffer", None)
+    if buffer is None:
+        return stdin.read()
+    try:
+        text = buffer.read().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _UsageError(f"cannot read <stdin>: not valid UTF-8 ({exc.reason})") from exc
+    return io.StringIO(text, newline=None).read()
+
+
 def _read_source(path: str, streams: _Streams) -> tuple[str, str]:
     if path == "-":
-        return streams.stdin.read(), "<stdin>"
+        return _read_stdin(streams.stdin), "<stdin>"
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read(), path
@@ -422,6 +438,18 @@ def _cmd_fmt(args: argparse.Namespace, streams: _Streams) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _ratio(text: str) -> float:
+    """argparse type for a coverage ratio: a finite number in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    # NaN fails both comparisons, infinities fail one.
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"expected a ratio between 0 and 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="phasekit",
@@ -444,7 +472,7 @@ def _build_parser() -> _ArgumentParser:
     cov.add_argument("file")
     cov.add_argument("--boundary")
     cov.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    cov.add_argument("--fail-under", type=float, dest="fail_under")
+    cov.add_argument("--fail-under", type=_ratio, dest="fail_under")
     cov.set_defaults(handler=_cmd_coverage)
 
     trace = cmd("trace", "trace a loss chain or a node's accountability")

@@ -12,6 +12,29 @@ diagnostics and keeps going. Duplicate ids are parse errors (fail fast);
 dangling references are deferred to semantic validation so a partially
 written model can still be explored.
 
+:func:`parse` has two paths over the same statement table,
+``_STATEMENTS``:
+
+* The fast path matches each whole logical statement with one compiled
+  pattern (``_STATEMENT_RE``) and reads its items with a second one
+  (``_ITEM_RE``). It produces no diagnostics: on anything it does not
+  accept as well formed (no match, unknown keyword or attribute, a repeated
+  attribute, a value of the wrong kind, an unknown enum value, an empty
+  list that must not be empty, a wrong number of descriptions, a missing
+  required attribute, a duplicate id, a second ``model`` header) it
+  declines, and :func:`parse` starts over on the exact path.
+* The exact path lexes the whole document into tokens (``_lex``) and parses
+  them statement by statement (``_parse_statement``). It is the only code
+  that reports lexical and statement errors (P001, P002, P004), with their
+  spans.
+
+Both paths feed the same assembly step, which builds the elements and
+reports duplicate ids (P003) and a repeated ``model`` header (P002). A
+report there on the fast path also sends the document to the exact path, so
+every diagnostic :func:`parse` returns comes from the exact path. When the
+fast path accepts a document, its result equals the exact path's result:
+the same model, the same ``source_spans``, and no diagnostics.
+
 Diagnostic codes:
 
 =====  =================================================
@@ -24,7 +47,10 @@ P004   invalid enumeration value
 
 from __future__ import annotations
 
+import re
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Severity, Span, has_errors
 from .model import (
@@ -38,6 +64,7 @@ from .model import (
     LossCategory,
     LossScenario,
     Model,
+    NOT_HAZARDOUS,
     Node,
     NodeKind,
     Ref,
@@ -53,12 +80,6 @@ from .model import (
 _WORD_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
 )
-
-
-class _Verdict:
-    """Stands in for an enum with the single member ``not-hazardous``."""
-
-    values = ("not-hazardous",)
 
 
 @dataclass(frozen=True)
@@ -216,10 +237,18 @@ _IDLIST = "idlist"
 
 @dataclass(frozen=True)
 class _KeySpec:
-    kind: str  # _ID | _STRING | _IDLIST | "enum" (with the class in .enum)
-    enum: type | None = None
+    kind: str  # _ID | _STRING | _IDLIST | _ENUM (with its values in .members)
+    members: dict[str, object] | None = None  # enum value text -> member
     required: bool = True
     nonempty: bool = False  # idlist must not be empty
+
+
+_ENUM = "enum"
+
+
+def _enum(enum_cls: type, required: bool = True) -> _KeySpec:
+    members = {member.value: member for member in enum_cls}  # type: ignore[attr-defined]
+    return _KeySpec(_ENUM, members, required)
 
 
 _STATEMENTS: dict[str, dict] = {
@@ -227,13 +256,13 @@ _STATEMENTS: dict[str, dict] = {
     "loss": {
         "has_id": True,
         "positionals": 1,
-        "keys": {"category": _KeySpec("enum", LossCategory)},
+        "keys": {"category": _enum(LossCategory)},
     },
     "boundary": {
         "has_id": True,
         "positionals": 1,
         "keys": {
-            "stage": _KeySpec("enum", BoundaryStage, required=False),
+            "stage": _enum(BoundaryStage, required=False),
             "includes": _KeySpec(_IDLIST, required=False),
         },
     },
@@ -241,7 +270,7 @@ _STATEMENTS: dict[str, dict] = {
         "has_id": True,
         "positionals": 1,
         "keys": {
-            "kind": _KeySpec("enum", NodeKind),
+            "kind": _enum(NodeKind),
             "process_model": _KeySpec(_STRING, required=False),
             "control_algorithm": _KeySpec(_STRING, required=False),
         },
@@ -274,8 +303,8 @@ _STATEMENTS: dict[str, dict] = {
         "positionals": 0,
         "keys": {
             "action": _KeySpec(_ID),
-            "type": _KeySpec("enum", GuideType),
-            "category": _KeySpec("enum", UcaCategory),
+            "type": _enum(GuideType),
+            "category": _enum(UcaCategory),
             "context": _KeySpec(_STRING),
             "hazards": _KeySpec(_IDLIST, nonempty=True),
         },
@@ -285,7 +314,7 @@ _STATEMENTS: dict[str, dict] = {
         "positionals": 1,
         "keys": {
             "uca": _KeySpec(_ID),
-            "class": _KeySpec("enum", ScenarioClass),
+            "class": _enum(ScenarioClass),
             "elements": _KeySpec(_IDLIST, required=False),
         },
     },
@@ -299,8 +328,8 @@ _STATEMENTS: dict[str, dict] = {
         "positionals": 0,
         "keys": {
             "action": _KeySpec(_ID),
-            "type": _KeySpec("enum", GuideType),
-            "verdict": _KeySpec("enum", _Verdict),
+            "type": _enum(GuideType),
+            "verdict": _KeySpec(_ENUM, {NOT_HAZARDOUS: NOT_HAZARDOUS}),
             "rationale": _KeySpec(_STRING),
         },
     },
@@ -312,12 +341,6 @@ _EDGE_KINDS = {
     "iolink": EdgeKind.IO_LINK,
 }
 _EDGE_KEYWORDS = {kind: kw for kw, kind in _EDGE_KINDS.items()}
-
-
-def _enum_values(enum_cls: type) -> tuple[str, ...]:
-    if enum_cls is _Verdict:
-        return _Verdict.values
-    return tuple(member.value for member in enum_cls)  # type: ignore[attr-defined]
 
 
 class _StatementError(Exception):
@@ -409,24 +432,21 @@ def _coerce_value(cur: _Cursor, key: str, spec: _KeySpec, parsed) -> object:
             cur.fail("P002", f"'{key}=' must list at least one id", span)
         return payload
     # enum
+    values = ", ".join(spec.members)
     if kind != "word":
-        cur.fail("P002", f"'{key}=' expects one of: {', '.join(_enum_values(spec.enum))}", span)
-    values = _enum_values(spec.enum)
-    if payload not in values:
+        cur.fail("P002", f"'{key}=' expects one of: {values}", span)
+    member = spec.members.get(payload)
+    if member is None:
         cur.fail(
             "P004",
-            f"invalid value '{payload}' for '{key}=' (expected one of: {', '.join(values)})",
+            f"invalid value '{payload}' for '{key}=' (expected one of: {values})",
             span,
         )
-    if spec.enum is _Verdict:
-        return payload
-    return spec.enum(payload)  # type: ignore[call-arg]
+    return member
 
 
-@dataclass
-class _RawStatement:
+class _RawStatement(NamedTuple):
     keyword: str
-    head: _Token
     id: str | None
     positionals: list[str]
     attrs: dict[str, object]
@@ -495,15 +515,135 @@ def _parse_statement(
                 cur.fail("P002", f"missing attribute '{key}=' on '{head.value}'", cur.span_of(head))
 
         return _RawStatement(
-            keyword=head.value,
-            head=head,
-            id=stmt_id,
-            positionals=positionals,
-            attrs=attrs,
-            span=Span(filename, head.line, head.column),
+            head.value, stmt_id, positionals, attrs, Span(filename, head.line, head.column)
         )
     except _StatementError:
         return None
+
+
+# ---------------------------------------------------------------------------
+# Fast path
+# ---------------------------------------------------------------------------
+
+# Every word subpattern ends in a negative lookahead, so a word only ever
+# matches whole, as the lexer reads it. Without it, items written with no
+# space between them (``a=b=c=...``) can be split in exponentially many ways
+# before the pattern gives up.
+_W = "[A-Za-z0-9_-]"
+_WORD = rf"{_W}+(?!{_W})"
+_IDENT = rf"[A-Za-z]{_W}*(?!{_W})"
+_QUOTED = r'"[^"\\\r\n]*(?:\\["\\][^"\\\r\n]*)*"'
+# A lone \r must not match the first half of \r\n, or line counts would
+# depend on where a match happened to split it.
+_BREAK = r"(?:\r\n|\r(?!\n)|\n)"
+# Blanks and continuations. Like the lexer, a backslash at the very end of
+# the input counts as a continuation.
+_GAP = rf"[ \t]*(?:\\(?:{_BREAK}|\Z)[ \t]*)*"
+_BLANK_LINES = rf"(?:[ \t]*(?:#[^\r\n]*|\\)?{_BREAK})*"
+
+#: One logical statement, with the blank and comment lines before it.
+_STATEMENT_RE = re.compile(
+    rf"(?P<lead>{_BLANK_LINES})[ \t]*"
+    rf"(?P<keyword>{_WORD})(?:{_GAP}(?P<id>{_IDENT}))?"
+    rf"(?P<body>(?:{_GAP}(?:{_QUOTED}|{_WORD}{_GAP}={_GAP}"
+    rf"(?:{_QUOTED}|{_WORD}|\[{_GAP}(?:{_IDENT}{_GAP}(?:,{_GAP}{_IDENT}{_GAP})*)?\])))*)"
+    rf"{_GAP}(?:#[^\r\n]*)?(?:{_BREAK}|\Z)"
+)
+#: What may follow the last statement.
+_TRAILER_RE = re.compile(rf"{_BLANK_LINES}[ \t]*(?:#[^\r\n]*|\\)?")
+#: One item of a matched statement body: a description, or a key and value.
+_ITEM_RE = re.compile(
+    rf"({_QUOTED})|({_WORD}){_GAP}={_GAP}({_QUOTED}|{_WORD}|\[[^\]]*\])"
+)
+_LIST_ITEM_RE = re.compile(_WORD)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
+
+
+class _FastShape(NamedTuple):
+    has_id: bool
+    positionals: int
+    keys: dict[str, _KeySpec]
+    required: frozenset[str]
+
+
+_FAST_SHAPES = {
+    keyword: _FastShape(
+        shape["has_id"],
+        shape["positionals"],
+        shape["keys"],
+        frozenset(key for key, spec in shape["keys"].items() if spec.required),
+    )
+    for keyword, shape in _STATEMENTS.items()
+}
+
+
+class _Decline(Exception):
+    """Internal signal: the fast path leaves this document to the exact path."""
+
+
+def _unquote(quoted: str) -> str:
+    text = quoted[1:-1]
+    return _ESCAPE_RE.sub(r"\1", text) if "\\" in text else text
+
+
+def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:
+    """The statements of a well-formed document, or :class:`_Decline`."""
+    def breaks(start: int, end: int) -> int:
+        return (
+            text.count("\n", start, end)
+            + text.count("\r", start, end)
+            - text.count("\r\n", start, end)
+        )
+
+    match_statement = _STATEMENT_RE.match
+    items = _ITEM_RE.findall
+    pos, line = 0, 1
+    while (m := match_statement(text, pos)) is not None:
+        keyword, stmt_id = m.group("keyword", "id")
+        shape = _FAST_SHAPES.get(keyword)
+        if shape is None or shape.has_id != (stmt_id is not None):
+            raise _Decline
+        keys = shape.keys
+        positionals: list[str] = []
+        attrs: dict[str, object] = {}
+        for positional, key, value in items(text, *m.span("body")):
+            if positional:
+                positionals.append(_unquote(positional))
+                continue
+            spec = keys.get(key)
+            if spec is None or key in attrs:
+                raise _Decline
+            # The first character tells the value's kind: '"' a string,
+            # '[' a list, a letter an identifier or enum word.
+            kind, first = spec.kind, value[0]
+            if kind == _STRING:
+                if first != '"':
+                    raise _Decline
+                value = _unquote(value)
+            elif kind == _IDLIST:
+                if first != "[":
+                    raise _Decline
+                value = tuple(_LIST_ITEM_RE.findall(value))
+                if spec.nonempty and not value:
+                    raise _Decline
+            elif not first.isalpha():
+                raise _Decline
+            elif spec.members is not None:
+                value = spec.members.get(value)
+                if value is None:
+                    raise _Decline
+            attrs[key] = value
+        if len(positionals) != shape.positionals or not shape.required <= attrs.keys():
+            raise _Decline
+        line_start, head = m.end("lead"), m.start("keyword")
+        line += breaks(pos, line_start)
+        yield _RawStatement(
+            keyword, stmt_id, positionals, attrs, Span(filename, line, head - line_start + 1)
+        )
+        pos = m.end()
+        line += breaks(head, pos)
+    if _TRAILER_RE.fullmatch(text, pos) is None:
+        raise _Decline
 
 
 # ---------------------------------------------------------------------------
@@ -511,16 +651,49 @@ def _parse_statement(
 # ---------------------------------------------------------------------------
 
 
-def parse(text: str, filename: str = "<input>") -> ParseResult:
-    """Parse a PHASE document.
+def _edge_constructor(kind: EdgeKind) -> Callable:
+    return lambda i, p, a: Edge(i, kind, a["from"], a["to"], p[0])
 
-    Never raises on malformed input: every problem becomes a diagnostic with
-    a span into ``text``. The model is returned only when there are no
-    error-severity diagnostics.
-    """
-    diags: list[Diagnostic] = []
-    statements = _lex(text, filename, diags)
 
+#: Element class and constructor, from (id, descriptions, attributes), of
+#: each keyword that declares an element with an id.
+_CONSTRUCTORS: dict[str, tuple[str, Callable]] = {
+    "loss": ("loss", lambda i, p, a: Loss(i, p[0], a["category"])),
+    "boundary": (
+        "boundary",
+        lambda i, p, a: SystemBoundary(i, p[0], a.get("stage"), a.get("includes", ())),
+    ),
+    "node": (
+        "node",
+        lambda i, p, a: Node(
+            i, p[0], a["kind"], a.get("process_model"), a.get("control_algorithm")
+        ),
+    ),
+    **{kw: ("edge", _edge_constructor(kind)) for kw, kind in _EDGE_KINDS.items()},
+    "hazard": ("hazard", lambda i, p, a: Hazard(i, p[0], a["boundary"], a["leads_to"])),
+    # The uca source is derived from its action edge once all edges are known.
+    "uca": (
+        "uca",
+        lambda i, p, a: Uca(
+            i, "", a["action"], a["type"], a["category"], a["context"], a["hazards"]
+        ),
+    ),
+    "scenario": (
+        "scenario",
+        lambda i, p, a: LossScenario(i, a["uca"], a["class"], p[0], a.get("elements", ())),
+    ),
+    "requirement": (
+        "requirement",
+        lambda i, p, a: SafetyRequirement(i, a["scenarios"], p[0]),
+    ),
+}
+
+
+def _assemble(
+    statements: Iterable[_RawStatement | None], diags: list[Diagnostic]
+) -> ParseResult:
+    """Build the model from parsed statements, reporting duplicate ids and
+    a repeated ``model`` header into ``diags``."""
     name = ""
     name_span: Span | None = None
     collections: dict[str, list] = {cls: [] for cls in (
@@ -528,108 +701,17 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
         "uca", "scenario", "requirement", "assessment",
     )}
     spans: dict[Ref, Span] = {}
-    seen: dict[tuple[str, str], Span] = {}
 
-    def declare(cls: str, element_id: str, span: Span) -> bool:
-        prior = seen.get((cls, element_id))
-        if prior is not None:
-            diags.append(
-                _error("P003", f"duplicate {cls} id '{element_id}'", span, prior)
-            )
-            return False
-        seen[(cls, element_id)] = span
-        spans[Ref(cls, element_id)] = span
-        return True
-
-    for tokens in statements:
-        raw = _parse_statement(tokens, filename, diags)
+    for raw in statements:
         if raw is None:
             continue
-        kw = raw.keyword
+        kw, span = raw.keyword, raw.span
         if kw == "model":
             if name_span is not None:
-                diags.append(
-                    _error("P002", "model name already declared", raw.span, name_span)
-                )
+                diags.append(_error("P002", "model name already declared", span, name_span))
                 continue
             name = raw.positionals[0]
-            name_span = raw.span
-        elif kw == "loss":
-            if declare("loss", raw.id, raw.span):
-                collections["loss"].append(
-                    Loss(raw.id, raw.positionals[0], raw.attrs["category"])
-                )
-        elif kw == "boundary":
-            if declare("boundary", raw.id, raw.span):
-                collections["boundary"].append(
-                    SystemBoundary(
-                        raw.id,
-                        raw.positionals[0],
-                        raw.attrs.get("stage"),
-                        raw.attrs.get("includes", ()),
-                    )
-                )
-        elif kw == "node":
-            if declare("node", raw.id, raw.span):
-                collections["node"].append(
-                    Node(
-                        raw.id,
-                        raw.positionals[0],
-                        raw.attrs["kind"],
-                        raw.attrs.get("process_model"),
-                        raw.attrs.get("control_algorithm"),
-                    )
-                )
-        elif kw in _EDGE_KINDS:
-            if declare("edge", raw.id, raw.span):
-                collections["edge"].append(
-                    Edge(
-                        raw.id,
-                        _EDGE_KINDS[kw],
-                        raw.attrs["from"],
-                        raw.attrs["to"],
-                        raw.positionals[0],
-                    )
-                )
-        elif kw == "hazard":
-            if declare("hazard", raw.id, raw.span):
-                collections["hazard"].append(
-                    Hazard(
-                        raw.id,
-                        raw.positionals[0],
-                        raw.attrs["boundary"],
-                        raw.attrs["leads_to"],
-                    )
-                )
-        elif kw == "uca":
-            if declare("uca", raw.id, raw.span):
-                collections["uca"].append(
-                    Uca(
-                        raw.id,
-                        "",  # derived from the action edge below
-                        raw.attrs["action"],
-                        raw.attrs["type"],
-                        raw.attrs["category"],
-                        raw.attrs["context"],
-                        raw.attrs["hazards"],
-                    )
-                )
-        elif kw == "scenario":
-            if declare("scenario", raw.id, raw.span):
-                collections["scenario"].append(
-                    LossScenario(
-                        raw.id,
-                        raw.attrs["uca"],
-                        raw.attrs["class"],
-                        raw.positionals[0],
-                        raw.attrs.get("elements", ()),
-                    )
-                )
-        elif kw == "requirement":
-            if declare("requirement", raw.id, raw.span):
-                collections["requirement"].append(
-                    SafetyRequirement(raw.id, raw.attrs["scenarios"], raw.positionals[0])
-                )
+            name_span = span
         elif kw == "assess":
             assessment = Assessment(
                 raw.attrs["action"], raw.attrs["type"], raw.attrs["rationale"]
@@ -645,7 +727,16 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
             while ref in spans:
                 ref = Ref("assessment", f"{key}#{occurrence}")
                 occurrence += 1
-            spans[ref] = raw.span
+            spans[ref] = span
+        else:
+            cls, build = _CONSTRUCTORS[kw]
+            ref = Ref(cls, raw.id)
+            prior = spans.get(ref)
+            if prior is not None:
+                diags.append(_error("P003", f"duplicate {cls} id '{raw.id}'", span, prior))
+                continue
+            spans[ref] = span
+            collections[cls].append(build(raw.id, raw.positionals, raw.attrs))
 
     # Lexical errors are found in a separate pass; present everything in
     # source order.
@@ -674,6 +765,33 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
         source_spans=spans,
     )
     return ParseResult(model, tuple(diags))
+
+
+def _parse_exact(text: str, filename: str) -> ParseResult:
+    """Parse through the token lexer; reports every problem it finds."""
+    diags: list[Diagnostic] = []
+    statements = _lex(text, filename, diags)
+    return _assemble(
+        (_parse_statement(tokens, filename, diags) for tokens in statements), diags
+    )
+
+
+def parse(text: str, filename: str = "<input>") -> ParseResult:
+    """Parse a PHASE document.
+
+    Never raises on malformed input: every problem becomes a diagnostic with
+    a span into ``text``. The model is returned only when there are no
+    error-severity diagnostics.
+    """
+    diags: list[Diagnostic] = []
+    try:
+        result = _assemble(_fast_statements(text, filename), diags)
+    except _Decline:
+        pass
+    else:
+        if not diags:
+            return result
+    return _parse_exact(text, filename)
 
 
 def parse_file(path: str) -> ParseResult:

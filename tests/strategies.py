@@ -39,9 +39,11 @@ texts = st.text(alphabet=_TEXT_ALPHABET, max_size=24)
 def _ids(prefix: str, count: int, rnd: random.Random) -> list[str]:
     out = []
     for index in range(count):
+        # No leading digit, or index 2 with suffix "0" would collide with
+        # index 20.
         suffix = "".join(
             rnd.choice(string.ascii_lowercase + "_-0") for _ in range(rnd.randint(0, 3))
-        )
+        ).lstrip("0")
         out.append(f"{prefix}{index}{suffix}")
     return out
 

@@ -89,6 +89,21 @@ def test_coverage_fail_under(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "7", "-0.1", "1.5", "half"])
+def test_coverage_fail_under_rejects_non_ratios(tmp_path, value):
+    path = write(tmp_path, FIVE_ACTIONS)
+    code, out, err = cli("coverage", path, f"--fail-under={value}")
+    assert code == 3
+    assert out == ""
+    assert "--fail-under" in err
+
+
+def test_coverage_fail_under_accepts_bounds(tmp_path):
+    path = write(tmp_path, FIVE_ACTIONS)
+    assert cli("coverage", path, "--fail-under", "0")[0] == 0
+    assert cli("coverage", path, "--fail-under", "1")[0] == 1
+
+
 def test_coverage_formats(tmp_path):
     path = write(tmp_path, FIVE_ACTIONS)
     code, out, _ = cli("coverage", path, "--format", "csv")
@@ -281,6 +296,29 @@ def test_non_utf8_file_exit_3(tmp_path):
     code, _, err = cli("check", str(path))
     assert code == 3
     assert "not valid UTF-8" in err
+
+
+def _bytes_stdin(data: bytes) -> io.TextIOWrapper:
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
+def test_non_utf8_stdin_exit_3():
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["fmt", "-"], stdin=_bytes_stdin(b'model "\xff"\n'), stdout=out, stderr=err)
+    assert code == 3
+    assert out.getvalue() == ""
+    assert "cannot read <stdin>: not valid UTF-8" in err.getvalue()
+
+
+def test_stdin_reads_like_a_file(tmp_path):
+    data = b'model "caf\xc3\xa9"\r\nloss L1 "x" category=sociotechnical\r\n'
+    path = tmp_path / "crlf.phase"
+    path.write_bytes(data)
+    from_file = cli("fmt", "--check", str(path))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["fmt", "--check", "-"], stdin=_bytes_stdin(data), stdout=out, stderr=err)
+    assert from_file == (0, "", "")
+    assert (code, out.getvalue(), err.getvalue()) == from_file
 
 
 def test_stdout_stderr_separation(tmp_path):

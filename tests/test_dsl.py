@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import random
 import re
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phasekit import LossCategory, Severity, parse, serialize
-from phasekit.model import EdgeKind, GuideType
+from phasekit.dsl import _Decline, _fast_statements, _parse_exact
+from phasekit.model import CLASS_FIELDS, EdgeKind, GuideType
 
 from .strategies import documents, messy_render, valid_models
 
@@ -40,6 +42,10 @@ def test_invalid_enum_value_has_span():
     assert result.model is None
     (diag,) = result.diagnostics
     assert diag.code == "P004"
+    assert diag.message == (
+        "invalid value 'bogus' for 'category=' "
+        "(expected one of: safety-critical, performance-related, sociotechnical)"
+    )
     assert diag.severity is Severity.ERROR
     assert diag.span.file == "doc.phase"
     assert diag.span.line == 1
@@ -240,3 +246,124 @@ def test_single_byte_corruption_keeps_spans_in_bounds(doc, data):
         assert span is not None
         assert 1 <= span.line <= len(lines)
         assert 1 <= span.column <= max(1, len(lines[span.line - 1]) + 1)
+
+
+# ---------------------------------------------------------------------------
+# Fast path against the exact path
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_exact(text: str):
+    """``parse`` must give exactly what the token parser gives."""
+    got = parse(text, "doc.phase")
+    want = _parse_exact(text, "doc.phase")
+    assert got.diagnostics == want.diagnostics
+    assert got.model == want.model
+    if want.model is not None:
+        assert got.model.source_spans == want.model.source_spans
+    return got
+
+
+def takes_fast_path(text: str) -> bool:
+    try:
+        list(_fast_statements(text, "doc.phase"))
+    except _Decline:
+        return False
+    return True
+
+
+@settings(max_examples=1, derandomize=True, deadline=None, database=None)
+@given(valid_models(max_per_class=300), st.integers(0, 2**32))
+def test_large_document_matches_exact_path(model, seed):
+    assume(sum(len(model.elements_of(cls)) for cls in CLASS_FIELDS) >= 1000)
+    doc = messy_render(model, random.Random(seed))
+    for newline in ("\n", "\r\n", "\r"):
+        text = doc.replace("\n", newline)
+        assert takes_fast_path(text)
+        assert assert_matches_exact(text).model is not None
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+def test_fixtures_take_fast_path(name):
+    from .conftest import fixture_path
+
+    text = fixture_path(name).read_text(encoding="utf-8")
+    assert takes_fast_path(text)
+    assert_matches_exact(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # A backslash at the very end of the input is a continuation.
+        'loss L1 "a" category=sociotechnical \\',
+        "\\",
+        'model "m"\n\\',
+        # '#' inside a string is text, not a comment.
+        'loss L1 "a # b" category=sociotechnical # c',
+        # A backslash before a newline inside a string is not a continuation.
+        'loss L1 "a \\\n" category=sociotechnical',
+        # Only \r\n, \r and \n end a line; other separators are string text.
+        'model "a\x85b\u2028c\x0bd"\rloss L1 "x" category=sociotechnical',
+        'model "m"\r\n\r\n  loss L1 "x" \\\r\n category=sociotechnical\r',
+        # Tokens need no blanks between them where the lexer splits them.
+        'loss L1"a"category=sociotechnical',
+        'hazard H1 boundary=B leads_to=[ L1 ,\\\n L2 ]"h"',
+        "  \\\n\tloss L1 category = sociotechnical \\\n\\\n  \"x\"",
+        # Each of these is declined and left to the exact path.
+        'loss L1 "a" category=sociotechnical\nloss L1 "b" category=sociotechnical',
+        'model "a"\nmodel "b"',
+        'loss L1 "a" "b" category=sociotechnical',
+        'assess action=CA1 type=provided verdict=maybe rationale="r"',
+        'hazard H1 "h" boundary=SB leads_to=[]',
+        'loss L1 "a" category=sociotechnical category=sociotechnical',
+        'requirement R1 scenarios=[S1,9x] "r"',
+        'loss L1 "a\\q" category=sociotechnical',
+        'loss L1 "a" category=sociotechnical \\ x',
+    ],
+)
+def test_edge_cases_match_exact_path(text):
+    assert_matches_exact(text)
+
+
+_SOUP = st.sampled_from(
+    [
+        "model", "loss", "boundary", "node", "action", "feedback", "iolink",
+        "hazard", "uca", "scenario", "requirement", "assess", "L1", "H1", "9x",
+        "category=", "kind=", "stage=", "includes=", "leads_to=", "boundary=",
+        "from=", "to=", "action=", "type=", "hazards=", "context=", "uca=",
+        "class=", "elements=", "scenarios=", "verdict=", "rationale=",
+        "sociotechnical", "human", "provided", "functional", "technical",
+        "not-hazardous", "[a,b]", "[]", "[L1]", '""', '"x"', '"a\\"b"',
+        "\\", "\\\n", "#", "\r", "\n", "\r\n", "\x00", " ", "\t", "=", ",",
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text())
+def test_any_text_matches_exact_path(text):
+    assert_matches_exact(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SOUP, max_size=40))
+def test_token_soup_matches_exact_path(tokens):
+    assert_matches_exact("".join(tokens))
+    assert_matches_exact(" ".join(tokens))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "=".join(["ab", "cd"] * 1250),
+        'loss L1 "x" category=sociotechnical ' + "=".join(["ab", "cd"] * 1250),
+        "uca U1 " + "".join(f'k{i}="v"' for i in range(700)) + " $",
+    ],
+    ids=["bare", "after-statement", "quoted-values"],
+)
+def test_items_without_blanks_parse_in_linear_time(text):
+    assert len(text) >= 5000
+    start = time.perf_counter()
+    assert_matches_exact(text)
+    assert time.perf_counter() - start < 2.0
