@@ -27,6 +27,8 @@ from enum import Enum
 from .diagnostics import Diagnostic, Severity, Span
 from .model import (
     GUIDE_TYPES,
+    REFERENCES,
+    SCHEMA,
     Assessment,
     Edge,
     EdgeKind,
@@ -34,10 +36,12 @@ from .model import (
     Model,
     Node,
     Ref,
+    Uca,
     UnknownReferenceError,
-    assessment_key,
+    assessment_ref,
     elements_in_boundary,
     lookup,
+    referenced_ids,
 )
 
 
@@ -172,6 +176,41 @@ def _dangling(
     )
 
 
+def _check_uca_action(
+    model: Model, uca: Uca, ref: Ref, node_ids: set[str], edge_by_id: dict[str, Edge]
+) -> list[Diagnostic]:
+    """The action of a uca and the source derived from it, action first."""
+    diags: list[Diagnostic] = []
+    action = edge_by_id.get(uca.action)
+    if action is None:
+        diags.append(_dangling(model, ref, "edge", uca.action))
+    elif action.kind is not EdgeKind.CONTROL_ACTION:
+        diags.append(
+            Diagnostic(
+                Severity.ERROR,
+                "V003",
+                f"uca '{uca.id}' references '{action.id}' which is a "
+                f"{action.kind.value} edge, not a control action",
+                _span(model, ref),
+            )
+        )
+    # Without an action the source is expected to be empty.
+    if uca.source and uca.source not in node_ids:
+        diags.append(_dangling(model, ref, "node", uca.source))
+    if action is not None and uca.source != action.source:
+        diags.append(
+            Diagnostic(
+                Severity.ERROR,
+                "V002",
+                f"uca '{uca.id}' is attached to '{uca.source}' but action "
+                f"'{action.id}' is issued by '{action.source}'",
+                _span(model, ref),
+                _span(model, Ref("edge", action.id)),
+            )
+        )
+    return diags
+
+
 def validate(model: Model) -> list[Diagnostic]:
     """Check every cross-reference and structural invariant.
 
@@ -181,142 +220,71 @@ def validate(model: Model) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
     ids = {
-        cls: {getattr(e, "id") for e in model.elements_of(cls)}
-        for cls in ("loss", "boundary", "hazard", "node", "edge", "uca", "scenario")
+        c.name: {e.id for e in model.elements_of(c.name)} for c in SCHEMA if c.identity
     }
     edge_by_id = {e.id: e for e in model.edges}
+    seen_cells: dict[tuple, Span | None] = {}
+    occurrences: dict[tuple, int] = {}
 
-    for boundary in model.boundaries:
-        ref = Ref("boundary", boundary.id)
-        for node_id in boundary.includes:
-            if node_id not in ids["node"]:
-                diags.append(_dangling(model, ref, "node", node_id))
-
-    for hazard in model.hazards:
-        ref = Ref("hazard", hazard.id)
-        if hazard.boundary not in ids["boundary"]:
-            diags.append(_dangling(model, ref, "boundary", hazard.boundary))
-        if not hazard.leads_to:
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "V004",
-                    f"hazard '{hazard.id}' must lead to at least one loss",
-                    _span(model, ref),
+    for element_class in SCHEMA:
+        cls = element_class.name
+        # Each reference slot with the ids it may name. A uca's source and
+        # action are checked together by _check_uca_action.
+        checks = [
+            (slot, set().union(*(ids[t] for t in targets)), " or ".join(targets))
+            for slot, targets in REFERENCES[cls]
+            if not (cls == "uca" and slot.field in ("source", "action"))
+        ]
+        if not checks:
+            continue  # a class without references has nothing else to check
+        for element in model.elements_of(cls):
+            if element_class.identity:
+                ref = Ref(cls, element.id)
+            else:
+                cell = (element.action, element.guide_type)
+                occurrences[cell] = occurrences.get(cell, 0) + 1
+                ref = assessment_ref(*cell, occurrences[cell])
+            if cls == "uca":
+                diags.extend(
+                    _check_uca_action(model, element, ref, ids["node"], edge_by_id)
                 )
-            )
-        for loss_id in hazard.leads_to:
-            if loss_id not in ids["loss"]:
-                diags.append(_dangling(model, ref, "loss", loss_id))
-
-    for edge in model.edges:
-        ref = Ref("edge", edge.id)
-        if edge.source not in ids["node"]:
-            diags.append(_dangling(model, ref, "node", edge.source))
-        if edge.target not in ids["node"]:
-            diags.append(_dangling(model, ref, "node", edge.target))
-        if edge.source == edge.target:
-            diags.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "V100",
-                    f"edge '{edge.id}' is a self-loop on '{edge.source}'",
-                    _span(model, ref),
-                )
-            )
-
-    for uca in model.ucas:
-        ref = Ref("uca", uca.id)
-        action = edge_by_id.get(uca.action)
-        if action is None:
-            diags.append(_dangling(model, ref, "edge", uca.action))
-            # Source is derived from the action; without one there is
-            # nothing further to check, and an empty source is expected.
-            if uca.source and uca.source not in ids["node"]:
-                diags.append(_dangling(model, ref, "node", uca.source))
-        else:
-            if action.kind is not EdgeKind.CONTROL_ACTION:
+            for slot, known, target_text in checks:
+                values = referenced_ids(element, slot)
+                if slot.nonempty and not values:
+                    diags.append(
+                        Diagnostic(
+                            Severity.ERROR,
+                            "V004",
+                            f"{cls} '{ref.id}' must {slot.nonempty} at least one "
+                            f"{slot.target}",
+                            _span(model, ref),
+                        )
+                    )
+                for value in values:
+                    if value not in known:
+                        diags.append(_dangling(model, ref, target_text, value))
+            if cls == "edge" and element.source == element.target:
                 diags.append(
                     Diagnostic(
-                        Severity.ERROR,
-                        "V003",
-                        f"uca '{uca.id}' references '{action.id}' which is a "
-                        f"{action.kind.value} edge, not a control action",
+                        Severity.WARNING,
+                        "V100",
+                        f"edge '{element.id}' is a self-loop on '{element.source}'",
                         _span(model, ref),
                     )
                 )
-            if uca.source and uca.source not in ids["node"]:
-                diags.append(_dangling(model, ref, "node", uca.source))
-            if uca.source != action.source:
+            if cls == "assessment" and occurrences[cell] == 1:
+                seen_cells[cell] = _span(model, ref)
+            elif cls == "assessment":
                 diags.append(
                     Diagnostic(
                         Severity.ERROR,
-                        "V002",
-                        f"uca '{uca.id}' is attached to '{uca.source}' but action "
-                        f"'{action.id}' is issued by '{action.source}'",
+                        "V005",
+                        f"duplicate assessment for action '{element.action}' and "
+                        f"guide type '{element.guide_type.value}'",
                         _span(model, ref),
-                        _span(model, Ref("edge", action.id)),
+                        seen_cells[cell],
                     )
                 )
-        if not uca.hazards:
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "V004",
-                    f"uca '{uca.id}' must link to at least one hazard",
-                    _span(model, ref),
-                )
-            )
-        for hazard_id in uca.hazards:
-            if hazard_id not in ids["hazard"]:
-                diags.append(_dangling(model, ref, "hazard", hazard_id))
-
-    for scenario in model.scenarios:
-        ref = Ref("scenario", scenario.id)
-        if scenario.uca not in ids["uca"]:
-            diags.append(_dangling(model, ref, "uca", scenario.uca))
-        for element_id in scenario.elements:
-            if element_id not in ids["node"] and element_id not in ids["edge"]:
-                diags.append(_dangling(model, ref, "node or edge", element_id))
-
-    for requirement in model.requirements:
-        ref = Ref("requirement", requirement.id)
-        if not requirement.scenarios:
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "V004",
-                    f"requirement '{requirement.id}' must cover at least one scenario",
-                    _span(model, ref),
-                )
-            )
-        for scenario_id in requirement.scenarios:
-            if scenario_id not in ids["scenario"]:
-                diags.append(_dangling(model, ref, "scenario", scenario_id))
-
-    seen_cells: dict[str, Span | None] = {}
-    occurrences: dict[str, int] = {}
-    for assessment in model.assessments:
-        key = assessment_key(assessment)
-        count = occurrences.get(key, 0)
-        occurrences[key] = count + 1
-        # Duplicate declarations store spans under occurrence-suffixed keys.
-        ref = Ref("assessment", key if count == 0 else f"{key}#{count + 1}")
-        if assessment.action not in ids["edge"]:
-            diags.append(_dangling(model, ref, "edge", assessment.action))
-        if count:
-            diags.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "V005",
-                    f"duplicate assessment for action '{assessment.action}' and "
-                    f"guide type '{assessment.guide_type.value}'",
-                    _span(model, ref),
-                    seen_cells[key],
-                )
-            )
-        else:
-            seen_cells[key] = _span(model, ref)
 
     return diags
 
@@ -444,7 +412,7 @@ def _strongly_connected_components(
     return components
 
 
-def scope_ranks(model: Model, nodes: list[Node]) -> tuple[dict[str, int], list[Hint]]:
+def scope_ranks(model: Model, nodes: list[Node]) -> dict[str, int]:
     """Hierarchy ranks over an explicit node scope (the whole model, say)."""
     node_ids = [n.id for n in nodes]
     adjacency, edges = _control_subgraph(model, node_ids)
@@ -454,22 +422,7 @@ def scope_ranks(model: Model, nodes: list[Node]) -> tuple[dict[str, int], list[H
         for index, edge in enumerate(edges)
         if index not in back
     ]
-    ranks = _longest_path_ranks(node_ids, forward)
-
-    hints: list[Hint] = []
-    for component in _strongly_connected_components(node_ids, adjacency):
-        if len(component) < 2:
-            continue
-        hints.append(
-            Hint(
-                HintCode.HIERARCHY_CYCLE,
-                tuple(Ref("node", nid) for nid in component),
-                "control actions form a cycle among nodes "
-                + ", ".join(f"'{nid}'" for nid in component),
-            )
-        )
-    hints.sort(key=lambda h: (h.code.value, tuple(ref.id for ref in h.subjects)))
-    return ranks, hints
+    return _longest_path_ranks(node_ids, forward)
 
 
 def hierarchy_ranks(
@@ -484,7 +437,20 @@ def hierarchy_ranks(
     reported as a hierarchy-cycle hint.
     """
     nodes, _ = elements_in_boundary(model, boundary_id)
-    return scope_ranks(model, list(nodes))
+    node_ids = [n.id for n in nodes]
+    adjacency, _ = _control_subgraph(model, node_ids)
+    hints = [
+        Hint(
+            HintCode.HIERARCHY_CYCLE,
+            tuple(Ref("node", nid) for nid in component),
+            "control actions form a cycle among nodes "
+            + ", ".join(f"'{nid}'" for nid in component),
+        )
+        for component in _strongly_connected_components(node_ids, adjacency)
+        if len(component) >= 2
+    ]
+    hints.sort(key=lambda h: (h.code.value, tuple(ref.id for ref in h.subjects)))
+    return scope_ranks(model, list(nodes)), hints
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +498,7 @@ def coverage(model: Model, boundary_id: str | None = None) -> CoverageMatrix:
                             "C001",
                             f"action '{action.id}' guide type '{guide.value}' is "
                             f"waived but covered by uca(s) {', '.join(uca_ids)}",
-                            model.source_spans.get(
-                                Ref("assessment", f"{action.id}/{guide.value}")
-                            ),
+                            model.source_spans.get(assessment_ref(action.id, guide)),
                         )
                     )
             elif assessment is not None:
@@ -548,6 +512,42 @@ def coverage(model: Model, boundary_id: str | None = None) -> CoverageMatrix:
 # ---------------------------------------------------------------------------
 # Hints
 # ---------------------------------------------------------------------------
+
+
+#: Each class of the accountability chain and the class that refers to it.
+_REFERRED_BY = {
+    "loss": "hazard",
+    "hazard": "uca",
+    "uca": "scenario",
+    "scenario": "requirement",
+}
+
+#: The hint for a chain element that nothing in the next class refers to,
+#: and what its message says about the element.
+_UNREFERENCED = {
+    "loss": (HintCode.LOSS_WITHOUT_HAZARD, "is not linked to any hazard"),
+    "hazard": (HintCode.HAZARD_WITHOUT_UCA, "is not referenced by any uca"),
+    "uca": (HintCode.UCA_WITHOUT_SCENARIO, "has no loss scenario"),
+    "scenario": (
+        HintCode.SCENARIO_WITHOUT_REQUIREMENT,
+        "is not addressed by any safety requirement",
+    ),
+}
+
+
+def _chain_children(model: Model) -> dict[str, dict[str, list[str]]]:
+    """For each class of the chain that is referred to, the ids it is
+    referred by: each referenced id maps to the ids of the elements of the
+    next class that refer to it, in declaration order."""
+    children: dict[str, dict[str, list[str]]] = {}
+    for target, source in _REFERRED_BY.items():
+        by_target = children[target] = {}
+        for slot, targets in REFERENCES[source]:
+            if target in targets:
+                for element in model.elements_of(source):
+                    for target_id in dict.fromkeys(referenced_ids(element, slot)):
+                        by_target.setdefault(target_id, []).append(element.id)
+    return children
 
 
 def hints(model: Model) -> list[Hint]:
@@ -611,50 +611,13 @@ def hints(model: Model) -> list[Hint]:
                 )
             )
 
-    referenced_losses = {lid for h in model.hazards for lid in h.leads_to}
-    for loss in model.losses:
-        if loss.id not in referenced_losses:
-            found.append(
-                Hint(
-                    HintCode.LOSS_WITHOUT_HAZARD,
-                    (Ref("loss", loss.id),),
-                    f"loss '{loss.id}' is not linked to any hazard",
+    for cls, referenced in _chain_children(model).items():
+        code, complaint = _UNREFERENCED[cls]
+        for element in model.elements_of(cls):
+            if element.id not in referenced:
+                found.append(
+                    Hint(code, (Ref(cls, element.id),), f"{cls} '{element.id}' {complaint}")
                 )
-            )
-
-    referenced_hazards = {hid for u in model.ucas for hid in u.hazards}
-    for hazard in model.hazards:
-        if hazard.id not in referenced_hazards:
-            found.append(
-                Hint(
-                    HintCode.HAZARD_WITHOUT_UCA,
-                    (Ref("hazard", hazard.id),),
-                    f"hazard '{hazard.id}' is not referenced by any uca",
-                )
-            )
-
-    referenced_ucas = {s.uca for s in model.scenarios}
-    for uca in model.ucas:
-        if uca.id not in referenced_ucas:
-            found.append(
-                Hint(
-                    HintCode.UCA_WITHOUT_SCENARIO,
-                    (Ref("uca", uca.id),),
-                    f"uca '{uca.id}' has no loss scenario",
-                )
-            )
-
-    referenced_scenarios = {sid for r in model.requirements for sid in r.scenarios}
-    for scenario in model.scenarios:
-        if scenario.id not in referenced_scenarios:
-            found.append(
-                Hint(
-                    HintCode.SCENARIO_WITHOUT_REQUIREMENT,
-                    (Ref("scenario", scenario.id),),
-                    f"scenario '{scenario.id}' is not addressed by any safety "
-                    "requirement",
-                )
-            )
 
     found.sort(key=lambda h: (h.code.value, tuple(ref.id for ref in h.subjects)))
     return found
@@ -671,34 +634,19 @@ def trace_loss(model: Model, loss_id: str) -> TraceTree:
     :class:`UnknownReferenceError` for an unknown loss id."""
     if lookup(model, "loss", loss_id) is None:
         raise UnknownReferenceError("loss", loss_id)
+    children = _chain_children(model)
 
-    def requirements_for(scenario_id: str) -> tuple[TraceTree, ...]:
-        return tuple(
-            TraceTree("requirement", r.id)
-            for r in model.requirements
-            if scenario_id in r.scenarios
+    def tree(cls: str, element_id: str) -> TraceTree:
+        below = _REFERRED_BY.get(cls)
+        if below is None:
+            return TraceTree(cls, element_id)
+        return TraceTree(
+            cls,
+            element_id,
+            tuple(tree(below, child) for child in children[cls].get(element_id, ())),
         )
 
-    def scenarios_for(uca_id: str) -> tuple[TraceTree, ...]:
-        return tuple(
-            TraceTree("scenario", s.id, requirements_for(s.id))
-            for s in model.scenarios
-            if s.uca == uca_id
-        )
-
-    def ucas_for(hazard_id: str) -> tuple[TraceTree, ...]:
-        return tuple(
-            TraceTree("uca", u.id, scenarios_for(u.id))
-            for u in model.ucas
-            if hazard_id in u.hazards
-        )
-
-    hazards = tuple(
-        TraceTree("hazard", h.id, ucas_for(h.id))
-        for h in model.hazards
-        if loss_id in h.leads_to
-    )
-    return TraceTree("loss", loss_id, hazards)
+    return tree("loss", loss_id)
 
 
 def trace_node(model: Model, node_id: str) -> AccountabilityReport:
@@ -742,40 +690,19 @@ def _ratio(numerator: int, denominator: int) -> float:
 
 def metrics(model: Model) -> Metrics:
     """Element counts, coverage ratio, and chain-completeness ratios."""
-    counts = {
-        "losses": len(model.losses),
-        "boundaries": len(model.boundaries),
-        "hazards": len(model.hazards),
-        "nodes": len(model.nodes),
-        "edges": len(model.edges),
-        "ucas": len(model.ucas),
-        "scenarios": len(model.scenarios),
-        "requirements": len(model.requirements),
-        "assessments": len(model.assessments),
-    }
-    referenced_losses = {lid for h in model.hazards for lid in h.leads_to}
-    referenced_hazards = {hid for u in model.ucas for hid in u.hazards}
-    referenced_ucas = {s.uca for s in model.scenarios}
-    referenced_scenarios = {sid for r in model.requirements for sid in r.scenarios}
+    # One ratio per chain link, in the order of the Metrics fields: the
+    # share of losses, hazards, ucas and scenarios the next class refers to.
+    ratios = [
+        _ratio(
+            sum(1 for e in model.elements_of(cls) if e.id in referenced),
+            len(model.elements_of(cls)),
+        )
+        for cls, referenced in _chain_children(model).items()
+    ]
     return Metrics(
-        counts=counts,
-        coverage_ratio=coverage(model).ratio(),
-        losses_with_hazard_ratio=_ratio(
-            sum(1 for l in model.losses if l.id in referenced_losses),
-            len(model.losses),
-        ),
-        hazards_with_uca_ratio=_ratio(
-            sum(1 for h in model.hazards if h.id in referenced_hazards),
-            len(model.hazards),
-        ),
-        ucas_with_scenario_ratio=_ratio(
-            sum(1 for u in model.ucas if u.id in referenced_ucas),
-            len(model.ucas),
-        ),
-        scenarios_with_requirement_ratio=_ratio(
-            sum(1 for s in model.scenarios if s.id in referenced_scenarios),
-            len(model.scenarios),
-        ),
+        {c.collection: len(model.elements_of(c.name)) for c in SCHEMA},
+        coverage(model).ratio(),
+        *ratios,
     )
 
 

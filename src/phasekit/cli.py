@@ -18,7 +18,6 @@ from typing import Sequence, TextIO
 
 from . import __version__
 from .analysis import (
-    CellState,
     analyze,
     coverage,
     hints,
@@ -31,13 +30,15 @@ from .diff import ChangeSet, ImpactReport, diff, impact
 from .dsl import ParseResult, parse, serialize
 from .export import (
     RenderOptions,
+    coverage_cell_text,
     coverage_csv,
     coverage_json,
+    json_value,
     report_json,
     report_markdown,
     to_dot,
 )
-from .model import GUIDE_TYPES, Model, UnknownReferenceError, lookup
+from .model import GUIDE_TYPES, SCHEMA, STRING, Model, UnknownReferenceError, lookup
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -156,14 +157,7 @@ def _coverage_table(matrix) -> str:
     header = ["controller", "action", *(g.value for g in GUIDE_TYPES)]
     rows = [header]
     for row in matrix.rows:
-        cells = []
-        for cell in row.cells:
-            if cell.state is CellState.COVERED:
-                cells.append("covered:" + ";".join(cell.uca_ids))
-            elif cell.state is CellState.WAIVED:
-                cells.append("waived")
-            else:
-                cells.append("gap")
+        cells = [coverage_cell_text(cell) for cell in row.cells]
         rows.append([row.controller, row.action, *cells])
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
@@ -189,20 +183,17 @@ def _cmd_coverage(args: argparse.Namespace, streams: _Streams) -> int:
     return EXIT_OK
 
 
+#: The field that describes an element of each class: its first string field.
+_TEXT_FIELDS = {
+    c.name: next(s.field for s in c.slots if s.kind == STRING) for c in SCHEMA
+}
+
+
 def _describe(model: Model, element_class: str, element_id: str) -> str:
     element = lookup(model, element_class, element_id)
     if element is None:
         return element_id
-    text = {
-        "loss": lambda e: e.description,
-        "hazard": lambda e: e.description,
-        "uca": lambda e: e.context,
-        "scenario": lambda e: e.description,
-        "requirement": lambda e: e.text,
-        "node": lambda e: e.name,
-        "edge": lambda e: e.label,
-    }[element_class](element)
-    return f'{element_id} "{text}"'
+    return f'{element_id} "{getattr(element, _TEXT_FIELDS[element_class])}"'
 
 
 def _cmd_trace(args: argparse.Namespace, streams: _Streams) -> int:
@@ -323,8 +314,8 @@ def _changeset_json(changes: ChangeSet, report: ImpactReport | None) -> dict:
                 "changes": [
                     {
                         "field": change.field,
-                        "old": _json_value(change.old),
-                        "new": _json_value(change.new),
+                        "old": json_value(change.old),
+                        "new": json_value(change.new),
                     }
                     for change in entry.changes
                 ],
@@ -353,14 +344,6 @@ def _changeset_json(changes: ChangeSet, report: ImpactReport | None) -> dict:
             ],
         }
     return document
-
-
-def _json_value(value):
-    if isinstance(value, tuple):
-        return list(value)
-    if hasattr(value, "value"):
-        return value.value
-    return value
 
 
 def _impact_text(report: ImpactReport) -> str:

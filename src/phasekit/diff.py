@@ -15,42 +15,22 @@ from dataclasses import dataclass
 
 from .model import (
     ELEMENT_CLASSES,
+    IDLIST,
+    REFERENCES,
+    SCHEMA,
     Element,
     Model,
     Ref,
     class_rank,
     element_id,
+    referenced_ids,
 )
 
-#: Fields compared per class; set-valued reference fields are marked so they
-#: compare order-insensitively.
+#: Fields compared per class, with whether the field is an id list, compared
+#: order-insensitively. An assessment's action and guide type are its key, so
+#: they never differ between the two versions of one assessment.
 _FIELDS: dict[str, tuple[tuple[str, bool], ...]] = {
-    "loss": (("description", False), ("category", False)),
-    "boundary": (("name", False), ("stage", False), ("includes", True)),
-    "hazard": (("description", False), ("boundary", False), ("leads_to", True)),
-    "node": (
-        ("name", False),
-        ("kind", False),
-        ("process_model", False),
-        ("control_algorithm", False),
-    ),
-    "edge": (("kind", False), ("source", False), ("target", False), ("label", False)),
-    "uca": (
-        ("source", False),
-        ("action", False),
-        ("guide_type", False),
-        ("category", False),
-        ("context", False),
-        ("hazards", True),
-    ),
-    "scenario": (
-        ("uca", False),
-        ("scenario_class", False),
-        ("description", False),
-        ("elements", True),
-    ),
-    "requirement": (("scenarios", True), ("text", False)),
-    "assessment": (("verdict", False), ("rationale", False)),
+    c.name: tuple((s.field, s.kind == IDLIST) for s in c.slots) for c in SCHEMA
 }
 
 
@@ -147,36 +127,15 @@ def diff(old: Model, new: Model) -> ChangeSet:
     return ChangeSet(added, removed, tuple(modified))
 
 
-#: (source class, field, target class or "node-or-edge") reference topology,
-#: shared by the dangling scan.
-_REFERENCE_FIELDS: tuple[tuple[str, str, str], ...] = (
-    ("boundary", "includes", "node"),
-    ("hazard", "boundary", "boundary"),
-    ("hazard", "leads_to", "loss"),
-    ("edge", "source", "node"),
-    ("edge", "target", "node"),
-    ("uca", "source", "node"),
-    ("uca", "action", "edge"),
-    ("uca", "hazards", "hazard"),
-    ("scenario", "uca", "uca"),
-    ("scenario", "elements", "node-or-edge"),
-    ("requirement", "scenarios", "scenario"),
-    ("assessment", "action", "edge"),
-)
-
-
 def _referencers(model: Model, target: Ref) -> tuple[Ref, ...]:
     hits: list[Ref] = []
-    for src_cls, field_name, target_cls in _REFERENCE_FIELDS:
-        if target_cls != target.cls and not (
-            target_cls == "node-or-edge" and target.cls in ("node", "edge")
-        ):
-            continue
-        for element in model.elements_of(src_cls):
-            value = getattr(element, field_name)
-            values = value if isinstance(value, tuple) else (value,)
-            if target.id in values:
-                hits.append(Ref(src_cls, element_id(src_cls, element)))
+    for src_cls in ELEMENT_CLASSES:
+        for slot, targets in REFERENCES[src_cls]:
+            if target.cls not in targets:
+                continue
+            for element in model.elements_of(src_cls):
+                if target.id in referenced_ids(element, slot):
+                    hits.append(Ref(src_cls, element_id(src_cls, element)))
     return tuple(dict.fromkeys(hits))
 
 

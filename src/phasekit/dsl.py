@@ -13,7 +13,9 @@ dangling references are deferred to semantic validation so a partially
 written model can still be explored.
 
 :func:`parse` has two paths over the same statement table,
-``_STATEMENTS``:
+``_STATEMENTS``, which is derived from the schema table
+:data:`phasekit.model.SCHEMA` like the element constructors and the
+serializer:
 
 * The fast path matches each whole logical statement with one compiled
   pattern (``_STATEMENT_RE``) and reads its items with a second one
@@ -49,31 +51,23 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Severity, Span, has_errors
 from .model import (
-    Assessment,
-    BoundaryStage,
-    Edge,
+    DESCRIPTION,
+    ID,
+    IDLIST,
+    SCHEMA,
+    STRING,
     EdgeKind,
-    GuideType,
-    Hazard,
-    Loss,
-    LossCategory,
-    LossScenario,
+    ElementClass,
     Model,
-    NOT_HAZARDOUS,
-    Node,
-    NodeKind,
     Ref,
-    SafetyRequirement,
-    ScenarioClass,
-    SystemBoundary,
-    Uca,
-    UcaCategory,
-    assessment_key,
+    Slot,
+    assessment_ref,
     is_valid_identifier,
 )
 
@@ -228,111 +222,28 @@ def _lex(text: str, filename: str, diags: list[Diagnostic]) -> list[list[_Token]
 # Statement grammar table
 # ---------------------------------------------------------------------------
 
-# Value kinds a key may take: an identifier, a quoted string, an id list, or
-# a member of an enum class.
-_ID = "id"
-_STRING = "string"
-_IDLIST = "idlist"
+class _Shape(NamedTuple):
+    """What a statement keyword takes, derived from the schema table."""
+
+    has_id: bool
+    description: str | None  # field of the quoted description
+    keys: dict[str, Slot]
+    required: frozenset[str]  # fields of the description and required keys
 
 
-@dataclass(frozen=True)
-class _KeySpec:
-    kind: str  # _ID | _STRING | _IDLIST | _ENUM (with its values in .members)
-    members: dict[str, object] | None = None  # enum value text -> member
-    required: bool = True
-    nonempty: bool = False  # idlist must not be empty
+def _shape(element_class: ElementClass) -> _Shape:
+    keys = {s.key: s for s in element_class.slots if s.key not in (None, DESCRIPTION)}
+    return _Shape(
+        bool(element_class.identity),
+        next((s.field for s in element_class.slots if s.key == DESCRIPTION), None),
+        keys,
+        frozenset(s.field for s in element_class.slots if s.key is not None and s.required),
+    )
 
 
-_ENUM = "enum"
-
-
-def _enum(enum_cls: type, required: bool = True) -> _KeySpec:
-    members = {member.value: member for member in enum_cls}  # type: ignore[attr-defined]
-    return _KeySpec(_ENUM, members, required)
-
-
-_STATEMENTS: dict[str, dict] = {
-    "model": {"has_id": False, "positionals": 1, "keys": {}},
-    "loss": {
-        "has_id": True,
-        "positionals": 1,
-        "keys": {"category": _enum(LossCategory)},
-    },
-    "boundary": {
-        "has_id": True,
-        "positionals": 1,
-        "keys": {
-            "stage": _enum(BoundaryStage, required=False),
-            "includes": _KeySpec(_IDLIST, required=False),
-        },
-    },
-    "node": {
-        "has_id": True,
-        "positionals": 1,
-        "keys": {
-            "kind": _enum(NodeKind),
-            "process_model": _KeySpec(_STRING, required=False),
-            "control_algorithm": _KeySpec(_STRING, required=False),
-        },
-    },
-    "action": {
-        "has_id": True,
-        "positionals": 1,
-        "keys": {"from": _KeySpec(_ID), "to": _KeySpec(_ID)},
-    },
-    "feedback": {
-        "has_id": True,
-        "positionals": 1,
-        "keys": {"from": _KeySpec(_ID), "to": _KeySpec(_ID)},
-    },
-    "iolink": {
-        "has_id": True,
-        "positionals": 1,
-        "keys": {"from": _KeySpec(_ID), "to": _KeySpec(_ID)},
-    },
-    "hazard": {
-        "has_id": True,
-        "positionals": 1,
-        "keys": {
-            "boundary": _KeySpec(_ID),
-            "leads_to": _KeySpec(_IDLIST, nonempty=True),
-        },
-    },
-    "uca": {
-        "has_id": True,
-        "positionals": 0,
-        "keys": {
-            "action": _KeySpec(_ID),
-            "type": _enum(GuideType),
-            "category": _enum(UcaCategory),
-            "context": _KeySpec(_STRING),
-            "hazards": _KeySpec(_IDLIST, nonempty=True),
-        },
-    },
-    "scenario": {
-        "has_id": True,
-        "positionals": 1,
-        "keys": {
-            "uca": _KeySpec(_ID),
-            "class": _enum(ScenarioClass),
-            "elements": _KeySpec(_IDLIST, required=False),
-        },
-    },
-    "requirement": {
-        "has_id": True,
-        "positionals": 1,
-        "keys": {"scenarios": _KeySpec(_IDLIST, nonempty=True)},
-    },
-    "assess": {
-        "has_id": False,
-        "positionals": 0,
-        "keys": {
-            "action": _KeySpec(_ID),
-            "type": _enum(GuideType),
-            "verdict": _KeySpec(_ENUM, {NOT_HAZARDOUS: NOT_HAZARDOUS}),
-            "rationale": _KeySpec(_STRING),
-        },
-    },
+_STATEMENTS: dict[str, _Shape] = {
+    "model": _Shape(False, "name", {}, frozenset({"name"})),
+    **{kw: _shape(c) for c in SCHEMA for kw in c.keywords},
 }
 
 _EDGE_KINDS = {
@@ -388,7 +299,7 @@ def _parse_value(cur: _Cursor, key: str):
         cur.fail("P002", f"missing value for '{key}='")
     tok = cur.advance()
     if tok.kind == "string":
-        return _STRING, tok.value, tok
+        return STRING, tok.value, tok
     if tok.kind == "word":
         return "word", tok.value, tok
     if tok.kind == "punct" and tok.value == "[":
@@ -409,24 +320,24 @@ def _parse_value(cur: _Cursor, key: str):
             if not (nxt.kind == "word" and is_valid_identifier(nxt.value)):
                 cur.fail("P002", f"expected an identifier in '{key}=' list", cur.span_of(nxt))
             items.append(nxt.value)
-        return _IDLIST, tuple(items), open_tok
+        return IDLIST, tuple(items), open_tok
     cur.fail("P002", f"unexpected token after '{key}='", cur.span_of(tok))
     raise AssertionError("unreachable")
 
 
-def _coerce_value(cur: _Cursor, key: str, spec: _KeySpec, parsed) -> object:
+def _coerce_value(cur: _Cursor, key: str, spec: Slot, parsed) -> object:
     kind, payload, token = parsed
     span = cur.span_of(token)
-    if spec.kind == _STRING:
-        if kind != _STRING:
+    if spec.kind == STRING:
+        if kind != STRING:
             cur.fail("P002", f"'{key}=' expects a quoted string", span)
         return payload
-    if spec.kind == _ID:
+    if spec.kind == ID:
         if kind != "word" or not is_valid_identifier(payload):
             cur.fail("P002", f"'{key}=' expects an identifier", span)
         return payload
-    if spec.kind == _IDLIST:
-        if kind != _IDLIST:
+    if spec.kind == IDLIST:
+        if kind != IDLIST:
             cur.fail("P002", f"'{key}=' expects a list like [a,b]", span)
         if spec.nonempty and not payload:
             cur.fail("P002", f"'{key}=' must list at least one id", span)
@@ -448,8 +359,7 @@ def _coerce_value(cur: _Cursor, key: str, spec: _KeySpec, parsed) -> object:
 class _RawStatement(NamedTuple):
     keyword: str
     id: str | None
-    positionals: list[str]
-    attrs: dict[str, object]
+    attrs: dict[str, object]  # keyed by field name, the description too
     span: Span
 
 
@@ -466,7 +376,7 @@ def _parse_statement(
             cur.fail("P002", f"unknown statement '{head.value}'", cur.span_of(head))
 
         stmt_id: str | None = None
-        if shape["has_id"]:
+        if shape.has_id:
             if cur.at_end() or cur.peek().kind != "word":
                 cur.fail("P002", f"'{head.value}' needs an identifier")
             id_tok = cur.advance()
@@ -478,15 +388,13 @@ def _parse_statement(
                 )
             stmt_id = id_tok.value
 
-        positionals: list[str] = []
         attrs: dict[str, object] = {}
-        keys: dict[str, _KeySpec] = shape["keys"]
         while not cur.at_end():
             tok = cur.advance()
             if tok.kind == "string":
-                if len(positionals) >= shape["positionals"]:
+                if shape.description is None or shape.description in attrs:
                     cur.fail("P002", "unexpected string", cur.span_of(tok))
-                positionals.append(tok.value)
+                attrs[shape.description] = tok.value
                 continue
             if tok.kind != "word":
                 cur.fail("P002", f"unexpected '{tok.value}'", cur.span_of(tok))
@@ -495,27 +403,27 @@ def _parse_statement(
             if eq is None or not (eq.kind == "punct" and eq.value == "="):
                 cur.fail("P002", f"expected '=' after '{key}'", cur.span_of(tok))
             cur.advance()
-            spec = keys.get(key)
+            spec = shape.keys.get(key)
             if spec is None:
                 cur.fail(
                     "P002", f"unknown attribute '{key}' for '{head.value}'", cur.span_of(tok)
                 )
-            if key in attrs:
+            if spec.field in attrs:
                 cur.fail("P002", f"duplicate attribute '{key}'", cur.span_of(tok))
-            attrs[key] = _coerce_value(cur, key, spec, _parse_value(cur, key))
+            attrs[spec.field] = _coerce_value(cur, key, spec, _parse_value(cur, key))
 
-        if len(positionals) < shape["positionals"]:
+        if shape.description is not None and shape.description not in attrs:
             cur.fail(
                 "P002",
                 f"'{head.value}' needs a quoted description",
                 cur.span_of(head),
             )
-        for key, spec in keys.items():
-            if spec.required and key not in attrs:
+        for key, spec in shape.keys.items():
+            if spec.required and spec.field not in attrs:
                 cur.fail("P002", f"missing attribute '{key}=' on '{head.value}'", cur.span_of(head))
 
         return _RawStatement(
-            head.value, stmt_id, positionals, attrs, Span(filename, head.line, head.column)
+            head.value, stmt_id, attrs, Span(filename, head.line, head.column)
         )
     except _StatementError:
         return None
@@ -559,24 +467,6 @@ _LIST_ITEM_RE = re.compile(_WORD)
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
-class _FastShape(NamedTuple):
-    has_id: bool
-    positionals: int
-    keys: dict[str, _KeySpec]
-    required: frozenset[str]
-
-
-_FAST_SHAPES = {
-    keyword: _FastShape(
-        shape["has_id"],
-        shape["positionals"],
-        shape["keys"],
-        frozenset(key for key, spec in shape["keys"].items() if spec.required),
-    )
-    for keyword, shape in _STATEMENTS.items()
-}
-
-
 class _Decline(Exception):
     """Internal signal: the fast path leaves this document to the exact path."""
 
@@ -600,27 +490,28 @@ def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:
     pos, line = 0, 1
     while (m := match_statement(text, pos)) is not None:
         keyword, stmt_id = m.group("keyword", "id")
-        shape = _FAST_SHAPES.get(keyword)
+        shape = _STATEMENTS.get(keyword)
         if shape is None or shape.has_id != (stmt_id is not None):
             raise _Decline
         keys = shape.keys
-        positionals: list[str] = []
         attrs: dict[str, object] = {}
-        for positional, key, value in items(text, *m.span("body")):
-            if positional:
-                positionals.append(_unquote(positional))
+        for description, key, value in items(text, *m.span("body")):
+            if description:
+                if shape.description is None or shape.description in attrs:
+                    raise _Decline
+                attrs[shape.description] = _unquote(description)
                 continue
             spec = keys.get(key)
-            if spec is None or key in attrs:
+            if spec is None or spec.field in attrs:
                 raise _Decline
             # The first character tells the value's kind: '"' a string,
             # '[' a list, a letter an identifier or enum word.
             kind, first = spec.kind, value[0]
-            if kind == _STRING:
+            if kind == STRING:
                 if first != '"':
                     raise _Decline
                 value = _unquote(value)
-            elif kind == _IDLIST:
+            elif kind == IDLIST:
                 if first != "[":
                     raise _Decline
                 value = tuple(_LIST_ITEM_RE.findall(value))
@@ -632,13 +523,13 @@ def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:
                 value = spec.members.get(value)
                 if value is None:
                     raise _Decline
-            attrs[key] = value
-        if len(positionals) != shape.positionals or not shape.required <= attrs.keys():
+            attrs[spec.field] = value
+        if not shape.required <= attrs.keys():
             raise _Decline
         line_start, head = m.end("lead"), m.start("keyword")
         line += breaks(pos, line_start)
         yield _RawStatement(
-            keyword, stmt_id, positionals, attrs, Span(filename, line, head - line_start + 1)
+            keyword, stmt_id, attrs, Span(filename, line, head - line_start + 1)
         )
         pos = m.end()
         line += breaks(head, pos)
@@ -651,41 +542,24 @@ def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:
 # ---------------------------------------------------------------------------
 
 
-def _edge_constructor(kind: EdgeKind) -> Callable:
-    return lambda i, p, a: Edge(i, kind, a["from"], a["to"], p[0])
+def _constructor(element_class: ElementClass, keyword: str) -> Callable:
+    """Builds an element from its id and its attributes keyed by field."""
+    cls = element_class.type
+    if not element_class.identity:
+        return lambda i, a: cls(**a)
+    # The edge kind comes from the keyword. The uca source is derived from
+    # its action edge once all edges are known.
+    implied: dict[str, object] = {}
+    if keyword in _EDGE_KINDS:
+        implied["kind"] = _EDGE_KINDS[keyword]
+    elif element_class.name == "uca":
+        implied["source"] = ""
+    return lambda i, a: cls(i, **implied, **a)
 
 
-#: Element class and constructor, from (id, descriptions, attributes), of
-#: each keyword that declares an element with an id.
-_CONSTRUCTORS: dict[str, tuple[str, Callable]] = {
-    "loss": ("loss", lambda i, p, a: Loss(i, p[0], a["category"])),
-    "boundary": (
-        "boundary",
-        lambda i, p, a: SystemBoundary(i, p[0], a.get("stage"), a.get("includes", ())),
-    ),
-    "node": (
-        "node",
-        lambda i, p, a: Node(
-            i, p[0], a["kind"], a.get("process_model"), a.get("control_algorithm")
-        ),
-    ),
-    **{kw: ("edge", _edge_constructor(kind)) for kw, kind in _EDGE_KINDS.items()},
-    "hazard": ("hazard", lambda i, p, a: Hazard(i, p[0], a["boundary"], a["leads_to"])),
-    # The uca source is derived from its action edge once all edges are known.
-    "uca": (
-        "uca",
-        lambda i, p, a: Uca(
-            i, "", a["action"], a["type"], a["category"], a["context"], a["hazards"]
-        ),
-    ),
-    "scenario": (
-        "scenario",
-        lambda i, p, a: LossScenario(i, a["uca"], a["class"], p[0], a.get("elements", ())),
-    ),
-    "requirement": (
-        "requirement",
-        lambda i, p, a: SafetyRequirement(i, a["scenarios"], p[0]),
-    ),
+#: Element class and constructor of each element keyword.
+_CONSTRUCTORS: dict[str, tuple[ElementClass, Callable]] = {
+    kw: (c, _constructor(c, kw)) for c in SCHEMA for kw in c.keywords
 }
 
 
@@ -696,11 +570,9 @@ def _assemble(
     a repeated ``model`` header into ``diags``."""
     name = ""
     name_span: Span | None = None
-    collections: dict[str, list] = {cls: [] for cls in (
-        "loss", "boundary", "hazard", "node", "edge",
-        "uca", "scenario", "requirement", "assessment",
-    )}
+    collections: dict[str, list] = {c.name: [] for c in SCHEMA}
     spans: dict[Ref, Span] = {}
+    occurrences: dict[tuple, int] = {}
 
     for raw in statements:
         if raw is None:
@@ -710,33 +582,27 @@ def _assemble(
             if name_span is not None:
                 diags.append(_error("P002", "model name already declared", span, name_span))
                 continue
-            name = raw.positionals[0]
+            name = raw.attrs["name"]
             name_span = span
-        elif kw == "assess":
-            assessment = Assessment(
-                raw.attrs["action"], raw.attrs["type"], raw.attrs["rationale"]
-            )
-            # Duplicate cells are a semantic error, not a parse error; keep
-            # every declaration. Spans live under the synthetic cell key,
-            # with an occurrence suffix for duplicates so each declaration
-            # keeps its own span.
-            collections["assessment"].append(assessment)
-            key = assessment_key(assessment)
-            ref = Ref("assessment", key)
-            occurrence = 2
-            while ref in spans:
-                ref = Ref("assessment", f"{key}#{occurrence}")
-                occurrence += 1
-            spans[ref] = span
-        else:
-            cls, build = _CONSTRUCTORS[kw]
-            ref = Ref(cls, raw.id)
+            continue
+        element_class, build = _CONSTRUCTORS[kw]
+        element = build(raw.id, raw.attrs)
+        if element_class.identity:
+            ref = Ref(element_class.name, raw.id)
             prior = spans.get(ref)
             if prior is not None:
-                diags.append(_error("P003", f"duplicate {cls} id '{raw.id}'", span, prior))
+                diags.append(
+                    _error("P003", f"duplicate {ref.cls} id '{raw.id}'", span, prior)
+                )
                 continue
-            spans[ref] = span
-            collections[cls].append(build(raw.id, raw.positionals, raw.attrs))
+        else:
+            # Duplicate assessment cells are a semantic error, not a parse
+            # error; keep every declaration, each with its own span.
+            cell = (element.action, element.guide_type)
+            occurrences[cell] = occurrences.get(cell, 0) + 1
+            ref = assessment_ref(*cell, occurrences[cell])
+        spans[ref] = span
+        collections[element_class.name].append(element)
 
     # Lexical errors are found in a separate pass; present everything in
     # source order.
@@ -746,23 +612,14 @@ def _assemble(
         return ParseResult(None, tuple(diags))
 
     edge_by_id = {e.id: e for e in collections["edge"]}
-    ucas = tuple(
+    collections["uca"] = [
         replace(u, source=edge_by_id[u.action].source) if u.action in edge_by_id else u
         for u in collections["uca"]
-    )
-
+    ]
     model = Model(
         name=name,
-        losses=tuple(collections["loss"]),
-        boundaries=tuple(collections["boundary"]),
-        hazards=tuple(collections["hazard"]),
-        nodes=tuple(collections["node"]),
-        edges=tuple(collections["edge"]),
-        ucas=ucas,
-        scenarios=tuple(collections["scenario"]),
-        requirements=tuple(collections["requirement"]),
-        assessments=tuple(collections["assessment"]),
         source_spans=spans,
+        **{c.collection: tuple(collections[c.name]) for c in SCHEMA},
     )
     return ParseResult(model, tuple(diags))
 
@@ -820,6 +677,37 @@ def _idlist(ids: tuple[str, ...]) -> str:
     return "[" + ",".join(_ident(i) for i in ids) + "]"
 
 
+def _writer(slot: Slot) -> Callable[[object], str]:
+    if slot.key == DESCRIPTION:
+        return _quote
+    prefix = f"{slot.key}="
+    if slot.kind == STRING:
+        return lambda value: prefix + _quote(value)
+    if slot.kind == ID:
+        return lambda value: prefix + _ident(value)
+    if slot.kind == IDLIST:
+        return lambda value: prefix + _idlist(value)
+    # An enum member, or the plain-text assessment verdict.
+    return lambda value: prefix + getattr(value, "value", value)
+
+
+_ALWAYS = object()  # compares unequal to every field value
+
+
+def _serializer_steps(element_class: ElementClass) -> tuple:
+    """(getter, writer, value left out) per written slot, in slot order. An
+    optional field is left out when it equals its default."""
+    defaults = {f.name: f.default for f in fields(element_class.type)}
+    return tuple(
+        (attrgetter(s.field), _writer(s), _ALWAYS if s.required else defaults[s.field])
+        for s in element_class.slots
+        if s.key is not None
+    )
+
+
+_SERIALIZER_STEPS = tuple((c, _serializer_steps(c)) for c in SCHEMA)
+
+
 def serialize(model: Model) -> str:
     """Render a model in canonical form.
 
@@ -830,58 +718,17 @@ def serialize(model: Model) -> str:
     lines: list[str] = []
     if model.name:
         lines.append(f"model {_quote(model.name)}")
-    for loss in model.losses:
-        lines.append(
-            f"loss {_ident(loss.id)} {_quote(loss.description)} "
-            f"category={loss.category.value}"
-        )
-    for boundary in model.boundaries:
-        parts = [f"boundary {_ident(boundary.id)} {_quote(boundary.name)}"]
-        if boundary.stage is not None:
-            parts.append(f"stage={boundary.stage.value}")
-        if boundary.includes:
-            parts.append(f"includes={_idlist(boundary.includes)}")
-        lines.append(" ".join(parts))
-    for hazard in model.hazards:
-        lines.append(
-            f"hazard {_ident(hazard.id)} {_quote(hazard.description)} "
-            f"boundary={_ident(hazard.boundary)} leads_to={_idlist(hazard.leads_to)}"
-        )
-    for node in model.nodes:
-        parts = [f"node {_ident(node.id)} {_quote(node.name)} kind={node.kind.value}"]
-        if node.process_model is not None:
-            parts.append(f"process_model={_quote(node.process_model)}")
-        if node.control_algorithm is not None:
-            parts.append(f"control_algorithm={_quote(node.control_algorithm)}")
-        lines.append(" ".join(parts))
-    for edge in model.edges:
-        lines.append(
-            f"{_EDGE_KEYWORDS[edge.kind]} {_ident(edge.id)} "
-            f"from={_ident(edge.source)} to={_ident(edge.target)} {_quote(edge.label)}"
-        )
-    for uca in model.ucas:
-        lines.append(
-            f"uca {_ident(uca.id)} action={_ident(uca.action)} "
-            f"type={uca.guide_type.value} category={uca.category.value} "
-            f"context={_quote(uca.context)} hazards={_idlist(uca.hazards)}"
-        )
-    for scenario in model.scenarios:
-        parts = [
-            f"scenario {_ident(scenario.id)} uca={_ident(scenario.uca)} "
-            f"class={scenario.scenario_class.value} {_quote(scenario.description)}"
-        ]
-        if scenario.elements:
-            parts.append(f"elements={_idlist(scenario.elements)}")
-        lines.append(" ".join(parts))
-    for requirement in model.requirements:
-        lines.append(
-            f"requirement {_ident(requirement.id)} "
-            f"scenarios={_idlist(requirement.scenarios)} {_quote(requirement.text)}"
-        )
-    for assessment in model.assessments:
-        lines.append(
-            f"assess action={_ident(assessment.action)} "
-            f"type={assessment.guide_type.value} verdict={assessment.verdict} "
-            f"rationale={_quote(assessment.rationale)}"
-        )
+    for element_class, steps in _SERIALIZER_STEPS:
+        keyword = element_class.keywords[0]
+        for element in model.elements_of(element_class.name):
+            if element_class.name == "edge":
+                keyword = _EDGE_KEYWORDS[element.kind]
+            parts = [keyword]
+            if element_class.identity:
+                parts.append(_ident(element.id))
+            for get, write, left_out in steps:
+                value = get(element)
+                if value != left_out:
+                    parts.append(write(value))
+            lines.append(" ".join(parts))
     return "".join(line + "\n" for line in lines)

@@ -10,19 +10,26 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .analysis import (
     AnalysisBundle,
     CellState,
+    CoverageCell,
     CoverageMatrix,
+    Metrics,
+    TraceTree,
     scope_ranks,
     trace_loss,
 )
 from .diagnostics import Diagnostic
 from .model import (
+    ENUM,
     GUIDE_TYPES,
+    IDLIST,
+    SCHEMA,
     EdgeKind,
+    ElementClass,
     Model,
     NodeKind,
     elements_in_boundary,
@@ -64,7 +71,7 @@ def to_dot(model: Model, options: RenderOptions | None = None) -> str:
     if not opts.include_iolinks:
         edges = tuple(e for e in edges if e.kind is not EdgeKind.IO_LINK)
 
-    ranks, _ = scope_ranks(model, list(nodes))
+    ranks = scope_ranks(model, list(nodes))
 
     lines = [f"digraph {_dot_quote(model.name or 'model')} {{"]
     lines.append(f"  rankdir={opts.rankdir};")
@@ -119,87 +126,42 @@ def _diagnostic_json(diagnostic: Diagnostic) -> dict:
     }
 
 
+def json_value(value):
+    """A field value as JSON: an id list as a list, an enum member as its
+    value text, anything else (text, None) as it is."""
+    if isinstance(value, tuple):
+        return list(value)
+    if hasattr(value, "value"):
+        return value.value
+    return value
+
+
+def _element_json_steps(element_class: ElementClass) -> tuple:
+    """(JSON key, field, whether to convert) per field, ``id`` first, slots
+    in order. Identifiers and text are written as they are."""
+    steps = [("id", "id", False)] if element_class.identity else []
+    for slot in element_class.slots:
+        key = "class" if slot.field == "scenario_class" else slot.field
+        steps.append((key, slot.field, slot.kind in (ENUM, IDLIST)))
+    return tuple(steps)
+
+
+_MODEL_JSON_STEPS = tuple((c, _element_json_steps(c)) for c in SCHEMA)
+
+
 def _model_json(model: Model) -> dict:
-    return {
-        "name": model.name,
-        "losses": [
-            {"id": l.id, "description": l.description, "category": l.category.value}
-            for l in model.losses
-        ],
-        "boundaries": [
+    document: dict = {"name": model.name}
+    for element_class, steps in _MODEL_JSON_STEPS:
+        document[element_class.collection] = [
             {
-                "id": b.id,
-                "name": b.name,
-                "stage": b.stage.value if b.stage else None,
-                "includes": list(b.includes),
+                key: json_value(getattr(element, name))
+                if convert
+                else getattr(element, name)
+                for key, name, convert in steps
             }
-            for b in model.boundaries
-        ],
-        "hazards": [
-            {
-                "id": h.id,
-                "description": h.description,
-                "boundary": h.boundary,
-                "leads_to": list(h.leads_to),
-            }
-            for h in model.hazards
-        ],
-        "nodes": [
-            {
-                "id": n.id,
-                "name": n.name,
-                "kind": n.kind.value,
-                "process_model": n.process_model,
-                "control_algorithm": n.control_algorithm,
-            }
-            for n in model.nodes
-        ],
-        "edges": [
-            {
-                "id": e.id,
-                "kind": e.kind.value,
-                "source": e.source,
-                "target": e.target,
-                "label": e.label,
-            }
-            for e in model.edges
-        ],
-        "ucas": [
-            {
-                "id": u.id,
-                "source": u.source,
-                "action": u.action,
-                "guide_type": u.guide_type.value,
-                "category": u.category.value,
-                "context": u.context,
-                "hazards": list(u.hazards),
-            }
-            for u in model.ucas
-        ],
-        "scenarios": [
-            {
-                "id": s.id,
-                "uca": s.uca,
-                "class": s.scenario_class.value,
-                "description": s.description,
-                "elements": list(s.elements),
-            }
-            for s in model.scenarios
-        ],
-        "requirements": [
-            {"id": r.id, "scenarios": list(r.scenarios), "text": r.text}
-            for r in model.requirements
-        ],
-        "assessments": [
-            {
-                "action": a.action,
-                "guide_type": a.guide_type.value,
-                "verdict": a.verdict,
-                "rationale": a.rationale,
-            }
-            for a in model.assessments
-        ],
-    }
+            for element in model.elements_of(element_class.name)
+        ]
+    return document
 
 
 def _coverage_json(matrix: CoverageMatrix) -> dict:
@@ -232,14 +194,10 @@ def coverage_json(matrix: CoverageMatrix) -> str:
 def report_json(model: Model, analyses: AnalysisBundle) -> str:
     """One structured document with model, diagnostics, coverage, hints and
     metrics sections and a mandatory schema version."""
+    # The counts, then every ratio in Metrics field order.
     metrics = dict(analyses.metrics.counts)
-    metrics["coverage_ratio"] = analyses.metrics.coverage_ratio
-    metrics["losses_with_hazard_ratio"] = analyses.metrics.losses_with_hazard_ratio
-    metrics["hazards_with_uca_ratio"] = analyses.metrics.hazards_with_uca_ratio
-    metrics["ucas_with_scenario_ratio"] = analyses.metrics.ucas_with_scenario_ratio
-    metrics["scenarios_with_requirement_ratio"] = (
-        analyses.metrics.scenarios_with_requirement_ratio
-    )
+    for field in fields(Metrics)[1:]:
+        metrics[field.name] = getattr(analyses.metrics, field.name)
     document = {
         "model": _model_json(model),
         "diagnostics": [_diagnostic_json(d) for d in analyses.diagnostics],
@@ -275,12 +233,25 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
-def _coverage_cell_text(cell) -> str:
+def _markdown_cell_text(cell: CoverageCell) -> str:
     if cell.state is CellState.COVERED:
         return "✓ " + ";".join(cell.uca_ids)
     if cell.state is CellState.WAIVED:
         return "waived"
     return "GAP"
+
+
+def _reached(tree: TraceTree) -> dict[str, set[str]]:
+    """The distinct ids below the root of a loss trace, per class."""
+    reached: dict[str, set[str]] = {
+        cls: set() for cls in ("hazard", "uca", "scenario", "requirement")
+    }
+    below = list(tree.children)
+    while below:
+        node = below.pop()
+        reached[node.element_class].add(node.element_id)
+        below.extend(node.children)
+    return reached
 
 
 def report_markdown(model: Model, analyses: AnalysisBundle) -> str:
@@ -317,7 +288,7 @@ def report_markdown(model: Model, analyses: AnalysisBundle) -> str:
     out.append("")
     if analyses.coverage.rows:
         rows = [
-            [row.controller, row.action, *(_coverage_cell_text(c) for c in row.cells)]
+            [row.controller, row.action, *(_markdown_cell_text(c) for c in row.cells)]
             for row in analyses.coverage.rows
         ]
         out.extend(
@@ -358,25 +329,11 @@ def report_markdown(model: Model, analyses: AnalysisBundle) -> str:
     out.append("")
     if model.losses:
         for loss in model.losses:
-            tree = trace_loss(model, loss.id)
-            hazards = {t.element_id for t in tree.children}
-            ucas = {u.element_id for h in tree.children for u in h.children}
-            scenarios = {
-                s.element_id
-                for h in tree.children
-                for u in h.children
-                for s in u.children
-            }
-            requirements = {
-                r.element_id
-                for h in tree.children
-                for u in h.children
-                for s in u.children
-                for r in s.children
-            }
+            reached = _reached(trace_loss(model, loss.id))
             out.append(
-                f"- {loss.id}: {len(hazards)} hazards, {len(ucas)} ucas, "
-                f"{len(scenarios)} scenarios, {len(requirements)} requirements"
+                f"- {loss.id}: {len(reached['hazard'])} hazards, "
+                f"{len(reached['uca'])} ucas, {len(reached['scenario'])} scenarios, "
+                f"{len(reached['requirement'])} requirements"
             )
     else:
         out.append("No losses declared.")
@@ -390,6 +347,16 @@ def report_markdown(model: Model, analyses: AnalysisBundle) -> str:
 # ---------------------------------------------------------------------------
 
 
+def coverage_cell_text(cell: CoverageCell) -> str:
+    """``covered:<uca ids>``, ``waived`` or ``gap``: one cell of the CSV and
+    CLI coverage tables."""
+    if cell.state is CellState.COVERED:
+        return "covered:" + ";".join(cell.uca_ids)
+    if cell.state is CellState.WAIVED:
+        return "waived"
+    return "gap"
+
+
 def coverage_csv(matrix: CoverageMatrix) -> str:
     """RFC 4180 rendering of the coverage grid, one row per control action,
     rows presorted by (controller, action)."""
@@ -397,13 +364,7 @@ def coverage_csv(matrix: CoverageMatrix) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["controller", "action", *(g.value for g in GUIDE_TYPES)])
     for row in matrix.rows:
-        cells = []
-        for cell in row.cells:
-            if cell.state is CellState.COVERED:
-                cells.append("covered:" + ";".join(cell.uca_ids))
-            elif cell.state is CellState.WAIVED:
-                cells.append("waived")
-            else:
-                cells.append("gap")
-        writer.writerow([row.controller, row.action, *cells])
+        writer.writerow(
+            [row.controller, row.action, *(coverage_cell_text(c) for c in row.cells)]
+        )
     return buffer.getvalue()

@@ -10,6 +10,14 @@ Models never mutate after construction; every operation in this package is a
 pure function of its inputs. Cross-references are plain id strings and are
 checked by :func:`phasekit.analysis.validate`, not at construction time, so a
 partially written document can still be parsed and explored.
+
+:data:`SCHEMA` is the one description of the nine element classes: per class
+its statement keywords, dataclass and ``Model`` collection, and per field its
+DSL key, value kind, whether it is required and which class it refers to.
+The grammar and serializer in :mod:`phasekit.dsl`, the fields diff compares,
+the reference checks of validation, the JSON export and the reference
+topology (:data:`REFERENCES`) are all derived from it; the few cases that do
+not fit a table row are written out where they are used.
 """
 
 from __future__ import annotations
@@ -199,31 +207,141 @@ class Ref(NamedTuple):
     id: str
 
 
-#: Element classes in canonical declaration order.
-ELEMENT_CLASSES: tuple[str, ...] = (
-    "loss",
-    "boundary",
-    "hazard",
-    "node",
-    "edge",
-    "uca",
-    "scenario",
-    "requirement",
-    "assessment",
+# ---------------------------------------------------------------------------
+# Schema
+# ---------------------------------------------------------------------------
+
+# Value kinds of a field: an identifier, a quoted string, a list of
+# identifiers, or a member of an enumeration.
+ID = "id"
+STRING = "string"
+IDLIST = "idlist"
+ENUM = "enum"
+
+#: The DSL key of a field written as the statement's quoted description.
+DESCRIPTION = '"'
+
+
+class Slot(NamedTuple):
+    """One field of an element class, other than its ``id``.
+
+    ``key`` is the field's DSL key, :data:`DESCRIPTION`, or ``None`` for a
+    field the statement never writes (the edge keyword implies the edge
+    kind; a uca's source is derived from its action).
+    """
+
+    field: str
+    key: str | None
+    kind: str
+    members: dict[str, object] | None = None  # enum value text -> member
+    required: bool = True
+    target: str | None = None  # element class the ids refer to
+    nonempty: str | None = None  # V004 verb when the id list must not be empty
+
+
+class ElementClass(NamedTuple):
+    name: str
+    keywords: tuple[str, ...]
+    type: type
+    collection: str  # Model attribute holding the elements
+    identity: tuple[str, ...]  # fields that are not slots: ("id",) or ()
+    slots: tuple[Slot, ...]
+
+
+def _enum(field_name: str, key: str, enum_cls: type, required: bool = True) -> Slot:
+    members = {member.value: member for member in enum_cls}  # type: ignore[attr-defined]
+    return Slot(field_name, key, ENUM, members, required)
+
+
+#: The one description of the nine element classes, in canonical order. Each
+#: class lists its slots in dataclass field order (an assessment writes its
+#: verdict before its rationale); the DSL keys, the serializer, diff and the
+#: JSON export all follow that order. The grammar, the element constructors,
+#: the serializer, diff fields, the reference topology, the reference checks
+#: of validation and the JSON export are derived from this table.
+SCHEMA: tuple[ElementClass, ...] = (
+    ElementClass("loss", ("loss",), Loss, "losses", ("id",), (
+        Slot("description", DESCRIPTION, STRING),
+        _enum("category", "category", LossCategory),
+    )),
+    ElementClass("boundary", ("boundary",), SystemBoundary, "boundaries", ("id",), (
+        Slot("name", DESCRIPTION, STRING),
+        _enum("stage", "stage", BoundaryStage, required=False),
+        Slot("includes", "includes", IDLIST, required=False, target="node"),
+    )),
+    ElementClass("hazard", ("hazard",), Hazard, "hazards", ("id",), (
+        Slot("description", DESCRIPTION, STRING),
+        Slot("boundary", "boundary", ID, target="boundary"),
+        Slot("leads_to", "leads_to", IDLIST, target="loss", nonempty="lead to"),
+    )),
+    ElementClass("node", ("node",), Node, "nodes", ("id",), (
+        Slot("name", DESCRIPTION, STRING),
+        _enum("kind", "kind", NodeKind),
+        Slot("process_model", "process_model", STRING, required=False),
+        Slot("control_algorithm", "control_algorithm", STRING, required=False),
+    )),
+    ElementClass("edge", ("action", "feedback", "iolink"), Edge, "edges", ("id",), (
+        _enum("kind", None, EdgeKind),
+        Slot("source", "from", ID, target="node"),
+        Slot("target", "to", ID, target="node"),
+        Slot("label", DESCRIPTION, STRING),
+    )),
+    ElementClass("uca", ("uca",), Uca, "ucas", ("id",), (
+        Slot("source", None, ID, target="node"),
+        Slot("action", "action", ID, target="edge"),
+        _enum("guide_type", "type", GuideType),
+        _enum("category", "category", UcaCategory),
+        Slot("context", "context", STRING),
+        Slot("hazards", "hazards", IDLIST, target="hazard", nonempty="link to"),
+    )),
+    # Scenario elements name nodes or edges; see REFERENCES.
+    ElementClass("scenario", ("scenario",), LossScenario, "scenarios", ("id",), (
+        Slot("uca", "uca", ID, target="uca"),
+        _enum("scenario_class", "class", ScenarioClass),
+        Slot("description", DESCRIPTION, STRING),
+        Slot("elements", "elements", IDLIST, required=False),
+    )),
+    ElementClass("requirement", ("requirement",), SafetyRequirement, "requirements", ("id",), (
+        Slot("scenarios", "scenarios", IDLIST, target="scenario", nonempty="cover"),
+        Slot("text", DESCRIPTION, STRING),
+    )),
+    ElementClass("assessment", ("assess",), Assessment, "assessments", (), (
+        Slot("action", "action", ID, target="edge"),
+        _enum("guide_type", "type", GuideType),
+        Slot("verdict", "verdict", ENUM, {NOT_HAZARDOUS: NOT_HAZARDOUS}),
+        Slot("rationale", "rationale", STRING),
+    )),
 )
 
+#: Element classes in canonical declaration order.
+ELEMENT_CLASSES: tuple[str, ...] = tuple(c.name for c in SCHEMA)
+
 #: Maps an element class to the Model attribute holding its collection.
-CLASS_FIELDS: dict[str, str] = {
-    "loss": "losses",
-    "boundary": "boundaries",
-    "hazard": "hazards",
-    "node": "nodes",
-    "edge": "edges",
-    "uca": "ucas",
-    "scenario": "scenarios",
-    "requirement": "requirements",
-    "assessment": "assessments",
+CLASS_FIELDS: dict[str, str] = {c.name: c.collection for c in SCHEMA}
+
+
+def _references(element_class: ElementClass) -> tuple[tuple[Slot, tuple[str, ...]], ...]:
+    found = []
+    for slot in element_class.slots:
+        if element_class.name == "scenario" and slot.field == "elements":
+            # A scenario cites the nodes and edges involved alike.
+            found.append((slot, ("node", "edge")))
+        elif slot.target is not None:
+            found.append((slot, (slot.target,)))
+    return tuple(found)
+
+
+#: Per class, each reference slot with the classes its ids may name, in slot
+#: order.
+REFERENCES: dict[str, tuple[tuple[Slot, tuple[str, ...]], ...]] = {
+    c.name: _references(c) for c in SCHEMA
 }
+
+
+def referenced_ids(element: Element, slot: Slot) -> tuple[str, ...]:
+    """The ids one reference slot of an element names."""
+    value = getattr(element, slot.field)
+    return value if slot.kind == IDLIST else (value,)
 
 
 @dataclass(frozen=True)
@@ -262,9 +380,17 @@ class UnknownReferenceError(ValueError):
         self.element_id = element_id
 
 
+def assessment_ref(action: str, guide_type: GuideType, occurrence: int = 1) -> Ref:
+    """The ref of an assessment of one coverage cell: the cell key
+    ``action/guide``, and for the second and later declarations of the same
+    cell an occurrence suffix ``#n`` so each keeps its own span."""
+    key = f"{action}/{guide_type.value}"
+    return Ref("assessment", key if occurrence == 1 else f"{key}#{occurrence}")
+
+
 def assessment_key(assessment: Assessment) -> str:
     """Synthetic id for an assessment, unique when the model is valid."""
-    return f"{assessment.action}/{assessment.guide_type.value}"
+    return assessment_ref(assessment.action, assessment.guide_type).id
 
 
 def element_id(element_class: str, element: Element) -> str:

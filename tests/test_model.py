@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from phasekit import (
@@ -9,7 +11,16 @@ from phasekit import (
     lookup,
     parse,
 )
-from phasekit.model import is_valid_identifier
+from phasekit.model import (
+    CLASS_FIELDS,
+    DESCRIPTION,
+    ELEMENT_CLASSES,
+    ENUM,
+    IDLIST,
+    REFERENCES,
+    SCHEMA,
+    is_valid_identifier,
+)
 
 
 @pytest.mark.parametrize(
@@ -84,3 +95,59 @@ def test_model_equality_is_structural():
     a = parse('loss L1 "x" category=sociotechnical').model
     b = parse('loss L1 "y" category=sociotechnical').model
     assert a != b
+
+
+# ---------------------------------------------------------------------------
+# The schema table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("element_class", SCHEMA, ids=lambda c: c.name)
+def test_schema_covers_every_dataclass_field_once(element_class):
+    declared = [f.name for f in dataclasses.fields(element_class.type)]
+    listed = [*element_class.identity, *(slot.field for slot in element_class.slots)]
+    assert sorted(listed) == sorted(declared)
+    assert len(set(listed)) == len(listed)
+    # Slots follow the dataclass, except that an assessment writes its
+    # verdict before its rationale.
+    expected = [name for name in declared if name not in element_class.identity]
+    if element_class.name == "assessment":
+        expected = ["action", "guide_type", "verdict", "rationale"]
+    assert [slot.field for slot in element_class.slots] == expected
+
+
+@pytest.mark.parametrize("element_class", SCHEMA, ids=lambda c: c.name)
+def test_schema_slots_are_well_formed(element_class):
+    keys = [slot.key for slot in element_class.slots if slot.key is not None]
+    assert len(set(keys)) == len(keys)
+    assert keys.count(DESCRIPTION) <= 1
+    for slot in element_class.slots:
+        if slot.kind == ENUM:
+            assert slot.members
+            for text, member in slot.members.items():
+                assert getattr(member, "value", member) == text
+        else:
+            assert slot.members is None
+        if slot.nonempty is not None:
+            assert slot.kind == IDLIST and slot.required and slot.target is not None
+    assert element_class.identity in (("id",), ())
+
+
+def test_schema_reference_targets_name_classes():
+    names = {c.name for c in SCHEMA}
+    for element_class in SCHEMA:
+        for slot in element_class.slots:
+            assert slot.target is None or slot.target in names
+        for slot, targets in REFERENCES[element_class.name]:
+            assert slot in element_class.slots
+            assert targets and set(targets) <= names
+
+
+def test_schema_names_classes_keywords_and_collections():
+    assert ELEMENT_CLASSES == tuple(c.name for c in SCHEMA)
+    assert CLASS_FIELDS == {c.name: c.collection for c in SCHEMA}
+    model_fields = [f.name for f in dataclasses.fields(Model)]
+    assert model_fields == ["name", *(c.collection for c in SCHEMA), "source_spans"]
+    keywords = [kw for c in SCHEMA for kw in c.keywords]
+    assert len(set(keywords)) == len(keywords)
+    assert "model" not in keywords
