@@ -536,9 +536,9 @@ _UNREFERENCED = {
 
 
 def _chain_children(model: Model) -> dict[str, dict[str, list[str]]]:
-    """For each class of the chain that is referred to, the ids it is
-    referred by: each referenced id maps to the ids of the elements of the
-    next class that refer to it, in declaration order."""
+    """The referred-by lists of the accountability chain: for each class but
+    the last, every id that the next class refers to, mapped to the ids of
+    the elements that refer to it, in declaration order."""
     children: dict[str, dict[str, list[str]]] = {}
     for target, source in _REFERRED_BY.items():
         by_target = children[target] = {}
