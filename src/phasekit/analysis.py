@@ -13,6 +13,7 @@ V002   uca attached to a node other than its action's source
 V003   uca references an edge that is not a control action
 V004   required reference list is empty
 V005   duplicate assessment for one (action, guide type) cell
+V006   enumeration field holds a value the parser would reject
 V100   self-loop edge (warning)
 C001   coverage cell both waived and covered by a uca (warning)
 =====  ==================================================
@@ -23,23 +24,29 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .diagnostics import Diagnostic, Severity, Span
 from .model import (
+    ENUM,
     GUIDE_TYPES,
     REFERENCES,
     SCHEMA,
     Assessment,
     Edge,
     EdgeKind,
+    Element,
+    ElementClass,
     GuideType,
     Model,
     Node,
     Ref,
+    Slot,
     Uca,
     UnknownReferenceError,
     assessment_ref,
     elements_in_boundary,
+    enum_text,
     lookup,
     referenced_ids,
 )
@@ -211,6 +218,22 @@ def _check_uca_action(
     return diags
 
 
+def _suspect_enum_slots(element_class: ElementClass, elements: tuple) -> list[Slot]:
+    """The enum slots of a class whose values are not all members (or None
+    where the field is optional). Values are compared by identity, in one
+    pass per slot, so only these slots need checking element by element."""
+    suspect = []
+    for slot in element_class.slots:
+        if slot.kind != ENUM:
+            continue
+        allowed = {id(member) for member in slot.members.values()}
+        if not slot.required:
+            allowed.add(id(None))
+        if not set(map(id, map(attrgetter(slot.field), elements))) <= allowed:
+            suspect.append(slot)
+    return suspect
+
+
 def validate(model: Model) -> list[Diagnostic]:
     """Check every cross-reference and structural invariant.
 
@@ -235,9 +258,11 @@ def validate(model: Model) -> list[Diagnostic]:
             for slot, targets in REFERENCES[cls]
             if not (cls == "uca" and slot.field in ("source", "action"))
         ]
-        if not checks:
-            continue  # a class without references has nothing else to check
-        for element in model.elements_of(cls):
+        elements = model.elements_of(cls)
+        enums = _suspect_enum_slots(element_class, elements)
+        if not checks and not enums:
+            continue
+        for element in elements:
             if element_class.identity:
                 ref = Ref(cls, element.id)
             else:
@@ -263,6 +288,22 @@ def validate(model: Model) -> list[Diagnostic]:
                 for value in values:
                     if value not in known:
                         diags.append(_dangling(model, ref, target_text, value))
+            for slot in enums:
+                value = getattr(element, slot.field)
+                if value is None and not slot.required:
+                    continue
+                # The text serialize would write must be one parse accepts.
+                text = enum_text(value)
+                if not (isinstance(text, str) and text in slot.members):
+                    diags.append(
+                        Diagnostic(
+                            Severity.ERROR,
+                            "V006",
+                            f"{cls} '{ref.id}' has invalid {slot.field} '{text}' "
+                            f"(expected one of: {', '.join(slot.members)})",
+                            _span(model, ref),
+                        )
+                    )
             if cls == "edge" and element.source == element.target:
                 diags.append(
                     Diagnostic(
@@ -280,7 +321,7 @@ def validate(model: Model) -> list[Diagnostic]:
                         Severity.ERROR,
                         "V005",
                         f"duplicate assessment for action '{element.action}' and "
-                        f"guide type '{element.guide_type.value}'",
+                        f"guide type '{enum_text(element.guide_type)}'",
                         _span(model, ref),
                         seen_cells[cell],
                     )
@@ -535,19 +576,24 @@ _UNREFERENCED = {
 }
 
 
-def _chain_children(model: Model) -> dict[str, dict[str, list[str]]]:
-    """The referred-by lists of the accountability chain: for each class but
-    the last, every id that the next class refers to, mapped to the ids of
-    the elements that refer to it, in declaration order."""
-    children: dict[str, dict[str, list[str]]] = {}
-    for target, source in _REFERRED_BY.items():
-        by_target = children[target] = {}
-        for slot, targets in REFERENCES[source]:
-            if target in targets:
-                for element in model.elements_of(source):
-                    for target_id in dict.fromkeys(referenced_ids(element, slot)):
-                        by_target.setdefault(target_id, []).append(element.id)
-    return children
+#: The reference slot through which the next class refers to each class of
+#: the chain.
+_CHAIN_SLOTS = {
+    target: next(slot.field for slot, targets in REFERENCES[source] if target in targets)
+    for target, source in _REFERRED_BY.items()
+}
+
+
+def _chain_children(model: Model) -> dict[str, dict[str, list[Element]]]:
+    """The referred-by maps of the accountability chain: for each class but
+    the last, every id that the next class refers to, mapped to the elements
+    that refer to it, in declaration order. Read from the model's index, so
+    they are built once per model."""
+    index = model.index
+    return {
+        target: index.referrers(source, _CHAIN_SLOTS[target])
+        for target, source in _REFERRED_BY.items()
+    }
 
 
 def hints(model: Model) -> list[Hint]:
@@ -635,16 +681,24 @@ def trace_loss(model: Model, loss_id: str) -> TraceTree:
     if lookup(model, "loss", loss_id) is None:
         raise UnknownReferenceError("loss", loss_id)
     children = _chain_children(model)
+    # Subtrees are immutable, so every trace of the model shares them.
+    built = model.index.trace_trees
 
     def tree(cls: str, element_id: str) -> TraceTree:
-        below = _REFERRED_BY.get(cls)
-        if below is None:
-            return TraceTree(cls, element_id)
-        return TraceTree(
-            cls,
-            element_id,
-            tuple(tree(below, child) for child in children[cls].get(element_id, ())),
-        )
+        key = (cls, element_id)
+        found = built.get(key)
+        if found is None:
+            below = _REFERRED_BY.get(cls)
+            if below is None:
+                found = TraceTree(cls, element_id)
+            else:
+                found = TraceTree(
+                    cls,
+                    element_id,
+                    tuple(tree(below, child.id) for child in children[cls].get(element_id, ())),
+                )
+            built[key] = found
+        return found
 
     return tree("loss", loss_id)
 
@@ -690,6 +744,10 @@ def _ratio(numerator: int, denominator: int) -> float:
 
 def metrics(model: Model) -> Metrics:
     """Element counts, coverage ratio, and chain-completeness ratios."""
+    return _metrics(model, coverage(model))
+
+
+def _metrics(model: Model, grid: CoverageMatrix) -> Metrics:
     # One ratio per chain link, in the order of the Metrics fields: the
     # share of losses, hazards, ucas and scenarios the next class refers to.
     ratios = [
@@ -701,16 +759,18 @@ def metrics(model: Model) -> Metrics:
     ]
     return Metrics(
         {c.collection: len(model.elements_of(c.name)) for c in SCHEMA},
-        coverage(model).ratio(),
+        grid.ratio(),
         *ratios,
     )
 
 
 def analyze(model: Model) -> AnalysisBundle:
     """Run the standard analyses once, for the exporters."""
+    diagnostics = tuple(validate(model))
+    grid = coverage(model)
     return AnalysisBundle(
-        diagnostics=tuple(validate(model)),
-        coverage=coverage(model),
+        diagnostics=diagnostics,
+        coverage=grid,
         hints=tuple(hints(model)),
-        metrics=metrics(model),
+        metrics=_metrics(model, grid),
     )

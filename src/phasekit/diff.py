@@ -23,7 +23,6 @@ from .model import (
     Ref,
     class_rank,
     element_id,
-    referenced_ids,
 )
 
 #: Fields compared per class, with whether the field is an id list, compared
@@ -131,11 +130,13 @@ def _referencers(model: Model, target: Ref) -> tuple[Ref, ...]:
     hits: list[Ref] = []
     for src_cls in ELEMENT_CLASSES:
         for slot, targets in REFERENCES[src_cls]:
-            if target.cls not in targets:
-                continue
-            for element in model.elements_of(src_cls):
-                if target.id in referenced_ids(element, slot):
-                    hits.append(Ref(src_cls, element_id(src_cls, element)))
+            if target.cls in targets:
+                hits.extend(
+                    Ref(src_cls, element_id(src_cls, element))
+                    for element in model.index.referrers(src_cls, slot.field).get(
+                        target.id, ()
+                    )
+                )
     return tuple(dict.fromkeys(hits))
 
 
@@ -156,24 +157,29 @@ def impact(changes: ChangeSet, new: Model) -> ImpactReport:
         key=_ref_sort_key,
     )
 
+    index = new.index
+    # An edge reaches the ucas on it, a node the ucas it issues.
+    ucas_of = {
+        "edge": index.referrers("uca", "action"),
+        "node": index.referrers("uca", "source"),
+    }
+    citing = index.referrers("scenario", "elements")
+    hazard_positions = index.positions("hazard")
     entries: list[ImpactEntry] = []
     for subject in subjects:
-        if subject.cls == "edge":
-            ucas = [u for u in new.ucas if u.action == subject.id]
-        else:
-            ucas = [u for u in new.ucas if u.source == subject.id]
-        scenario_ids = tuple(
-            s.id for s in new.scenarios if subject.id in s.elements
-        )
+        ucas = ucas_of[subject.cls].get(subject.id, ())
         hazard_ids = dict.fromkeys(hid for u in ucas for hid in u.hazards)
+        # Losses follow hazard declaration order, not the order the ucas
+        # name the hazards in.
+        reached = sorted(hazard_positions[h] for h in hazard_ids if h in hazard_positions)
         loss_ids = dict.fromkeys(
-            lid for h in new.hazards if h.id in hazard_ids for lid in h.leads_to
+            lid for position in reached for lid in new.hazards[position].leads_to
         )
         entries.append(
             ImpactEntry(
                 subject=subject,
                 ucas=tuple(u.id for u in ucas),
-                scenarios=scenario_ids,
+                scenarios=tuple(s.id for s in citing.get(subject.id, ())),
                 hazards=tuple(hazard_ids),
                 losses=tuple(loss_ids),
             )

@@ -18,6 +18,10 @@ The grammar and serializer in :mod:`phasekit.dsl`, the fields diff compares,
 the reference checks of validation, the JSON export and the reference
 topology (:data:`REFERENCES`) are all derived from it; the few cases that do
 not fit a table row are written out where they are used.
+
+:attr:`Model.index` is a :class:`ModelIndex`: by-id and referred-by maps,
+each built on first use and then kept with the model, through which lookups,
+traces and impact queries avoid rescanning whole collections.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple, Union
 
 from .diagnostics import Span
@@ -370,6 +376,72 @@ class Model:
     def elements_of(self, element_class: str) -> tuple[Element, ...]:
         return getattr(self, CLASS_FIELDS[element_class])
 
+    @cached_property
+    def index(self) -> ModelIndex:
+        """The lazy maps of this model. ``cached_property`` stores it in the
+        instance ``__dict__``, outside the dataclass fields, so equality,
+        hashing and ``repr`` ignore it and ``dataclasses.replace`` returns a
+        model with a fresh index."""
+        return ModelIndex(self)
+
+
+#: Each slot by (class, field name).
+_SLOTS: dict[tuple[str, str], Slot] = {
+    (c.name, s.field): s for c in SCHEMA for s in c.slots
+}
+
+
+class ModelIndex:
+    """By-id and referred-by maps over one model, each built on first use and
+    then kept, and the trace subtrees built so far. Callers must not mutate
+    the maps it returns."""
+
+    def __init__(self, model: Model) -> None:
+        # The collections rather than the model, so the model and its index
+        # form no reference cycle.
+        self._elements = {c.name: getattr(model, c.collection) for c in SCHEMA}
+        self._positions: dict[str, dict[str, int]] = {}
+        self._referrers: dict[tuple[str, str], dict[str, list[Element]]] = {}
+        #: Trace subtrees by (class, id), filled by
+        #: :func:`phasekit.analysis.trace_loss`.
+        self.trace_trees: dict[tuple[str, str], object] = {}
+
+    def positions(self, element_class: str) -> dict[str, int]:
+        """Each id of a class mapped to the position of its first declaration
+        in the class's collection; assessments under their cell key."""
+        found = self._positions.get(element_class)
+        if found is None:
+            elements = self._elements[element_class]
+            if element_class == "assessment":
+                ids = [assessment_key(a) for a in elements]
+            else:
+                ids = [e.id for e in elements]
+            # Filled from the last declaration back, so the first one wins.
+            found = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
+            self._positions[element_class] = found
+        return found
+
+    def referrers(self, element_class: str, field_name: str) -> dict[str, list[Element]]:
+        """For one reference slot, each id it names mapped to the elements of
+        ``element_class`` whose slot names it, in declaration order, each
+        element once."""
+        key = (element_class, field_name)
+        found = self._referrers.get(key)
+        if found is None:
+            found = {}
+            read = attrgetter(field_name)
+            if _SLOTS[key].kind == IDLIST:
+                for element in self._elements[element_class]:
+                    for target_id in dict.fromkeys(read(element)):
+                        found.setdefault(target_id, []).append(element)
+            else:
+                for element in self._elements[element_class]:
+                    found.setdefault(read(element), []).append(element)
+            # Stored only when complete: analyses of one model may run in
+            # several threads, and a second build is merely wasted work.
+            self._referrers[key] = found
+        return found
+
 
 class UnknownReferenceError(ValueError):
     """Raised when an operation is asked about an id that does not resolve."""
@@ -380,11 +452,17 @@ class UnknownReferenceError(ValueError):
         self.element_id = element_id
 
 
+def enum_text(value: object) -> object:
+    """The text an enum field is written as: a member's value, or the value
+    itself (the assessment verdict is plain text)."""
+    return getattr(value, "value", value)
+
+
 def assessment_ref(action: str, guide_type: GuideType, occurrence: int = 1) -> Ref:
     """The ref of an assessment of one coverage cell: the cell key
     ``action/guide``, and for the second and later declarations of the same
     cell an occurrence suffix ``#n`` so each keeps its own span."""
-    key = f"{action}/{guide_type.value}"
+    key = f"{action}/{enum_text(guide_type)}"
     return Ref("assessment", key if occurrence == 1 else f"{key}#{occurrence}")
 
 
@@ -407,14 +485,13 @@ def lookup(model: Model, element_class: str, element_id_text: str):
     """Return the element with that id in that class, or ``None``.
 
     Classes are namespaced: looking up a loss id among hazards is a miss,
-    never an error.
+    never an error. When several elements of a class share an id, the first
+    declared wins. An assessment is found by its cell key ``action/guide``.
     """
     if element_class not in CLASS_FIELDS:
         return None
-    for element in model.elements_of(element_class):
-        if element_id(element_class, element) == element_id_text:
-            return element
-    return None
+    position = model.index.positions(element_class).get(element_id_text)
+    return None if position is None else model.elements_of(element_class)[position]
 
 
 def elements_in_boundary(

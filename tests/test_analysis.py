@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
 
 from phasekit import (
     CellState,
@@ -16,10 +17,22 @@ from phasekit import (
     hints,
     metrics,
     parse,
+    serialize,
     trace_loss,
     trace_node,
     validate,
 )
+from phasekit.model import (
+    Assessment,
+    Edge,
+    EdgeKind,
+    Loss,
+    Node,
+    NodeKind,
+    SystemBoundary,
+)
+
+from .strategies import valid_models
 
 FIVE_ACTIONS = (
     'node A "a" kind=human\nnode B "b" kind=human\n'
@@ -132,6 +145,75 @@ def test_dangling_references_all_fields():
     codes = [d.code for d in validate(model)]
     assert codes.count("V001") == 9
     assert set(codes) == {"V001"}
+
+
+_ACTION = (
+    Node("A", "a", NodeKind.HUMAN),
+    Node("B", "b", NodeKind.HUMAN),
+)
+
+
+@pytest.mark.parametrize(
+    "model,message",
+    [
+        (
+            Model(
+                nodes=_ACTION,
+                edges=(Edge("CA1", EdgeKind.CONTROL_ACTION, "A", "B", "act"),),
+                assessments=(
+                    Assessment("CA1", GuideType.PROVIDED, "r", verdict="hazardous"),
+                ),
+            ),
+            "assessment 'CA1/provided' has invalid verdict 'hazardous' "
+            "(expected one of: not-hazardous)",
+        ),
+        (
+            Model(
+                nodes=_ACTION,
+                edges=(Edge("CA1", EdgeKind.CONTROL_ACTION, "A", "B", "act"),),
+                assessments=(Assessment("CA1", "sometimes", "r"),),
+            ),
+            "assessment 'CA1/sometimes' has invalid guide_type 'sometimes' "
+            "(expected one of: provided, not-provided, wrong-timing, "
+            "stopped-too-soon-applied-too-long)",
+        ),
+        (
+            Model(losses=(Loss("L1", "d", "bogus"),)),
+            "loss 'L1' has invalid category 'bogus' (expected one of: "
+            "safety-critical, performance-related, sociotechnical)",
+        ),
+    ],
+    ids=["verdict", "guide-type", "category"],
+)
+def test_enum_value_the_parser_rejects(model, message):
+    (diag,) = validate(model)
+    assert (diag.code, diag.message) == ("V006", message)
+    # Why it matters: the canonical text of such a model does not parse.
+    assert [d.code for d in parse(serialize(model)).diagnostics] == ["P004"]
+
+
+def test_enum_values_given_as_text_or_left_out_are_valid():
+    model = Model(
+        losses=(Loss("L1", "d", "safety-critical"),),
+        boundaries=(SystemBoundary("SB", "s", None), SystemBoundary("SC", "s", "other")),
+    )
+    assert validate(model) == []
+    assert [d.code for d in validate(Model(nodes=(Node("A", "a", None),)))] == ["V006"]
+    twice = Model(
+        nodes=_ACTION,
+        edges=(Edge("CA1", EdgeKind.CONTROL_ACTION, "A", "B", "act"),),
+        assessments=(Assessment("CA1", "provided", "r"),) * 2,
+    )
+    (diag,) = validate(twice)
+    assert diag.code == "V005"
+    assert diag.message.endswith("guide type 'provided'")
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_models())
+def test_valid_models_have_no_enum_errors_and_reparse(model):
+    assert "V006" not in [d.code for d in validate(model)]
+    assert parse(serialize(model)).model == model
 
 
 # ---------------------------------------------------------------------------
