@@ -14,6 +14,7 @@ V003   uca references an edge that is not a control action
 V004   required reference list is empty
 V005   duplicate assessment for one (action, guide type) cell
 V006   enumeration field holds a value the parser would reject
+V007   id-list field holds a value that is not a tuple of str
 V100   self-loop edge (warning)
 C001   coverage cell both waived and covered by a uca (warning)
 =====  ==================================================
@@ -24,12 +25,14 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from operator import attrgetter
 
 from .diagnostics import Diagnostic, Severity, Span
 from .model import (
     ENUM,
     GUIDE_TYPES,
+    IDLIST,
     REFERENCES,
     SCHEMA,
     Assessment,
@@ -234,6 +237,19 @@ def _suspect_enum_slots(element_class: ElementClass, elements: tuple) -> list[Sl
     return suspect
 
 
+def _mistyped_list(slot: Slot, elements: tuple) -> bool:
+    """Whether an id-list slot holds anything but tuples of str. One pass
+    over the slot's values, so only such a slot needs checking element by
+    element."""
+    if slot.kind != IDLIST:
+        return False
+    values = list(map(attrgetter(slot.field), elements))
+    return not (
+        all(map(isinstance, values, repeat(tuple)))
+        and all(map(isinstance, chain.from_iterable(values), repeat(str)))
+    )
+
+
 def validate(model: Model) -> list[Diagnostic]:
     """Check every cross-reference and structural invariant.
 
@@ -251,14 +267,20 @@ def validate(model: Model) -> list[Diagnostic]:
 
     for element_class in SCHEMA:
         cls = element_class.name
-        # Each reference slot with the ids it may name. A uca's source and
-        # action are checked together by _check_uca_action.
+        elements = model.elements_of(cls)
+        # Each reference slot with the ids it may name and whether it may
+        # hold a value of the wrong type. A uca's source and action are
+        # checked together by _check_uca_action.
         checks = [
-            (slot, set().union(*(ids[t] for t in targets)), " or ".join(targets))
+            (
+                slot,
+                set().union(*(ids[t] for t in targets)),
+                " or ".join(targets),
+                _mistyped_list(slot, elements),
+            )
             for slot, targets in REFERENCES[cls]
             if not (cls == "uca" and slot.field in ("source", "action"))
         ]
-        elements = model.elements_of(cls)
         enums = _suspect_enum_slots(element_class, elements)
         if not checks and not enums:
             continue
@@ -273,8 +295,21 @@ def validate(model: Model) -> list[Diagnostic]:
                 diags.extend(
                     _check_uca_action(model, element, ref, ids["node"], edge_by_id)
                 )
-            for slot, known, target_text in checks:
+            for slot, known, target_text, mistyped in checks:
                 values = referenced_ids(element, slot)
+                if mistyped and not (
+                    isinstance(values, tuple) and all(isinstance(v, str) for v in values)
+                ):
+                    diags.append(
+                        Diagnostic(
+                            Severity.ERROR,
+                            "V007",
+                            f"{cls} '{ref.id}' has invalid {slot.field} {values!r} "
+                            f"(expected a tuple of ids)",
+                            _span(model, ref),
+                        )
+                    )
+                    continue
                 if slot.nonempty and not values:
                     diags.append(
                         Diagnostic(
@@ -766,10 +801,14 @@ def _metrics(model: Model, grid: CoverageMatrix) -> Metrics:
 
 def analyze(model: Model) -> AnalysisBundle:
     """Run the standard analyses once, for the exporters."""
-    diagnostics = tuple(validate(model))
+    return _analyze(model, validate(model))
+
+
+def _analyze(model: Model, diagnostics: list[Diagnostic]) -> AnalysisBundle:
+    """The bundle of a model whose validation diagnostics are known."""
     grid = coverage(model)
     return AnalysisBundle(
-        diagnostics=diagnostics,
+        diagnostics=tuple(diagnostics),
         coverage=grid,
         hints=tuple(hints(model)),
         metrics=_metrics(model, grid),

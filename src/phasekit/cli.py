@@ -18,7 +18,7 @@ from typing import Sequence, TextIO
 
 from . import __version__
 from .analysis import (
-    analyze,
+    _analyze,
     coverage,
     hints,
     trace_loss,
@@ -30,6 +30,7 @@ from .diff import ChangeSet, ImpactReport, diff, impact
 from .dsl import ParseResult, parse, serialize
 from .export import (
     RenderOptions,
+    _json_text,
     coverage_cell_text,
     coverage_csv,
     coverage_json,
@@ -122,17 +123,23 @@ def _parse_source(path: str, streams: _Streams) -> tuple[ParseResult, str]:
     return parse(text, name), name
 
 
-def _load_valid_model(path: str, streams: _Streams) -> Model | None:
-    """Parse and validate; on any error print diagnostics and return None."""
+def _load_validated(path: str, streams: _Streams) -> tuple[Model | None, list[Diagnostic]]:
+    """Parse and validate: the model and the diagnostics found. On any
+    error print the diagnostics and return None for the model."""
     result, _ = _parse_source(path, streams)
     if result.model is None:
         _print_diagnostics(result.diagnostics, streams)
-        return None
+        return None, list(result.diagnostics)
     problems = validate(result.model)
     if has_errors(problems):
         _print_diagnostics(problems, streams)
-        return None
-    return result.model
+        return None, problems
+    return result.model, problems
+
+
+def _load_valid_model(path: str, streams: _Streams) -> Model | None:
+    """Parse and validate; on any error print diagnostics and return None."""
+    return _load_validated(path, streams)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +260,10 @@ def _cmd_render(args: argparse.Namespace, streams: _Streams) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, streams: _Streams) -> int:
-    model = _load_valid_model(args.file, streams)
+    model, problems = _load_validated(args.file, streams)
     if model is None:
         return EXIT_INVALID
-    bundle = analyze(model)
+    bundle = _analyze(model, problems)
     if args.format == "json":
         document = report_json(model, bundle)
     else:
@@ -382,10 +389,7 @@ def _cmd_diff(args: argparse.Namespace, streams: _Streams) -> int:
     changes = diff(old_model, new_model)
     report = impact(changes, new_model) if args.impact else None
     if args.format == "json":
-        streams.stdout.write(
-            json.dumps(_changeset_json(changes, report), indent=2, ensure_ascii=False)
-            + "\n"
-        )
+        streams.stdout.write(_json_text(_changeset_json(changes, report)) + "\n")
     else:
         streams.stdout.write(_changeset_text(changes))
         if report is not None:

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -67,6 +67,7 @@ from .model import (
     Model,
     Ref,
     Slot,
+    Uca,
     assessment_ref,
     is_valid_identifier,
 )
@@ -478,16 +479,12 @@ def _unquote(quoted: str) -> str:
 
 def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:
     """The statements of a well-formed document, or :class:`_Decline`."""
-    def breaks(start: int, end: int) -> int:
-        return (
-            text.count("\n", start, end)
-            + text.count("\r", start, end)
-            - text.count("\r\n", start, end)
-        )
-
+    count = text.count
+    crlf = "\r" in text
     match_statement = _STATEMENT_RE.match
     items = _ITEM_RE.findall
-    pos, line = 0, 1
+    # ``line`` is the number of the line that starts at ``line_start``.
+    pos, line, line_start = 0, 1, 0
     while (m := match_statement(text, pos)) is not None:
         keyword, stmt_id = m.group("keyword", "id")
         shape = _STATEMENTS.get(keyword)
@@ -502,11 +499,14 @@ def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:
                 attrs[shape.description] = _unquote(description)
                 continue
             spec = keys.get(key)
-            if spec is None or spec.field in attrs:
+            if spec is None:
+                raise _Decline
+            field, _, kind, members, _, _, nonempty = spec
+            if field in attrs:
                 raise _Decline
             # The first character tells the value's kind: '"' a string,
             # '[' a list, a letter an identifier or enum word.
-            kind, first = spec.kind, value[0]
+            first = value[0]
             if kind == STRING:
                 if first != '"':
                     raise _Decline
@@ -515,24 +515,28 @@ def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:
                 if first != "[":
                     raise _Decline
                 value = tuple(_LIST_ITEM_RE.findall(value))
-                if spec.nonempty and not value:
+                if nonempty and not value:
                     raise _Decline
             elif not first.isalpha():
                 raise _Decline
-            elif spec.members is not None:
-                value = spec.members.get(value)
+            elif members is not None:
+                value = members.get(value)
                 if value is None:
                     raise _Decline
-            attrs[spec.field] = value
+            attrs[field] = value
         if not shape.required <= attrs.keys():
             raise _Decline
-        line_start, head = m.end("lead"), m.start("keyword")
-        line += breaks(pos, line_start)
+        # Line breaks from the previous statement's line to this one's.
+        start = m.end("lead")
+        line += count("\n", line_start, start)
+        if crlf:
+            line += count("\r", line_start, start) - count("\r\n", line_start, start)
+        line_start = start
         yield _RawStatement(
-            keyword, stmt_id, attrs, Span(filename, line, head - line_start + 1)
+            keyword, stmt_id, attrs,
+            Span(filename, line, m.start("keyword") - line_start + 1),
         )
         pos = m.end()
-        line += breaks(head, pos)
     if _TRAILER_RE.fullmatch(text, pos) is None:
         raise _Decline
 
@@ -542,23 +546,22 @@ def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:
 # ---------------------------------------------------------------------------
 
 
-def _constructor(element_class: ElementClass, keyword: str) -> Callable:
-    """Builds an element from its id and its attributes keyed by field."""
+def _constructor(element_class: ElementClass, keyword: str) -> Callable | None:
+    """Builds an element from its id and its attributes keyed by field; None
+    for a uca, which :func:`_assemble` builds once all edges are known."""
     cls = element_class.type
     if not element_class.identity:
         return lambda i, a: cls(**a)
-    # The edge kind comes from the keyword. The uca source is derived from
-    # its action edge once all edges are known.
-    implied: dict[str, object] = {}
-    if keyword in _EDGE_KINDS:
-        implied["kind"] = _EDGE_KINDS[keyword]
-    elif element_class.name == "uca":
-        implied["source"] = ""
-    return lambda i, a: cls(i, **implied, **a)
+    if element_class.name == "uca":
+        return None
+    if keyword in _EDGE_KINDS:  # the edge kind comes from the keyword
+        kind = _EDGE_KINDS[keyword]
+        return lambda i, a: cls(i, kind, **a)
+    return lambda i, a: cls(i, **a)
 
 
 #: Element class and constructor of each element keyword.
-_CONSTRUCTORS: dict[str, tuple[ElementClass, Callable]] = {
+_CONSTRUCTORS: dict[str, tuple[ElementClass, Callable | None]] = {
     kw: (c, _constructor(c, kw)) for c in SCHEMA for kw in c.keywords
 }
 
@@ -586,7 +589,6 @@ def _assemble(
             name_span = span
             continue
         element_class, build = _CONSTRUCTORS[kw]
-        element = build(raw.id, raw.attrs)
         if element_class.identity:
             ref = Ref(element_class.name, raw.id)
             prior = spans.get(ref)
@@ -595,7 +597,10 @@ def _assemble(
                     _error("P003", f"duplicate {ref.cls} id '{raw.id}'", span, prior)
                 )
                 continue
+            # A uca stays a statement until its action's source is known.
+            element = raw if build is None else build(raw.id, raw.attrs)
         else:
+            element = build(raw.id, raw.attrs)
             # Duplicate assessment cells are a semantic error, not a parse
             # error; keep every declaration, each with its own span.
             cell = (element.action, element.guide_type)
@@ -611,10 +616,11 @@ def _assemble(
     if has_errors(diags):
         return ParseResult(None, tuple(diags))
 
-    edge_by_id = {e.id: e for e in collections["edge"]}
+    # A uca's source is the source of its action edge, empty without one.
+    sources = {e.id: e.source for e in collections["edge"]}
     collections["uca"] = [
-        replace(u, source=edge_by_id[u.action].source) if u.action in edge_by_id else u
-        for u in collections["uca"]
+        Uca(raw.id, sources.get(raw.attrs["action"], ""), **raw.attrs)
+        for raw in collections["uca"]
     ]
     model = Model(
         name=name,

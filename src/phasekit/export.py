@@ -106,6 +106,70 @@ def to_dot(model: Model, options: RenderOptions | None = None) -> str:
 # JSON report
 # ---------------------------------------------------------------------------
 
+_encode_text = json.encoder.encode_basestring
+_INFINITY = float("inf")
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, written directly.
+
+    json's indented encoder is pure Python and yields every token through a
+    chain of generators; this writes the same text with one call per
+    container. ``newline`` is the line break and indentation of the depth
+    ``value`` sits at. Text goes through the C function json itself uses,
+    numbers through ``int.__repr__`` and ``float.__repr__``. Dict keys must
+    be text, and the value must be a tree: json would also write number,
+    bool and None keys and would detect a cycle, where this raises
+    ``TypeError`` and ``RecursionError``.
+    """
+    if type(value) is str:  # most leaves are text
+        return _encode_text(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return (
+            "{" + inner
+            + ("," + inner).join([
+                _encode_text(key) + ": "
+                + (_encode_text(item) if type(item) is str else _json_text(item, inner))
+                for key, item in value.items()
+            ])
+            + newline + "}"
+        )
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return (
+            "[" + inner
+            + ("," + inner).join([
+                _encode_text(item) if type(item) is str else _json_text(item, inner)
+                for item in value
+            ])
+            + newline + "]"
+        )
+    # In json's order: bool is a subclass of int, a str-Enum member of str.
+    if isinstance(value, str):
+        return _encode_text(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INFINITY:
+            return "Infinity"
+        if value == -_INFINITY:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
 
 def _span_json(diagnostic: Diagnostic) -> dict | None:
     if diagnostic.span is None:
@@ -188,7 +252,7 @@ def _coverage_json(matrix: CoverageMatrix) -> dict:
 
 def coverage_json(matrix: CoverageMatrix) -> str:
     """The coverage grid alone, as a JSON document."""
-    return json.dumps(_coverage_json(matrix), indent=2, ensure_ascii=False) + "\n"
+    return _json_text(_coverage_json(matrix)) + "\n"
 
 
 def report_json(model: Model, analyses: AnalysisBundle) -> str:
@@ -213,7 +277,7 @@ def report_json(model: Model, analyses: AnalysisBundle) -> str:
         "metrics": metrics,
         "schema_version": "1",
     }
-    return json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    return _json_text(document) + "\n"
 
 
 # ---------------------------------------------------------------------------

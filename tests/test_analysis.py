@@ -26,6 +26,7 @@ from phasekit.model import (
     Assessment,
     Edge,
     EdgeKind,
+    Hazard,
     Loss,
     Node,
     NodeKind,
@@ -209,10 +210,48 @@ def test_enum_values_given_as_text_or_left_out_are_valid():
     assert diag.message.endswith("guide type 'provided'")
 
 
+_LOSS_AND_BOUNDARY = {
+    "losses": (Loss("L1", "d", "safety-critical"),),
+    "boundaries": (SystemBoundary("SB", "s"),),
+}
+
+
+@pytest.mark.parametrize(
+    "leads_to,shown",
+    [(None, "None"), ("L1", "'L1'"), (["L1"], "['L1']"), (("L1", 7), "('L1', 7)")],
+    ids=["none", "str", "list", "non-str-item"],
+)
+def test_id_list_of_the_wrong_type(leads_to, shown):
+    model = Model(**_LOSS_AND_BOUNDARY, hazards=(Hazard("H1", "d", "SB", leads_to),))
+    (diag,) = validate(model)
+    assert (diag.code, diag.message) == (
+        "V007",
+        f"hazard 'H1' has invalid leads_to {shown} (expected a tuple of ids)",
+    )
+
+
+def test_a_mistyped_id_list_skips_only_its_own_checks():
+    model = Model(
+        **_LOSS_AND_BOUNDARY,
+        hazards=(
+            Hazard("H1", "d", "NOPE", "L1"),
+            Hazard("H2", "d", "SB", ()),
+            Hazard("H3", "d", "SB", ("L9",)),
+        ),
+    )
+    assert [d.message for d in validate(model)] == [
+        "unknown boundary 'NOPE' referenced by hazard 'H1'",
+        "hazard 'H1' has invalid leads_to 'L1' (expected a tuple of ids)",
+        "hazard 'H2' must lead to at least one loss",
+        "unknown loss 'L9' referenced by hazard 'H3'",
+    ]
+
+
 @settings(max_examples=100, deadline=None)
 @given(valid_models())
 def test_valid_models_have_no_enum_errors_and_reparse(model):
-    assert "V006" not in [d.code for d in validate(model)]
+    codes = [d.code for d in validate(model)]
+    assert "V006" not in codes and "V007" not in codes
     assert parse(serialize(model)).model == model
 
 

@@ -5,6 +5,9 @@ import json
 
 import pytest
 
+import phasekit.analysis
+import phasekit.cli
+from phasekit.analysis import validate
 from phasekit.cli import run
 
 from .conftest import fixture_path
@@ -197,6 +200,34 @@ def test_report_json_and_md(tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8").startswith("# Hazard analysis report")
+
+
+@pytest.mark.parametrize("fmt", ["md", "json"])
+def test_report_validates_once(monkeypatch, fmt):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return validate(model)
+
+    # Both bindings: the CLI's and the one analyze reaches.
+    monkeypatch.setattr(phasekit.cli, "validate", counted)
+    monkeypatch.setattr(phasekit.analysis, "validate", counted)
+    code, _, _ = cli("report", C1, "--format", fmt)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_report_keeps_validation_warnings(tmp_path):
+    path = write(tmp_path, 'node A "a" kind=human\naction CA1 from=A to=A "self"\n')
+    code, out, err = cli("report", path, "--format", "md")
+    assert (code, err) == (0, "")
+    assert "warning[V100]: edge 'CA1' is a self-loop on 'A'" in out
+    code, out, err = cli("report", path, "--format", "json")
+    assert (code, err) == (0, "")
+    (diagnostic,) = json.loads(out)["diagnostics"]
+    assert (diagnostic["severity"], diagnostic["code"]) == ("warning", "V100")
+    assert diagnostic["span"] == {"file": path, "line": 2, "column": 1}
 
 
 def test_report_format_required():

@@ -5,6 +5,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phasekit import (
     Model,
@@ -18,6 +20,8 @@ from phasekit import (
     report_markdown,
     to_dot,
 )
+from phasekit.export import _json_text
+from phasekit.model import EdgeKind, GuideType
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
@@ -205,3 +209,62 @@ def test_coverage_csv_rfc4180_quoting():
     # Controller ids cannot contain commas; quoting shows up only if a cell
     # needs it, so this asserts the writer stays RFC 4180 minimal.
     assert '"' not in output
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer against json.dumps
+# ---------------------------------------------------------------------------
+
+
+def reference_json(value) -> str:
+    return json.dumps(value, indent=2, ensure_ascii=False)
+
+
+_SPECIAL_CHARACTERS = ["\x00", "\x1f", "\x7f", '"', "\\", "\u2028", "\u2029", "\ud800", "\udfff"]
+_TEXT = st.text(
+    st.one_of(st.characters(exclude_categories=()), st.sampled_from(_SPECIAL_CHARACTERS))
+)
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf"), 1e300, 5e-324]),
+    _TEXT,
+    st.sampled_from([*GuideType, *EdgeKind]),
+)
+_KEYS = st.one_of(_TEXT, st.sampled_from([*GuideType]))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_KEYS, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+@example({"a": [], "b": {}, "c": [[], {}, ()], "d": {"e": {"f": []}}})
+@example([True, 1, False, 0, 1.0, -0.0, None])
+@example({"\u2028\ud800\x00": ["\udfff", "\x1f\x7f"]})
+@example({GuideType.PROVIDED: GuideType.NOT_PROVIDED, "n": [1, 1.5, True, None]})
+def test_json_text_matches_json_dumps(value):
+    assert _json_text(value) == reference_json(value)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, [1, {2}], {"a": object()}, {(1, 2): "tuple key"}])
+def test_json_text_rejects_what_json_rejects(value):
+    with pytest.raises(TypeError):
+        reference_json(value)
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+def test_json_text_takes_only_text_keys():
+    # json would write the key as "1"; no phasekit document has such a key.
+    with pytest.raises(TypeError):
+        _json_text({1: "one"})
