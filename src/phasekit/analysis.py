@@ -14,7 +14,7 @@ V003   uca references an edge that is not a control action
 V004   required reference list is empty
 V005   duplicate assessment for one (action, guide type) cell
 V006   enumeration field holds a value the parser would reject
-V007   id-list field holds a value that is not a tuple of str
+V007   id, text or id-list field holds a value of the wrong type
 V100   self-loop edge (warning)
 C001   coverage cell both waived and covered by a uca (warning)
 =====  ==================================================
@@ -26,15 +26,17 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
-from operator import attrgetter
+from operator import attrgetter, eq
 
 from .diagnostics import Diagnostic, Severity, Span
 from .model import (
     ENUM,
     GUIDE_TYPES,
+    ID,
     IDLIST,
     REFERENCES,
     SCHEMA,
+    STRING,
     Assessment,
     Edge,
     EdgeKind,
@@ -47,6 +49,7 @@ from .model import (
     Slot,
     Uca,
     UnknownReferenceError,
+    assessment_key,
     assessment_ref,
     elements_in_boundary,
     enum_text,
@@ -186,10 +189,52 @@ def _dangling(
     )
 
 
+#: The type each kind of field must hold; enum fields are checked against
+#: their members instead (V006).
+_FIELD_TYPES = {ID: str, STRING: str, IDLIST: tuple}
+#: What a V007 message says each kind of field must hold.
+_EXPECTED = {ID: "an id", STRING: "a string", IDLIST: "a tuple of ids"}
+
+
+def _mistyped(slot: Slot, values: list) -> bool:
+    """Whether any of a slot's values has the wrong type: an id or text that
+    is not a str (text may be None where it is optional), or an id list that
+    is not a tuple of str. One pass over the values, so only such a slot
+    needs checking element by element."""
+    accepted = _FIELD_TYPES[slot.kind]
+    if slot.kind == STRING and not slot.required:
+        accepted = (str, type(None))
+    if not all(map(isinstance, values, repeat(accepted))):
+        return True
+    return slot.kind == IDLIST and not all(
+        map(isinstance, chain.from_iterable(values), repeat(str))
+    )
+
+
+def _wrong_type(model: Model, ref: Ref, slot: Slot, value: object) -> Diagnostic:
+    return Diagnostic(
+        Severity.ERROR,
+        "V007",
+        f"{ref.cls} '{ref.id}' has invalid {slot.field} {value!r} "
+        f"(expected {_EXPECTED[slot.kind]})",
+        _span(model, ref),
+    )
+
+
+#: A uca's source and action, which _check_uca_action checks together.
+_UCA_LINKS = tuple(
+    slot for slot, _ in REFERENCES["uca"] if slot.field in ("source", "action")
+)
+
+
 def _check_uca_action(
     model: Model, uca: Uca, ref: Ref, node_ids: set[str], edge_by_id: dict[str, Edge]
 ) -> list[Diagnostic]:
-    """The action of a uca and the source derived from it, action first."""
+    """The action of a uca and the source derived from it, action first. A
+    source or action that is not an id is reported instead of both."""
+    wrong = [slot for slot in _UCA_LINKS if _mistyped(slot, [getattr(uca, slot.field)])]
+    if wrong:
+        return [_wrong_type(model, ref, slot, getattr(uca, slot.field)) for slot in wrong]
     diags: list[Diagnostic] = []
     action = edge_by_id.get(uca.action)
     if action is None:
@@ -200,7 +245,7 @@ def _check_uca_action(
                 Severity.ERROR,
                 "V003",
                 f"uca '{uca.id}' references '{action.id}' which is a "
-                f"{action.kind.value} edge, not a control action",
+                f"{enum_text(action.kind)} edge, not a control action",
                 _span(model, ref),
             )
         )
@@ -221,7 +266,36 @@ def _check_uca_action(
     return diags
 
 
-def _suspect_enum_slots(element_class: ElementClass, elements: tuple) -> list[Slot]:
+def _suspect_links(
+    columns: dict[str, list], node_ids: set[str], edge_by_id: dict[str, Edge]
+) -> bool:
+    """Whether _check_uca_action can report anything: some uca's source or
+    action is not an id, or its (action, source) pair is not a control
+    action and the node that issues it, or its source is not a known node."""
+    if any(_mistyped(slot, columns[slot.field]) for slot in _UCA_LINKS):
+        return True
+    sources = columns["source"]
+    issued = {
+        (edge.id, edge.source)
+        for edge in edge_by_id.values()
+        if edge.kind is EdgeKind.CONTROL_ACTION and isinstance(edge.source, str)
+    }
+    return not (
+        issued.issuperset(zip(columns["action"], sources)) and node_ids.issuperset(sources)
+    )
+
+
+def _suspect_references(slot: Slot, known: set[str], values: list) -> bool:
+    """Whether a well-typed reference slot names an unknown id or leaves a
+    required list empty."""
+    if slot.kind != IDLIST:
+        return not known.issuperset(values)
+    return not known.issuperset(chain.from_iterable(values)) or bool(
+        slot.nonempty and not all(values)
+    )
+
+
+def _suspect_enum_slots(element_class: ElementClass, columns: dict[str, list]) -> list[Slot]:
     """The enum slots of a class whose values are not all members (or None
     where the field is optional). Values are compared by identity, in one
     pass per slot, so only these slots need checking element by element."""
@@ -232,22 +306,9 @@ def _suspect_enum_slots(element_class: ElementClass, elements: tuple) -> list[Sl
         allowed = {id(member) for member in slot.members.values()}
         if not slot.required:
             allowed.add(id(None))
-        if not set(map(id, map(attrgetter(slot.field), elements))) <= allowed:
+        if not set(map(id, columns[slot.field])) <= allowed:
             suspect.append(slot)
     return suspect
-
-
-def _mistyped_list(slot: Slot, elements: tuple) -> bool:
-    """Whether an id-list slot holds anything but tuples of str. One pass
-    over the slot's values, so only such a slot needs checking element by
-    element."""
-    if slot.kind != IDLIST:
-        return False
-    values = list(map(attrgetter(slot.field), elements))
-    return not (
-        all(map(isinstance, values, repeat(tuple)))
-        and all(map(isinstance, chain.from_iterable(values), repeat(str)))
-    )
 
 
 def validate(model: Model) -> list[Diagnostic]:
@@ -259,57 +320,69 @@ def validate(model: Model) -> list[Diagnostic]:
     """
     diags: list[Diagnostic] = []
     ids = {
-        c.name: {e.id for e in model.elements_of(c.name)} for c in SCHEMA if c.identity
+        c.name: set(map(attrgetter("id"), model.elements_of(c.name)))
+        for c in SCHEMA
+        if c.identity
     }
     edge_by_id = {e.id: e for e in model.edges}
-    seen_cells: dict[tuple, Span | None] = {}
-    occurrences: dict[tuple, int] = {}
 
     for element_class in SCHEMA:
         cls = element_class.name
         elements = model.elements_of(cls)
-        # Each reference slot with the ids it may name and whether it may
-        # hold a value of the wrong type. A uca's source and action are
-        # checked together by _check_uca_action.
-        checks = [
-            (
-                slot,
-                set().union(*(ids[t] for t in targets)),
-                " or ".join(targets),
-                _mistyped_list(slot, elements),
-            )
-            for slot, targets in REFERENCES[cls]
-            if not (cls == "uca" and slot.field in ("source", "action"))
+        columns = {
+            slot.field: list(map(attrgetter(slot.field), elements))
+            for slot in element_class.slots
+        }
+        # One set pass per check decides which checks can find anything in
+        # this class; the walk below builds the diagnostics of those only.
+        # Each reference slot comes with the ids it may name and whether it
+        # holds a value of the wrong type.
+        refs = []
+        for slot, targets in REFERENCES[cls]:
+            if cls == "uca" and slot.field in ("source", "action"):
+                continue
+            if len(targets) == 1:
+                known = ids[targets[0]]
+            else:
+                known = set().union(*(ids[t] for t in targets))
+            values = columns[slot.field]
+            mistyped = _mistyped(slot, values)
+            if mistyped or _suspect_references(slot, known, values):
+                refs.append((slot, known, " or ".join(targets), mistyped))
+        texts = [
+            slot
+            for slot in element_class.slots
+            if slot.kind == STRING and _mistyped(slot, columns[slot.field])
         ]
-        enums = _suspect_enum_slots(element_class, elements)
-        if not checks and not enums:
+        enums = _suspect_enum_slots(element_class, columns)
+        links = cls == "uca" and _suspect_links(columns, ids["node"], edge_by_id)
+        loops = cls == "edge" and any(map(eq, columns["source"], columns["target"]))
+        duplicates = False
+        if cls == "assessment":
+            keys = list(map(assessment_key, elements))
+            duplicates = len(set(keys)) < len(keys)
+        if not (refs or texts or enums or links or loops or duplicates):
             continue
+
+        occurrences: dict[str, int] = {}
+        seen_cells: dict[str, Span | None] = {}
         for element in elements:
             if element_class.identity:
                 ref = Ref(cls, element.id)
             else:
-                cell = (element.action, element.guide_type)
-                occurrences[cell] = occurrences.get(cell, 0) + 1
-                ref = assessment_ref(*cell, occurrences[cell])
-            if cls == "uca":
+                key = assessment_key(element)
+                occurrences[key] = occurrences.get(key, 0) + 1
+                ref = assessment_ref(element.action, element.guide_type, occurrences[key])
+            if links:
                 diags.extend(
                     _check_uca_action(model, element, ref, ids["node"], edge_by_id)
                 )
-            for slot, known, target_text, mistyped in checks:
-                values = referenced_ids(element, slot)
-                if mistyped and not (
-                    isinstance(values, tuple) and all(isinstance(v, str) for v in values)
-                ):
-                    diags.append(
-                        Diagnostic(
-                            Severity.ERROR,
-                            "V007",
-                            f"{cls} '{ref.id}' has invalid {slot.field} {values!r} "
-                            f"(expected a tuple of ids)",
-                            _span(model, ref),
-                        )
-                    )
+            for slot, known, target_text, mistyped in refs:
+                value = getattr(element, slot.field)
+                if mistyped and _mistyped(slot, [value]):
+                    diags.append(_wrong_type(model, ref, slot, value))
                     continue
+                values = referenced_ids(element, slot)
                 if slot.nonempty and not values:
                     diags.append(
                         Diagnostic(
@@ -323,6 +396,10 @@ def validate(model: Model) -> list[Diagnostic]:
                 for value in values:
                     if value not in known:
                         diags.append(_dangling(model, ref, target_text, value))
+            for slot in texts:
+                value = getattr(element, slot.field)
+                if _mistyped(slot, [value]):
+                    diags.append(_wrong_type(model, ref, slot, value))
             for slot in enums:
                 value = getattr(element, slot.field)
                 if value is None and not slot.required:
@@ -339,7 +416,7 @@ def validate(model: Model) -> list[Diagnostic]:
                             _span(model, ref),
                         )
                     )
-            if cls == "edge" and element.source == element.target:
+            if loops and element.source == element.target:
                 diags.append(
                     Diagnostic(
                         Severity.WARNING,
@@ -348,9 +425,9 @@ def validate(model: Model) -> list[Diagnostic]:
                         _span(model, ref),
                     )
                 )
-            if cls == "assessment" and occurrences[cell] == 1:
-                seen_cells[cell] = _span(model, ref)
-            elif cls == "assessment":
+            if duplicates and occurrences[key] == 1:
+                seen_cells[key] = _span(model, ref)
+            elif duplicates:
                 diags.append(
                     Diagnostic(
                         Severity.ERROR,
@@ -358,7 +435,7 @@ def validate(model: Model) -> list[Diagnostic]:
                         f"duplicate assessment for action '{element.action}' and "
                         f"guide type '{enum_text(element.guide_type)}'",
                         _span(model, ref),
-                        seen_cells[cell],
+                        seen_cells[key],
                     )
                 )
 
@@ -718,24 +795,26 @@ def trace_loss(model: Model, loss_id: str) -> TraceTree:
     children = _chain_children(model)
     # Subtrees are immutable, so every trace of the model shares them.
     built = model.index.trace_trees
-
-    def tree(cls: str, element_id: str) -> TraceTree:
-        key = (cls, element_id)
-        found = built.get(key)
-        if found is None:
-            below = _REFERRED_BY.get(cls)
-            if below is None:
-                found = TraceTree(cls, element_id)
-            else:
-                found = TraceTree(
-                    cls,
-                    element_id,
-                    tuple(tree(below, child.id) for child in children[cls].get(element_id, ())),
-                )
-            built[key] = found
-        return found
-
-    return tree("loss", loss_id)
+    # Down the chain, the ids of each class whose subtree is not built yet;
+    # then back up, each subtree from the ones below it.
+    levels: list[tuple[str, list[str]]] = []
+    cls: str | None = "loss"
+    pending = [loss_id]
+    while cls is not None:
+        pending = [i for i in dict.fromkeys(pending) if (cls, i) not in built]
+        levels.append((cls, pending))
+        referrers = children.get(cls, {})
+        pending = [child.id for i in pending for child in referrers.get(i, ())]
+        cls = _REFERRED_BY.get(cls)
+    for cls, pending in reversed(levels):
+        below, referrers = _REFERRED_BY.get(cls), children.get(cls, {})
+        for element_id in pending:
+            built[(cls, element_id)] = TraceTree(
+                cls,
+                element_id,
+                tuple(built[(below, child.id)] for child in referrers.get(element_id, ())),
+            )
+    return built[("loss", loss_id)]
 
 
 def trace_node(model: Model, node_id: str) -> AccountabilityReport:

@@ -9,6 +9,7 @@ spans; stdout carries only the requested artifact.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import math
@@ -209,15 +210,13 @@ def _cmd_trace(args: argparse.Namespace, streams: _Streams) -> int:
         return EXIT_INVALID
     out = streams.stdout
     if args.loss is not None:
-        tree = trace_loss(model, args.loss)
-
-        def emit(node, depth: int) -> None:
+        # Depth first, children in order, each indented one step more.
+        stack = [(trace_loss(model, args.loss), 0)]
+        while stack:
+            node, depth = stack.pop()
             out.write("  " * depth + f"{node.element_class} "
                       + _describe(model, node.element_class, node.element_id) + "\n")
-            for child in node.children:
-                emit(child, depth + 1)
-
-        emit(tree, 0)
+            stack.extend((child, depth + 1) for child in reversed(node.children))
     else:
         report = trace_node(model, args.node)
         out.write(f"node {_describe(model, 'node', report.node)}\n")
@@ -509,12 +508,30 @@ def run(
     stdout: TextIO | None = None,
     stderr: TextIO | None = None,
 ) -> int:
-    """Execute one CLI invocation and return its exit code."""
+    """Execute one CLI invocation and return its exit code.
+
+    The cyclic garbage collector is paused for the run and turned back on
+    afterwards only if it was on when the run began, so a caller that keeps
+    it off finds it off. Pausing it is safe because reference counting frees
+    what a run allocates: models, their index and analysis results hold no
+    reference cycles. The one cycle a run leaves, argparse's own parser,
+    waits for the collector's next pass.
+    """
     streams = _Streams(
         stdin if stdin is not None else sys.stdin,
         stdout if stdout is not None else sys.stdout,
         stderr if stderr is not None else sys.stderr,
     )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv, streams)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: Sequence[str], streams: _Streams) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))

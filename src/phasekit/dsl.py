@@ -52,7 +52,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Severity, Span, has_errors
@@ -474,7 +474,8 @@ class _Decline(Exception):
 
 def _unquote(quoted: str) -> str:
     text = quoted[1:-1]
-    return _ESCAPE_RE.sub(r"\1", text) if "\\" in text else text
+    # A callable, not the template r"\1", keeps the substitution in C.
+    return _ESCAPE_RE.sub(itemgetter(1), text) if "\\" in text else text
 
 
 def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from phasekit import (
     CellState,
@@ -22,7 +24,13 @@ from phasekit import (
     trace_node,
     validate,
 )
+from phasekit.diagnostics import has_errors
 from phasekit.model import (
+    ENUM,
+    ID,
+    IDLIST,
+    SCHEMA,
+    STRING,
     Assessment,
     Edge,
     EdgeKind,
@@ -31,9 +39,11 @@ from phasekit.model import (
     Node,
     NodeKind,
     SystemBoundary,
+    Uca,
 )
 
-from .strategies import valid_models
+from .strategies import breakable_models, valid_models
+from .validate_oracle import oracle_validate
 
 FIVE_ACTIONS = (
     'node A "a" kind=human\nnode B "b" kind=human\n'
@@ -247,12 +257,204 @@ def test_a_mistyped_id_list_skips_only_its_own_checks():
     ]
 
 
+_ACTION_AND_HAZARD = {
+    **_LOSS_AND_BOUNDARY,
+    "hazards": (Hazard("H1", "d", "SB", ("L1",)),),
+    "nodes": _ACTION,
+    "edges": (Edge("CA1", EdgeKind.CONTROL_ACTION, "A", "B", "act"),),
+}
+
+
+@pytest.mark.parametrize(
+    "model,messages",
+    [
+        (
+            Model(**_LOSS_AND_BOUNDARY, hazards=(Hazard("H1", "d", ["SB"], ("L1",)),)),
+            ["hazard 'H1' has invalid boundary ['SB'] (expected an id)"],
+        ),
+        (
+            Model(**_LOSS_AND_BOUNDARY, hazards=(Hazard("H1", None, "SB", ("L1",)),)),
+            ["hazard 'H1' has invalid description None (expected a string)"],
+        ),
+        (
+            Model(nodes=(Node("A", "a", NodeKind.HUMAN, process_model=5),)),
+            ["node 'A' has invalid process_model 5 (expected a string)"],
+        ),
+        (
+            Model(
+                **_ACTION_AND_HAZARD,
+                ucas=(Uca("U1", None, ["CA1"], GuideType.PROVIDED, "functional", "c", ("H1",)),),
+            ),
+            [
+                "uca 'U1' has invalid source None (expected an id)",
+                "uca 'U1' has invalid action ['CA1'] (expected an id)",
+            ],
+        ),
+        (
+            Model(
+                **_ACTION_AND_HAZARD,
+                assessments=(Assessment(("CA1",), GuideType.PROVIDED, "r"),) * 2,
+            ),
+            [
+                "assessment '('CA1',)/provided' has invalid action ('CA1',) (expected an id)",
+                "assessment '('CA1',)/provided#2' has invalid action ('CA1',) (expected an id)",
+                "duplicate assessment for action '('CA1',)' and guide type 'provided'",
+            ],
+        ),
+    ],
+    ids=["id", "text", "optional-text", "uca-source-and-action", "assessment-action"],
+)
+def test_single_id_and_text_fields_of_the_wrong_type(model, messages):
+    diagnostics = validate(model)
+    assert [d.message for d in diagnostics] == messages
+    assert {d.code for d in diagnostics} <= {"V007", "V005"}
+
+
+#: Values of every type but the right one for some kind of field.
+_ODD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2),
+    st.floats(allow_nan=False),
+    st.binary(max_size=2),
+    st.text(alphabet="ab", max_size=2),
+    st.lists(st.sampled_from(["L0", "N0", "E0"]), max_size=2),
+    st.tuples(st.sampled_from(["L0", "N0", 7, None])),
+    st.sampled_from([GuideType.PROVIDED, NodeKind.HUMAN, ("N0", "E0")]),
+)
+
+
+def _well_typed(slot, value) -> bool:
+    if slot.kind == IDLIST:
+        return isinstance(value, tuple) and all(isinstance(v, str) for v in value)
+    if slot.kind == STRING and not slot.required and value is None:
+        return True
+    return slot.kind == ENUM or isinstance(value, str)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_models(), st.data())
+def test_validate_reports_wrong_typed_values_and_never_raises(model, data):
+    element_class = data.draw(
+        st.sampled_from([c for c in SCHEMA if model.elements_of(c.name)] or [None])
+    )
+    assume(element_class is not None)
+    elements = list(model.elements_of(element_class.name))
+    index = data.draw(st.integers(0, len(elements) - 1))
+    slot = data.draw(st.sampled_from(element_class.slots))
+    value = data.draw(_ODD_VALUES)
+    elements[index] = dataclasses.replace(elements[index], **{slot.field: value})
+    model = dataclasses.replace(model, **{element_class.collection: tuple(elements)})
+
+    diagnostics = validate(model)
+    if not _well_typed(slot, value):
+        assert "V007" in [d.code for d in diagnostics]
+    if not has_errors(diagnostics):
+        assert parse(serialize(model)).model == model
+
+
 @settings(max_examples=100, deadline=None)
 @given(valid_models())
 def test_valid_models_have_no_enum_errors_and_reparse(model):
     codes = [d.code for d in validate(model)]
     assert "V006" not in codes and "V007" not in codes
     assert parse(serialize(model)).model == model
+
+
+# ---------------------------------------------------------------------------
+# validate against the element walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_walk(model: Model) -> list:
+    """Full diagnostics, in order: code, severity, message, span and related
+    span."""
+    diagnostics = validate(model)
+    assert diagnostics == oracle_validate(model)
+    return diagnostics
+
+
+def test_fixtures_match_walk(c1, c2, c3):
+    for model in (c1, c2, c3):
+        assert_matches_walk(model)
+
+
+def test_uca_on_an_action_from_an_unknown_node_matches_walk():
+    # The uca's (action, source) pair is a control action and its issuer,
+    # so only the node-id test can flag it.
+    model = model_of(
+        'node A "a" kind=human\nboundary SB "s"\nloss L1 "l" category=sociotechnical\n'
+        'hazard H1 "h" boundary=SB leads_to=[L1]\naction CA1 from=GHOST to=A "act"\n'
+        'uca U1 action=CA1 type=provided category=functional context="c" hazards=[H1]\n'
+    )
+    assert [d.message for d in assert_matches_walk(model)] == [
+        "unknown node 'GHOST' referenced by edge 'CA1'",
+        "unknown node 'GHOST' referenced by uca 'U1'",
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(breakable_models())
+def test_breakable_models_match_walk(model):
+    assert_matches_walk(model)
+
+
+def _with_assessments(model: Model, rnd: random.Random, count: int) -> Model:
+    actions = [e.id for e in model.edges if e.kind is EdgeKind.CONTROL_ACTION]
+    cells = rnd.sample([(a, g) for a in actions for g in GuideType], min(count, 4 * len(actions)))
+    return dataclasses.replace(
+        model, assessments=tuple(Assessment(a, g, "r") for a, g in cells)
+    )
+
+
+def _inject_faults(model: Model, rnd: random.Random, rate: float = 0.05) -> Model:
+    """Break about ``rate`` of the elements, each in one slot, with values of
+    the right type: unknown or other ids and emptied or extended id lists
+    (V001-V004), enum text the parser rejects (V006), plus self-loops (V100)
+    and repeated assessment cells (V005)."""
+    collections = {}
+    for element_class in SCHEMA:
+        elements = list(model.elements_of(element_class.name))
+        for index, element in enumerate(elements):
+            if rnd.random() >= rate:
+                continue
+            slot = rnd.choice([s for s in element_class.slots if s.kind != STRING])
+            if slot.kind == IDLIST:
+                value = () if rnd.random() < 0.5 else (*getattr(element, slot.field), "ZZ")
+            elif slot.kind == ID:
+                value = rnd.choice(["ZZ", *(e.id for e in model.elements_of(slot.target))])
+            elif (element_class.name, slot.field) == ("edge", "kind"):
+                # Another kind: the walk cannot describe a uca's action
+                # whose kind is not a member.
+                value = rnd.choice(list(EdgeKind))
+            else:
+                value = "bogus"
+            elements[index] = dataclasses.replace(element, **{slot.field: value})
+        collections[element_class.collection] = tuple(elements)
+    collections["edges"] = tuple(
+        dataclasses.replace(e, target=e.source) if rnd.random() < rate else e
+        for e in collections["edges"]
+    )
+    assessments = collections["assessments"]
+    repeated = rnd.sample(assessments, len(assessments) // 10)
+    collections["assessments"] = assessments + tuple(repeated)
+    return dataclasses.replace(model, **collections)
+
+
+# No shrinking: a failure is reported on the one large model as it is.
+@settings(
+    max_examples=1, derandomize=True, deadline=None, database=None, phases=[Phase.generate]
+)
+@given(valid_models(max_per_class=300), st.integers(0, 2**32))
+def test_large_model_with_injected_faults_matches_walk(model, seed):
+    rnd = random.Random(seed)
+    model = _with_assessments(model, rnd, 100)
+    assume(sum(len(model.elements_of(c.name)) for c in SCHEMA) >= 1000)
+    model = parse(serialize(model), "large.phase").model
+    diagnostics = assert_matches_walk(_inject_faults(model, rnd))
+    assert {d.code for d in diagnostics} == {
+        "V001", "V002", "V003", "V004", "V005", "V006", "V100"
+    }
 
 
 # ---------------------------------------------------------------------------

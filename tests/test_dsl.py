@@ -303,6 +303,11 @@ def test_fixtures_take_fast_path(name):
         'loss L1 "a # b" category=sociotechnical # c',
         # A backslash before a newline inside a string is not a continuation.
         'loss L1 "a \\\n" category=sociotechnical',
+        # Escaped backslashes and quotes, mixed and adjacent.
+        'loss L1 "a\\\\" category=sociotechnical',
+        'loss L1 "\\\\\\"" category=sociotechnical',
+        'loss L1 "\\"\\\\\\"\\\\x\\\\\\\\\\"" category=sociotechnical',
+        'model "\\\\\\"\\\\"\nloss L1 "\\\\" category=sociotechnical "\\"',
         # Only \r\n, \r and \n end a line; other separators are string text.
         'model "a\x85b\u2028c\x0bd"\rloss L1 "x" category=sociotechnical',
         'model "m"\r\n\r\n  loss L1 "x" \\\r\n category=sociotechnical\r',
