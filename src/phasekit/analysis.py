@@ -14,7 +14,8 @@ V003   uca references an edge that is not a control action
 V004   required reference list is empty
 V005   duplicate assessment for one (action, guide type) cell
 V006   enumeration field holds a value the parser would reject
-V007   id, text or id-list field holds a value of the wrong type
+V007   id, text or id-list field holds a value of the wrong type, or an
+       element's id is not an identifier
 V100   self-loop edge (warning)
 C001   coverage cell both waived and covered by a uca (warning)
 =====  ==================================================
@@ -22,6 +23,7 @@ C001   coverage cell both waived and covered by a uca (warning)
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
@@ -49,6 +51,7 @@ from .model import (
     Slot,
     Uca,
     UnknownReferenceError,
+    _IDENT_RE,
     assessment_key,
     assessment_ref,
     elements_in_boundary,
@@ -194,6 +197,22 @@ def _dangling(
 _FIELD_TYPES = {ID: str, STRING: str, IDLIST: tuple}
 #: What a V007 message says each kind of field must hold.
 _EXPECTED = {ID: "an id", STRING: "a string", IDLIST: "a tuple of ids"}
+#: Identifiers (see :func:`phasekit.model.is_valid_identifier`) joined by
+#: line breaks.
+_IDENTIFIERS_RE = re.compile(rf"{_IDENT_RE.pattern}(?:\n{_IDENT_RE.pattern})*")
+
+
+def _bad_ids(ids: list) -> bool:
+    """Whether any of a class's ids is not an identifier, which serialize
+    could not write. One type pass and one match over them all decide
+    whether the class needs checking element by element; the joined ids
+    match only if none holds a line break of its own."""
+    if not all(map(isinstance, ids, repeat(str))):
+        return True
+    text = "\n".join(ids)
+    return bool(ids) and (
+        text.count("\n") != len(ids) - 1 or _IDENTIFIERS_RE.fullmatch(text) is None
+    )
 
 
 def _mistyped(slot: Slot, values: list) -> bool:
@@ -239,7 +258,7 @@ def _check_uca_action(
     action = edge_by_id.get(uca.action)
     if action is None:
         diags.append(_dangling(model, ref, "edge", uca.action))
-    elif action.kind is not EdgeKind.CONTROL_ACTION:
+    elif action.kind != EdgeKind.CONTROL_ACTION:
         diags.append(
             Diagnostic(
                 Severity.ERROR,
@@ -278,7 +297,7 @@ def _suspect_links(
     issued = {
         (edge.id, edge.source)
         for edge in edge_by_id.values()
-        if edge.kind is EdgeKind.CONTROL_ACTION and isinstance(edge.source, str)
+        if edge.kind == EdgeKind.CONTROL_ACTION and isinstance(edge.source, str)
     }
     return not (
         issued.issuperset(zip(columns["action"], sources)) and node_ids.issuperset(sources)
@@ -319,12 +338,23 @@ def validate(model: Model) -> list[Diagnostic]:
     from text.
     """
     diags: list[Diagnostic] = []
-    ids = {
-        c.name: set(map(attrgetter("id"), model.elements_of(c.name)))
+    id_columns = {
+        c.name: list(map(attrgetter("id"), model.elements_of(c.name)))
         for c in SCHEMA
         if c.identity
     }
-    edge_by_id = {e.id: e for e in model.edges}
+    # The classes holding an id that is not an identifier. Their id sets and
+    # the edges by id leave out any id that is not a str, which may not even
+    # be hashable.
+    bad_ids = {cls for cls, column in id_columns.items() if _bad_ids(column)}
+    ids = {
+        cls: {i for i in column if isinstance(i, str)} if cls in bad_ids else set(column)
+        for cls, column in id_columns.items()
+    }
+    edges = model.edges
+    if "edge" in bad_ids:
+        edges = [e for e in edges if isinstance(e.id, str)]
+    edge_by_id = {e.id: e for e in edges}
 
     for element_class in SCHEMA:
         cls = element_class.name
@@ -361,12 +391,25 @@ def validate(model: Model) -> list[Diagnostic]:
         if cls == "assessment":
             keys = list(map(assessment_key, elements))
             duplicates = len(set(keys)) < len(keys)
-        if not (refs or texts or enums or links or loops or duplicates):
+        bad_id = cls in bad_ids
+        if not (bad_id or refs or texts or enums or links or loops or duplicates):
             continue
 
         occurrences: dict[str, int] = {}
         seen_cells: dict[str, Span | None] = {}
         for element in elements:
+            if bad_id and _bad_ids([element.id]):
+                # Its other checks would name the element by that id, so
+                # they wait until it has a valid one.
+                diags.append(
+                    Diagnostic(
+                        Severity.ERROR,
+                        "V007",
+                        f"{cls} has invalid id {element.id!r} (expected an id)",
+                        None,
+                    )
+                )
+                continue
             if element_class.identity:
                 ref = Ref(cls, element.id)
             else:
@@ -458,7 +501,7 @@ def _control_subgraph(
     edges = [
         e
         for e in model.edges
-        if e.kind is EdgeKind.CONTROL_ACTION
+        if e.kind == EdgeKind.CONTROL_ACTION
         and e.source in in_scope
         and e.target in in_scope
         and e.source != e.target
@@ -622,7 +665,7 @@ def coverage(model: Model, boundary_id: str | None = None) -> CoverageMatrix:
         scope_edges = model.edges
     else:
         _, scope_edges = elements_in_boundary(model, boundary_id)
-    actions = [e for e in scope_edges if e.kind is EdgeKind.CONTROL_ACTION]
+    actions = [e for e in scope_edges if e.kind == EdgeKind.CONTROL_ACTION]
     actions.sort(key=lambda e: (e.source, e.id))
 
     ucas_by_cell: dict[tuple[str, GuideType], list[str]] = {}
@@ -714,10 +757,10 @@ def hints(model: Model) -> list[Hint]:
     found: list[Hint] = []
 
     feedback_pairs = {
-        (e.source, e.target) for e in model.edges if e.kind is EdgeKind.FEEDBACK
+        (e.source, e.target) for e in model.edges if e.kind == EdgeKind.FEEDBACK
     }
     for edge in model.edges:
-        if edge.kind is EdgeKind.CONTROL_ACTION and (
+        if edge.kind == EdgeKind.CONTROL_ACTION and (
             edge.target,
             edge.source,
         ) not in feedback_pairs:
@@ -743,7 +786,7 @@ def hints(model: Model) -> list[Hint]:
     node_by_id = {n.id: n for n in model.nodes}
     flagged: set[str] = set()
     for edge in model.edges:
-        if edge.kind is not EdgeKind.CONTROL_ACTION or edge.id not in uca_actions:
+        if edge.kind != EdgeKind.CONTROL_ACTION or edge.id not in uca_actions:
             continue
         node = node_by_id.get(edge.source)
         if node is None or node.id in flagged or node.process_model:
@@ -826,7 +869,7 @@ def trace_node(model: Model, node_id: str) -> AccountabilityReport:
     actions = tuple(
         e.id
         for e in model.edges
-        if e.kind is EdgeKind.CONTROL_ACTION and e.source == node_id
+        if e.kind == EdgeKind.CONTROL_ACTION and e.source == node_id
     )
     action_set = set(actions)
     ucas = tuple(u.id for u in model.ucas if u.action in action_set)

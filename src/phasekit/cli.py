@@ -550,6 +550,19 @@ def _run(argv: Sequence[str], streams: _Streams) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """The process entry point of the ``phasekit`` console script and of
+    ``python -m phasekit``: freeze the heap that importing phasekit built,
+    then run one invocation on the process's own streams and return its
+    exit code. In-process callers use :func:`run`, which freezes nothing.
+    """
+    # The imports leave some 15,000 objects for the collector to track
+    # (dataclass methods, enums, compiled regexes, argparse), and the
+    # collection CPython runs at shutdown would walk them all, about 15-19 ms
+    # per call. gc.freeze() moves them into the permanent generation, which
+    # no collection visits. The process ends after this one run, so none of
+    # them would have been freed anyway. Unlike os._exit, this keeps atexit
+    # handlers and the flush of the standard streams.
+    gc.freeze()
     return run(sys.argv[1:] if argv is None else argv)
 
 

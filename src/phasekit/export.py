@@ -69,7 +69,7 @@ def to_dot(model: Model, options: RenderOptions | None = None) -> str:
     else:
         nodes, edges = elements_in_boundary(model, opts.boundary)
     if not opts.include_iolinks:
-        edges = tuple(e for e in edges if e.kind is not EdgeKind.IO_LINK)
+        edges = tuple(e for e in edges if e.kind != EdgeKind.IO_LINK)
 
     ranks = scope_ranks(model, list(nodes))
 

@@ -20,10 +20,12 @@ from phasekit import (
     metrics,
     parse,
     serialize,
+    to_dot,
     trace_loss,
     trace_node,
     validate,
 )
+from phasekit.export import RenderOptions
 from phasekit.diagnostics import has_errors
 from phasekit.model import (
     ENUM,
@@ -36,10 +38,13 @@ from phasekit.model import (
     EdgeKind,
     Hazard,
     Loss,
+    LossCategory,
     Node,
     NodeKind,
+    Slot,
     SystemBoundary,
     Uca,
+    is_valid_identifier,
 )
 
 from .strategies import breakable_models, valid_models
@@ -301,13 +306,78 @@ _ACTION_AND_HAZARD = {
                 "duplicate assessment for action '('CA1',)' and guide type 'provided'",
             ],
         ),
+        *(
+            (
+                Model(losses=(Loss(element_id, "d", LossCategory.SAFETY_CRITICAL),)),
+                [f"loss has invalid id {element_id!r} (expected an id)"],
+            )
+            for element_id in (["L1"], None, 5, "L 1", "", "L1\nL2")
+        ),
     ],
-    ids=["id", "text", "optional-text", "uca-source-and-action", "assessment-action"],
+    ids=[
+        "id", "text", "optional-text", "uca-source-and-action", "assessment-action",
+        "element-id-list", "element-id-none", "element-id-int", "element-id-space",
+        "element-id-empty", "element-id-line-break",
+    ],
 )
 def test_single_id_and_text_fields_of_the_wrong_type(model, messages):
     diagnostics = validate(model)
     assert [d.message for d in diagnostics] == messages
     assert {d.code for d in diagnostics} <= {"V007", "V005"}
+
+
+def test_an_edge_with_a_bad_id_leaves_the_others_checked():
+    model = Model(
+        **_ACTION_AND_HAZARD,
+        ucas=(Uca("U1", "A", "CA1", GuideType.PROVIDED, "functional", "c", ("H1",)),),
+    )
+    model = dataclasses.replace(
+        model,
+        edges=(Edge(["CA1"], EdgeKind.FEEDBACK, "B", "A", "fb"), *model.edges),
+    )
+    assert [d.message for d in validate(model)] == [
+        "edge has invalid id ['CA1'] (expected an id)"
+    ]
+    model = dataclasses.replace(model, edges=model.edges[:1])
+    assert [d.message for d in validate(model)] == [
+        "edge has invalid id ['CA1'] (expected an id)",
+        "unknown edge 'CA1' referenced by uca 'U1'",
+    ]
+
+
+def test_edge_kinds_given_as_text_behave_like_their_members():
+    model = Model(
+        **{
+            **_ACTION_AND_HAZARD,
+            "nodes": (*_ACTION, Node("C", "c", NodeKind.HUMAN)),
+            "edges": (
+                Edge("CA1", "control-action", "A", "B", "act"),
+                Edge("FB1", "feedback", "B", "A", "fb"),
+                Edge("IO1", "io-link", "A", "B", "io"),
+                Edge("CA2", "control-action", "B", "C", "act"),
+            ),
+        },
+        ucas=(Uca("U1", "A", "CA1", GuideType.PROVIDED, "functional", "c", ("H1",)),),
+    )
+    reparsed = parse(serialize(model)).model
+    assert validate(model) == validate(reparsed) == []
+    assert coverage(model) == coverage(reparsed)
+    assert [row.action for row in coverage(model).rows] == ["CA1", "CA2"]
+    assert hints(model) == hints(reparsed)
+    assert [h.subjects[0].id for h in hints(model) if h.code == "missing-feedback"] == ["CA2"]
+    assert trace_node(model, "A") == trace_node(reparsed, "A")
+    assert trace_node(model, "A").actions == ("CA1",)
+    for options in (None, RenderOptions(include_iolinks=False)):
+        assert to_dot(model, options) == to_dot(reparsed, options)
+    assert 'label="io"' not in to_dot(model, RenderOptions(include_iolinks=False))
+
+    # A uca on an unknown action makes validate check every uca's action.
+    stray = Uca("U2", "A", "CA9", GuideType.PROVIDED, "functional", "c", ("H1",))
+    model = dataclasses.replace(model, ucas=(*model.ucas, stray))
+    reparsed = parse(serialize(model)).model
+    assert [d.message for d in validate(model)] == [d.message for d in validate(reparsed)] == [
+        "unknown edge 'CA9' referenced by uca 'U2'"
+    ]
 
 
 #: Values of every type but the right one for some kind of field.
@@ -324,7 +394,13 @@ _ODD_VALUES = st.one_of(
 )
 
 
+#: An element's id, drawn like a slot; only an identifier is well typed.
+_ID = Slot("id", None, ID)
+
+
 def _well_typed(slot, value) -> bool:
+    if slot is _ID:
+        return isinstance(value, str) and is_valid_identifier(value)
     if slot.kind == IDLIST:
         return isinstance(value, tuple) and all(isinstance(v, str) for v in value)
     if slot.kind == STRING and not slot.required and value is None:
@@ -341,7 +417,8 @@ def test_validate_reports_wrong_typed_values_and_never_raises(model, data):
     assume(element_class is not None)
     elements = list(model.elements_of(element_class.name))
     index = data.draw(st.integers(0, len(elements) - 1))
-    slot = data.draw(st.sampled_from(element_class.slots))
+    slots = element_class.slots + ((_ID,) if element_class.identity else ())
+    slot = data.draw(st.sampled_from(slots))
     value = data.draw(_ODD_VALUES)
     elements[index] = dataclasses.replace(elements[index], **{slot.field: value})
     model = dataclasses.replace(model, **{element_class.collection: tuple(elements)})

@@ -1,6 +1,7 @@
 """``cli.run`` pauses the cyclic garbage collector for each run. That is safe
 only if a run leaves no reference cycles among phasekit's objects, and only
-polite if the collector is left as the caller had it."""
+polite if the collector, and what it has frozen, are left as the caller had
+them."""
 
 from __future__ import annotations
 
@@ -108,9 +109,12 @@ def collector():
 )
 def test_collector_state_is_restored(collector, initially, argv, stdin, code):
     (gc.enable if initially else gc.disable)()
+    frozen = gc.get_freeze_count()
     out, err = io.StringIO(), io.StringIO()
     assert run(argv, stdin=io.StringIO(stdin), stdout=out, stderr=err) == code
     assert gc.isenabled() is initially
+    # Only the process entry point, cli.main, freezes the heap.
+    assert gc.get_freeze_count() == frozen
 
 
 @pytest.mark.parametrize("initially", [True, False], ids=["caller-on", "caller-off"])

@@ -1,0 +1,89 @@
+"""``cli.main`` is the process entry point of ``python -m phasekit`` and of
+the console script. Every other CLI test goes through ``cli.run`` in
+process; these start real processes and require the exit code and the
+bytes that ``run`` gives for the same argv."""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import phasekit
+from phasekit.cli import run
+
+from .conftest import fixture_path
+
+SRC = Path(phasekit.__file__).resolve().parent.parent
+C1 = str(fixture_path("c1"))
+C3 = str(fixture_path("c3"))
+INVALID = 'loss L1 "l" category=sociotechnical\nhazard H1 "h" boundary=SB leads_to=[L1]\n'
+SELF_LOOP = 'node A "a" kind=human\naction CA1 from=A to=A "self"\n'
+
+
+def _python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+        "PYTHONIOENCODING": "utf-8",
+    }
+    return subprocess.run(
+        [sys.executable, *args],
+        input=stdin.encode("utf-8"),
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+
+
+def _in_process(argv: list[str], stdin: str = "") -> tuple[int, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv, stdin=io.StringIO(stdin), stdout=out, stderr=err)
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,code",
+    [
+        (["check", C1], "", 0),
+        (["check", "-", "--strict"], SELF_LOOP, 1),
+        (["check", "-"], INVALID, 2),
+        (["frobnicate"], "", 3),
+        # More than stdout's buffer holds, so its end reaches the pipe only
+        # through the flush at exit.
+        (["report", C3, "--format", "json"], "", 0),
+    ],
+    ids=["exit-0", "exit-1", "exit-2", "exit-3", "report-json-through-a-pipe"],
+)
+def test_process_matches_run(argv, stdin, code):
+    process = _python("-m", "phasekit", *argv, stdin=stdin)
+    assert (process.returncode, process.stdout, process.stderr) == _in_process(argv, stdin)
+    assert process.returncode == code
+
+
+def test_report_json_is_more_than_stdout_buffers():
+    assert len(_in_process(["report", C3, "--format", "json"])[1]) > 2 * io.DEFAULT_BUFFER_SIZE
+
+
+def test_render_to_a_file_writes_all_of_it(tmp_path):
+    by_process, in_process = tmp_path / "process.dot", tmp_path / "run.dot"
+    process = _python("-m", "phasekit", "render", C3, "-o", str(by_process))
+    assert (process.returncode, process.stdout, process.stderr) == (0, b"", b"")
+    assert _in_process(["render", C3, "-o", str(in_process)]) == (0, b"", b"")
+    assert by_process.read_bytes() == in_process.read_bytes()
+    assert by_process.read_bytes().endswith(b"}\n")
+
+
+def test_main_freezes_the_import_time_heap():
+    process = _python(
+        "-c",
+        "import gc, phasekit.cli\n"
+        "before = gc.get_freeze_count()\n"
+        "code = phasekit.cli.main(['--version'])\n"
+        "print(code, before, gc.get_freeze_count() > 0, gc.isenabled())",
+    )
+    assert process.stdout.decode().splitlines()[-1] == "0 0 True True"
