@@ -14,8 +14,8 @@ V003   uca references an edge that is not a control action
 V004   required reference list is empty
 V005   duplicate assessment for one (action, guide type) cell
 V006   enumeration field holds a value the parser would reject
-V007   id, text or id-list field holds a value of the wrong type, or an
-       element's id is not an identifier
+V007   id, text or id-list field holds a value of the wrong type, text
+       holds a line break, or an element's id is not an identifier
 V100   self-loop edge (warning)
 C001   coverage cell both waived and covered by a uca (warning)
 =====  ==================================================
@@ -217,25 +217,31 @@ def _bad_ids(ids: list) -> bool:
 
 def _mistyped(slot: Slot, values: list) -> bool:
     """Whether any of a slot's values has the wrong type: an id or text that
-    is not a str (text may be None where it is optional), or an id list that
-    is not a tuple of str. One pass over the values, so only such a slot
-    needs checking element by element."""
+    is not a str (text may be None where it is optional), text that holds a
+    line break, which serialize cannot write, or an id list that is not a
+    tuple of str. One pass over the values, so only such a slot needs
+    checking element by element."""
     accepted = _FIELD_TYPES[slot.kind]
     if slot.kind == STRING and not slot.required:
         accepted = (str, type(None))
     if not all(map(isinstance, values, repeat(accepted))):
         return True
+    if slot.kind == STRING:
+        text = "".join(filter(None, values))
+        return "\n" in text or "\r" in text
     return slot.kind == IDLIST and not all(
         map(isinstance, chain.from_iterable(values), repeat(str))
     )
 
 
 def _wrong_type(model: Model, ref: Ref, slot: Slot, value: object) -> Diagnostic:
+    expected = _EXPECTED[slot.kind]
+    if slot.kind == STRING and isinstance(value, str):
+        expected += " without line breaks"
     return Diagnostic(
         Severity.ERROR,
         "V007",
-        f"{ref.cls} '{ref.id}' has invalid {slot.field} {value!r} "
-        f"(expected {_EXPECTED[slot.kind]})",
+        f"{ref.cls} '{ref.id}' has invalid {slot.field} {value!r} (expected {expected})",
         _span(model, ref),
     )
 

@@ -60,10 +60,18 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 class _Streams:
-    def __init__(self, stdin: TextIO, stdout: TextIO, stderr: TextIO) -> None:
+    def __init__(self, stdin: TextIO | None, stdout: TextIO | None, stderr: TextIO) -> None:
         self.stdin = stdin
-        self.stdout = stdout
+        self._stdout = stdout
         self.stderr = stderr
+
+    @property
+    def stdout(self) -> TextIO:
+        """Where the artifact goes. A process started with its stdout closed
+        has None there, so only writing an artifact is an error."""
+        if self._stdout is None:
+            raise _UsageError("cannot write <stdout>: standard output is closed")
+        return self._stdout
 
 
 def _styled(stream: TextIO, text: str, color: str) -> str:
@@ -85,10 +93,13 @@ def _print_diagnostics(diagnostics: Sequence[Diagnostic], streams: _Streams) -> 
         print(line, file=streams.stderr)
 
 
-def _read_stdin(stdin: TextIO) -> str:
+def _read_stdin(stdin: TextIO | None) -> str:
     """Read stdin the way a file is read: strict UTF-8 with universal
     newlines. Streams without a byte buffer (such as an injected
-    ``io.StringIO``) are already decoded and are read as they are."""
+    ``io.StringIO``) are already decoded and are read as they are. A process
+    started with its stdin closed has None there."""
+    if stdin is None:
+        raise _UsageError("cannot read <stdin>: standard input is closed")
     buffer = getattr(stdin, "buffer", None)
     if buffer is None:
         return stdin.read()

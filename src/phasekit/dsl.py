@@ -17,12 +17,15 @@ written model can still be explored.
 :data:`phasekit.model.SCHEMA` like the element constructors and the
 serializer:
 
-* The fast path matches each whole logical statement with one compiled
-  pattern (``_STATEMENT_RE``) and reads its items with a second one
-  (``_ITEM_RE``). It produces no diagnostics: on anything it does not
-  accept as well formed (no match, unknown keyword or attribute, a repeated
-  attribute, a value of the wrong kind, an unknown enum value, an empty
-  list that must not be empty, a wrong number of descriptions, a missing
+* The fast path reads each whole logical statement with one match of one
+  compiled pattern (``_STATEMENT_RE``), whose groups hold the keyword, the
+  id and, item by item, each key and value, up to ``_MAX_ITEMS`` items (the
+  most written slots of any class); only an id list is checked again, by
+  ``_LIST_RE``. It produces no diagnostics: on anything it does not accept
+  as well formed (no match, as for a statement of more items, unknown
+  keyword or attribute, a repeated attribute or description, a keyless
+  item that is not a quoted description, a value of the wrong kind, an
+  unknown enum value, an empty list that must not be empty, a missing
   required attribute, a duplicate id, a second ``model`` header) it
   declines, and :func:`parse` starts over on the exact path.
 * The exact path lexes the whole document into tokens (``_lex``) and parses
@@ -30,12 +33,13 @@ serializer:
   that reports lexical and statement errors (P001, P002, P004), with their
   spans.
 
-Both paths feed the same assembly step, which builds the elements and
-reports duplicate ids (P003) and a repeated ``model`` header (P002). A
-report there on the fast path also sends the document to the exact path, so
-every diagnostic :func:`parse` returns comes from the exact path. When the
-fast path accepts a document, its result equals the exact path's result:
-the same model, the same ``source_spans``, and no diagnostics.
+Both paths hand the same assembly step (keyword, id, attributes, span)
+tuples; it builds the elements and reports duplicate ids (P003) and a
+repeated ``model`` header (P002). A report there on the fast path also
+sends the document to the exact path, so every diagnostic :func:`parse`
+returns comes from the exact path. When the fast path accepts a document,
+its result equals the exact path's result: the same model, the same
+``source_spans``, and no diagnostics.
 
 Diagnostic codes:
 
@@ -86,8 +90,7 @@ class ParseResult:
     diagnostics: tuple[Diagnostic, ...]
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "word" | "string" | "punct"
     value: str
     line: int
@@ -357,16 +360,11 @@ def _coerce_value(cur: _Cursor, key: str, spec: Slot, parsed) -> object:
     return member
 
 
-class _RawStatement(NamedTuple):
-    keyword: str
-    id: str | None
-    attrs: dict[str, object]  # keyed by field name, the description too
-    span: Span
-
-
 def _parse_statement(
     tokens: list[_Token], filename: str, diags: list[Diagnostic]
-) -> _RawStatement | None:
+) -> tuple | None:
+    """One statement as (keyword, id, attributes keyed by field, span), or
+    None when it has an error, which is recorded in ``diags``."""
     cur = _Cursor(tokens, filename, diags)
     try:
         head = cur.advance()
@@ -423,9 +421,7 @@ def _parse_statement(
             if spec.required and spec.field not in attrs:
                 cur.fail("P002", f"missing attribute '{key}=' on '{head.value}'", cur.span_of(head))
 
-        return _RawStatement(
-            head.value, stmt_id, attrs, Span(filename, head.line, head.column)
-        )
+        return head.value, stmt_id, attrs, Span(filename, head.line, head.column)
     except _StatementError:
         return None
 
@@ -444,26 +440,32 @@ _IDENT = rf"[A-Za-z]{_W}*(?!{_W})"
 _QUOTED = r'"[^"\\\r\n]*(?:\\["\\][^"\\\r\n]*)*"'
 # A lone \r must not match the first half of \r\n, or line counts would
 # depend on where a match happened to split it.
-_BREAK = r"(?:\r\n|\r(?!\n)|\n)"
+_BREAK = r"\r\n|\r(?!\n)|\n"
+_END = rf"(?:{_BREAK}|\Z)"
 # Blanks and continuations. Like the lexer, a backslash at the very end of
 # the input counts as a continuation.
-_GAP = rf"[ \t]*(?:\\(?:{_BREAK}|\Z)[ \t]*)*"
-_BLANK_LINES = rf"(?:[ \t]*(?:#[^\r\n]*|\\)?{_BREAK})*"
+_GAP = rf"[ \t]*(?:\\{_END}[ \t]*)*"
+_BLANK_LINES = rf"(?:[ \t]*(?:#[^\r\n]*|\\)?(?:{_BREAK}))*"
 
-#: One logical statement, with the blank and comment lines before it.
+#: Most items one statement holds: the most written slots of any class.
+_MAX_ITEMS = max(sum(s.key is not None for s in c.slots) for c in SCHEMA)
+# One item: a value with its key, or a description (a keyless value). A list
+# is only delimited here; _LIST_RE checks what it holds.
+_ITEM = rf"{_GAP}(?:({_WORD}){_GAP}={_GAP})?({_QUOTED}|{_WORD}|\[[^\]]*\])"
+#: One logical statement, with the blank and comment lines before it: groups
+#: lead, keyword and id, then a key and a value per item. Each item is nested
+#: in the one before it, so the items present are the first ones.
 _STATEMENT_RE = re.compile(
-    rf"(?P<lead>{_BLANK_LINES})[ \t]*"
-    rf"(?P<keyword>{_WORD})(?:{_GAP}(?P<id>{_IDENT}))?"
-    rf"(?P<body>(?:{_GAP}(?:{_QUOTED}|{_WORD}{_GAP}={_GAP}"
-    rf"(?:{_QUOTED}|{_WORD}|\[{_GAP}(?:{_IDENT}{_GAP}(?:,{_GAP}{_IDENT}{_GAP})*)?\])))*)"
-    rf"{_GAP}(?:#[^\r\n]*)?(?:{_BREAK}|\Z)"
+    rf"({_BLANK_LINES})[ \t]*({_WORD})(?:{_GAP}({_IDENT}))?"
+    + f"(?:{_ITEM}" * _MAX_ITEMS + ")?" * _MAX_ITEMS
+    + rf"{_GAP}(?:#[^\r\n]*)?{_END}"
 )
+#: Where each item's key is in the statement's groups; its value follows.
+_KEY_GROUPS = range(3, 3 + 2 * _MAX_ITEMS, 2)
 #: What may follow the last statement.
 _TRAILER_RE = re.compile(rf"{_BLANK_LINES}[ \t]*(?:#[^\r\n]*|\\)?")
-#: One item of a matched statement body: a description, or a key and value.
-_ITEM_RE = re.compile(
-    rf"({_QUOTED})|({_WORD}){_GAP}={_GAP}({_QUOTED}|{_WORD}|\[[^\]]*\])"
-)
+#: An id list as the exact path reads it: ids, commas, blanks, continuations.
+_LIST_RE = re.compile(rf"\[{_GAP}(?:{_IDENT}{_GAP}(?:,{_GAP}{_IDENT}{_GAP})*)?\]")
 _LIST_ITEM_RE = re.compile(_WORD)
 _ESCAPE_RE = re.compile(r'\\(["\\])')
 
@@ -478,26 +480,33 @@ def _unquote(quoted: str) -> str:
     return _ESCAPE_RE.sub(itemgetter(1), text) if "\\" in text else text
 
 
-def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:
-    """The statements of a well-formed document, or :class:`_Decline`."""
+def _fast_statements(text: str, filename: str) -> Iterator[tuple]:
+    """The statements of a well-formed document as :func:`_parse_statement`
+    gives them, or :class:`_Decline`."""
     count = text.count
     crlf = "\r" in text
     match_statement = _STATEMENT_RE.match
-    items = _ITEM_RE.findall
     # ``line`` is the number of the line that starts at ``line_start``.
     pos, line, line_start = 0, 1, 0
     while (m := match_statement(text, pos)) is not None:
-        keyword, stmt_id = m.group("keyword", "id")
+        groups = m.groups()
+        keyword, stmt_id = groups[1], groups[2]
         shape = _STATEMENTS.get(keyword)
         if shape is None or shape.has_id != (stmt_id is not None):
             raise _Decline
         keys = shape.keys
         attrs: dict[str, object] = {}
-        for description, key, value in items(text, *m.span("body")):
-            if description:
-                if shape.description is None or shape.description in attrs:
+        for i in _KEY_GROUPS:
+            key, value = groups[i], groups[i + 1]
+            if value is None:
+                break
+            # The first character tells the value's kind: '"' a string,
+            # '[' a list, a letter an identifier or enum word.
+            first = value[0]
+            if key is None:
+                if first != '"' or shape.description is None or shape.description in attrs:
                     raise _Decline
-                attrs[shape.description] = _unquote(description)
+                attrs[shape.description] = _unquote(value)
                 continue
             spec = keys.get(key)
             if spec is None:
@@ -505,15 +514,12 @@ def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:
             field, _, kind, members, _, _, nonempty = spec
             if field in attrs:
                 raise _Decline
-            # The first character tells the value's kind: '"' a string,
-            # '[' a list, a letter an identifier or enum word.
-            first = value[0]
             if kind == STRING:
                 if first != '"':
                     raise _Decline
                 value = _unquote(value)
             elif kind == IDLIST:
-                if first != "[":
+                if first != "[" or _LIST_RE.fullmatch(value) is None:
                     raise _Decline
                 value = tuple(_LIST_ITEM_RE.findall(value))
                 if nonempty and not value:
@@ -528,15 +534,12 @@ def _fast_statements(text: str, filename: str) -> Iterator[_RawStatement]:
         if not shape.required <= attrs.keys():
             raise _Decline
         # Line breaks from the previous statement's line to this one's.
-        start = m.end("lead")
+        start = m.end(1)
         line += count("\n", line_start, start)
         if crlf:
             line += count("\r", line_start, start) - count("\r\n", line_start, start)
         line_start = start
-        yield _RawStatement(
-            keyword, stmt_id, attrs,
-            Span(filename, line, m.start("keyword") - line_start + 1),
-        )
+        yield keyword, stmt_id, attrs, Span(filename, line, m.start(2) - line_start + 1)
         pos = m.end()
     if _TRAILER_RE.fullmatch(text, pos) is None:
         raise _Decline
@@ -567,9 +570,7 @@ _CONSTRUCTORS: dict[str, tuple[ElementClass, Callable | None]] = {
 }
 
 
-def _assemble(
-    statements: Iterable[_RawStatement | None], diags: list[Diagnostic]
-) -> ParseResult:
+def _assemble(statements: Iterable[tuple | None], diags: list[Diagnostic]) -> ParseResult:
     """Build the model from parsed statements, reporting duplicate ids and
     a repeated ``model`` header into ``diags``."""
     name = ""
@@ -577,31 +578,32 @@ def _assemble(
     collections: dict[str, list] = {c.name: [] for c in SCHEMA}
     spans: dict[Ref, Span] = {}
     occurrences: dict[tuple, int] = {}
+    new_ref = tuple.__new__  # Ref's own __new__ only packs its arguments
 
-    for raw in statements:
-        if raw is None:
+    for statement in statements:
+        if statement is None:
             continue
-        kw, span = raw.keyword, raw.span
+        kw, stmt_id, attrs, span = statement
         if kw == "model":
             if name_span is not None:
                 diags.append(_error("P002", "model name already declared", span, name_span))
                 continue
-            name = raw.attrs["name"]
+            name = attrs["name"]
             name_span = span
             continue
         element_class, build = _CONSTRUCTORS[kw]
         if element_class.identity:
-            ref = Ref(element_class.name, raw.id)
+            ref = new_ref(Ref, (element_class.name, stmt_id))
             prior = spans.get(ref)
             if prior is not None:
                 diags.append(
-                    _error("P003", f"duplicate {ref.cls} id '{raw.id}'", span, prior)
+                    _error("P003", f"duplicate {ref.cls} id '{stmt_id}'", span, prior)
                 )
                 continue
             # A uca stays a statement until its action's source is known.
-            element = raw if build is None else build(raw.id, raw.attrs)
+            element = statement if build is None else build(stmt_id, attrs)
         else:
-            element = build(raw.id, raw.attrs)
+            element = build(stmt_id, attrs)
             # Duplicate assessment cells are a semantic error, not a parse
             # error; keep every declaration, each with its own span.
             cell = (element.action, element.guide_type)
@@ -620,8 +622,8 @@ def _assemble(
     # A uca's source is the source of its action edge, empty without one.
     sources = {e.id: e.source for e in collections["edge"]}
     collections["uca"] = [
-        Uca(raw.id, sources.get(raw.attrs["action"], ""), **raw.attrs)
-        for raw in collections["uca"]
+        Uca(uca_id, sources.get(attrs["action"], ""), **attrs)
+        for _, uca_id, attrs, _ in collections["uca"]
     ]
     model = Model(
         name=name,

@@ -287,6 +287,18 @@ _ACTION_AND_HAZARD = {
         ),
         (
             Model(
+                losses=(Loss("L1", "a\nb", LossCategory.SAFETY_CRITICAL),),
+                nodes=(Node("A", "a", NodeKind.HUMAN, control_algorithm="\r"),),
+            ),
+            [
+                "loss 'L1' has invalid description 'a\\nb' (expected a string without "
+                "line breaks)",
+                "node 'A' has invalid control_algorithm '\\r' (expected a string without "
+                "line breaks)",
+            ],
+        ),
+        (
+            Model(
                 **_ACTION_AND_HAZARD,
                 ucas=(Uca("U1", None, ["CA1"], GuideType.PROVIDED, "functional", "c", ("H1",)),),
             ),
@@ -315,7 +327,7 @@ _ACTION_AND_HAZARD = {
         ),
     ],
     ids=[
-        "id", "text", "optional-text", "uca-source-and-action", "assessment-action",
+        "id", "text", "optional-text", "text-line-break", "uca-source-and-action", "assessment-action",
         "element-id-list", "element-id-none", "element-id-int", "element-id-space",
         "element-id-empty", "element-id-line-break",
     ],
@@ -388,6 +400,8 @@ _ODD_VALUES = st.one_of(
     st.floats(allow_nan=False),
     st.binary(max_size=2),
     st.text(alphabet="ab", max_size=2),
+    # Text with a line break, which serialize cannot write.
+    st.sampled_from(["\n", "a\nb", "\r", "a\rb", "\r\n"]),
     st.lists(st.sampled_from(["L0", "N0", "E0"]), max_size=2),
     st.tuples(st.sampled_from(["L0", "N0", 7, None])),
     st.sampled_from([GuideType.PROVIDED, NodeKind.HUMAN, ("N0", "E0")]),
@@ -405,6 +419,8 @@ def _well_typed(slot, value) -> bool:
         return isinstance(value, tuple) and all(isinstance(v, str) for v in value)
     if slot.kind == STRING and not slot.required and value is None:
         return True
+    if slot.kind == STRING and isinstance(value, str):
+        return "\n" not in value and "\r" not in value
     return slot.kind == ENUM or isinstance(value, str)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 import time
@@ -9,8 +10,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phasekit import LossCategory, Severity, parse, serialize
-from phasekit.dsl import _Decline, _fast_statements, _parse_exact
-from phasekit.model import CLASS_FIELDS, EdgeKind, GuideType
+from phasekit.dsl import _MAX_ITEMS, _assemble, _Decline, _fast_statements, _parse_exact
+from phasekit.model import (
+    CLASS_FIELDS,
+    DESCRIPTION,
+    ID,
+    IDLIST,
+    SCHEMA,
+    STRING,
+    EdgeKind,
+    GuideType,
+)
 
 from .strategies import documents, messy_render, valid_models
 
@@ -265,11 +275,14 @@ def assert_matches_exact(text: str):
 
 
 def takes_fast_path(text: str) -> bool:
+    """Whether ``parse`` returns the fast path's result: every statement
+    matches and assembling them reports nothing."""
+    diags = []
     try:
-        list(_fast_statements(text, "doc.phase"))
+        _assemble(_fast_statements(text, "doc.phase"), diags)
     except _Decline:
         return False
-    return True
+    return not diags
 
 
 @settings(max_examples=1, derandomize=True, deadline=None, database=None)
@@ -325,10 +338,60 @@ def test_fixtures_take_fast_path(name):
         'requirement R1 scenarios=[S1,9x] "r"',
         'loss L1 "a\\q" category=sociotechnical',
         'loss L1 "a" category=sociotechnical \\ x',
+        # A keyless item must be a description; a list holds ids only.
+        'loss L1 "a" category=sociotechnical sociotechnical',
+        'loss L1 category=sociotechnical [L1]',
+        'hazard H1 "h" boundary=SB leads_to=[L1,]',
+        'hazard H1 "h" boundary=SB leads_to=[L1 L2]',
+        'hazard H1 "h" boundary=SB leads_to=[L1,\nL2]',
+        'hazard H1 "h" boundary=SB leads_to=[L1, # x\n L2]',
+        'hazard H1 "h" boundary=SB leads_to=[L1,"L2"]',
     ],
 )
 def test_edge_cases_match_exact_path(text):
     assert_matches_exact(text)
+
+
+def _items(element_class, continued: bool) -> list[str]:
+    """One item per written slot of the class, a list spread over two lines
+    when ``continued``."""
+    values = {STRING: '"s \\" #"', ID: "X1", IDLIST: "[A1,\\\n B2]" if continued else "[A1,B2]"}
+    return [
+        values[STRING] if slot.key == DESCRIPTION
+        else f"{slot.key}={values.get(slot.kind) or next(iter(slot.members))}"
+        for slot in element_class.slots
+        if slot.key is not None
+    ]
+
+
+@pytest.mark.parametrize("element_class", SCHEMA, ids=[c.name for c in SCHEMA])
+def test_every_order_of_a_complete_statement_takes_fast_path(element_class):
+    """A statement with every attribute of its class, in each order, is read
+    by the fast path, so _MAX_ITEMS leaves no statement to the exact path."""
+    head = element_class.keywords[0] + (" E1" if element_class.identity else "")
+    for continued in (True, False):
+        for order in itertools.permutations(_items(element_class, continued)):
+            if continued:
+                text = head + " \\\n  " + " \\\n\t".join(order)
+            else:
+                # No blanks at all: a continuation only where two words
+                # would otherwise run together.
+                text = head
+                for item in order:
+                    text += ("" if text[-1] in '"]' or item[0] == '"' else "\\\n") + item
+            assert takes_fast_path(text), text
+            assert assert_matches_exact(text).model is not None
+
+
+def test_one_item_too_many_declines():
+    items = 'action=CA1 type=provided category=functional context="c" hazards=[H1]'.split()
+    text = " ".join(["uca", "U1", *items, "type=provided"])
+    assert len(items) == _MAX_ITEMS
+    assert not takes_fast_path(text)
+    result = assert_matches_exact(text)
+    assert [(d.code, d.message) for d in result.diagnostics] == [
+        ("P002", "duplicate attribute 'type'")
+    ]
 
 
 _SOUP = st.sampled_from(
@@ -346,8 +409,9 @@ _SOUP = st.sampled_from(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text())
+@given(st.text(st.characters(exclude_categories=())))
 def test_any_text_matches_exact_path(text):
+    # Every character, NUL and lone surrogates (category Cs) included.
     assert_matches_exact(text)
 
 

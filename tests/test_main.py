@@ -25,7 +25,10 @@ INVALID = 'loss L1 "l" category=sociotechnical\nhazard H1 "h" boundary=SB leads_
 SELF_LOOP = 'node A "a" kind=human\naction CA1 from=A to=A "self"\n'
 
 
-def _python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
+def _python(*args: str, stdin: str = "", closed: int | None = None) -> subprocess.CompletedProcess:
+    """Run Python on ``args``; ``closed`` names a descriptor, 0 or 1, that the
+    child starts without, as after ``<&-`` or ``>&-`` in a shell (CPython
+    then sets that stream to None)."""
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
@@ -37,6 +40,7 @@ def _python(*args: str, stdin: str = "") -> subprocess.CompletedProcess:
         capture_output=True,
         env=env,
         timeout=120,
+        preexec_fn=None if closed is None else lambda: os.close(closed),
     )
 
 
@@ -87,3 +91,40 @@ def test_main_freezes_the_import_time_heap():
         "print(code, before, gc.get_freeze_count() > 0, gc.isenabled())",
     )
     assert process.stdout.decode().splitlines()[-1] == "0 0 True True"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor in the child")
+@pytest.mark.parametrize(
+    "fd,argv,code,message",
+    [
+        (0, ["check", "-"], 3, b"cannot read <stdin>: standard input is closed"),
+        (0, ["fmt", "--check", "-"], 3, b"cannot read <stdin>: standard input is closed"),
+        (1, ["report", C1, "--format", "md"], 3,
+         b"cannot write <stdout>: standard output is closed"),
+        (1, ["fmt", C1], 3, b"cannot write <stdout>: standard output is closed"),
+        # Nothing to write: check reports only on stderr.
+        (1, ["check", C1], 0, None),
+        (0, ["check", C1], 0, None),
+    ],
+    ids=[
+        "check-no-stdin", "fmt-no-stdin", "report-no-stdout", "fmt-no-stdout",
+        "check-no-stdout", "file-no-stdin",
+    ],
+)
+def test_a_closed_standard_stream_is_a_usage_error(fd, argv, code, message):
+    process = _python("-m", "phasekit", *argv, closed=fd)
+    assert process.returncode == code
+    if message is None:
+        assert process.stderr == b""
+    else:
+        assert process.stderr.splitlines()[0] == message
+        assert b"Traceback" not in process.stderr
+    assert process.stdout == b""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor in the child")
+def test_an_artifact_written_to_a_file_needs_no_stdout(tmp_path):
+    target = tmp_path / "c3.dot"
+    process = _python("-m", "phasekit", "render", C3, "-o", str(target), closed=1)
+    assert (process.returncode, process.stderr) == (0, b"")
+    assert target.read_bytes() == _in_process(["render", C3])[1]
