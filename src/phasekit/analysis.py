@@ -15,7 +15,8 @@ V004   required reference list is empty
 V005   duplicate assessment for one (action, guide type) cell
 V006   enumeration field holds a value the parser would reject
 V007   id, text or id-list field holds a value of the wrong type, text
-       holds a line break, or an element's id is not an identifier
+       holds a line break, an element's id is not an identifier, or the
+       model's name is not a string without line breaks
 V100   self-loop edge (warning)
 C001   coverage cell both waived and covered by a uca (warning)
 =====  ==================================================
@@ -25,12 +26,11 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter, eq
 
-from .diagnostics import Diagnostic, Severity, Span
+from .diagnostics import Diagnostic, Severity, Span, record
 from .model import (
     ENUM,
     GUIDE_TYPES,
@@ -73,7 +73,7 @@ class HintCode(str, Enum):
     SELF_LOOP = "self-loop"
 
 
-@dataclass(frozen=True)
+@record
 class Hint:
     """An advisory observation; never an error."""
 
@@ -88,22 +88,25 @@ class CellState(str, Enum):
     GAP = "gap"
 
 
-@dataclass(frozen=True)
+@record
 class CoverageCell:
+    """One (action, guide type) cell: covered by ucas, waived, or a gap."""
     state: CellState
     uca_ids: tuple[str, ...] = ()
     assessment: Assessment | None = None
 
 
-@dataclass(frozen=True)
+@record
 class CoverageRow:
+    """The cells of one control action, one per guide type."""
     controller: str
     action: str
     cells: tuple[CoverageCell, ...]  # aligned with GUIDE_TYPES
 
 
-@dataclass(frozen=True)
+@record
 class CoverageMatrix:
+    """The coverage grid: one row per control action."""
     rows: tuple[CoverageRow, ...]
     warnings: tuple[Diagnostic, ...] = ()
 
@@ -129,7 +132,7 @@ class CoverageMatrix:
         return (covered + waived) / total
 
 
-@dataclass(frozen=True)
+@record
 class TraceTree:
     """One level of the loss <- hazard <- uca <- scenario <- requirement chain."""
 
@@ -138,7 +141,7 @@ class TraceTree:
     children: tuple["TraceTree", ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class AccountabilityReport:
     """Everything one node can influence: its control actions, the ucas on
     them, the hazards and losses those ucas reach, and the scenarios that
@@ -152,8 +155,9 @@ class AccountabilityReport:
     scenarios: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Metrics:
+    """Element counts, the coverage ratio and the chain's completeness ratios."""
     counts: dict[str, int]
     coverage_ratio: float
     losses_with_hazard_ratio: float
@@ -162,7 +166,7 @@ class Metrics:
     scenarios_with_requirement_ratio: float
 
 
-@dataclass(frozen=True)
+@record
 class AnalysisBundle:
     """The standard analysis results consumed by the report exporters."""
 
@@ -234,17 +238,24 @@ def _mistyped(slot: Slot, values: list) -> bool:
     )
 
 
-def _wrong_type(model: Model, ref: Ref, slot: Slot, value: object) -> Diagnostic:
-    expected = _EXPECTED[slot.kind]
+def _expected(slot: Slot, value: object) -> str:
     if slot.kind == STRING and isinstance(value, str):
-        expected += " without line breaks"
+        return _EXPECTED[slot.kind] + " without line breaks"
+    return _EXPECTED[slot.kind]
+
+
+def _wrong_type(model: Model, ref: Ref, slot: Slot, value: object) -> Diagnostic:
     return Diagnostic(
         Severity.ERROR,
         "V007",
-        f"{ref.cls} '{ref.id}' has invalid {slot.field} {value!r} (expected {expected})",
+        f"{ref.cls} '{ref.id}' has invalid {slot.field} {value!r} "
+        f"(expected {_expected(slot, value)})",
         _span(model, ref),
     )
 
+
+#: The model's name, which serialize writes as required text.
+_MODEL_NAME = Slot("name", None, STRING)
 
 #: A uca's source and action, which _check_uca_action checks together.
 _UCA_LINKS = tuple(
@@ -344,6 +355,10 @@ def validate(model: Model) -> list[Diagnostic]:
     from text.
     """
     diags: list[Diagnostic] = []
+    if _mistyped(_MODEL_NAME, [model.name]):
+        expected = _expected(_MODEL_NAME, model.name)
+        message = f"model has invalid name {model.name!r} (expected {expected})"
+        diags.append(Diagnostic(Severity.ERROR, "V007", message))
     id_columns = {
         c.name: list(map(attrgetter("id"), model.elements_of(c.name)))
         for c in SCHEMA

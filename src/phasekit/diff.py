@@ -11,8 +11,7 @@ The model name header is outside the element registry and is not diffed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .diagnostics import record
 from .model import (
     ELEMENT_CLASSES,
     IDLIST,
@@ -33,21 +32,24 @@ _FIELDS: dict[str, tuple[tuple[str, bool], ...]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class FieldChange:
+    """One field of an element whose value differs between versions."""
     field: str
     old: object
     new: object
 
 
-@dataclass(frozen=True)
+@record
 class ModifiedElement:
+    """An element present in both versions with changed fields."""
     ref: Ref
     changes: tuple[FieldChange, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ChangeSet:
+    """Elements added, removed and modified between two versions."""
     added: tuple[Ref, ...]
     removed: tuple[Ref, ...]
     modified: tuple[ModifiedElement, ...]
@@ -56,7 +58,7 @@ class ChangeSet:
         return not (self.added or self.removed or self.modified)
 
 
-@dataclass(frozen=True)
+@record
 class ImpactEntry:
     """Elements to re-review because one added or modified subject touches
     them."""
@@ -68,7 +70,7 @@ class ImpactEntry:
     losses: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class DanglingReport:
     """References in the new model that point at a removed element."""
 
@@ -76,8 +78,9 @@ class DanglingReport:
     referenced_by: tuple[Ref, ...]
 
 
-@dataclass(frozen=True)
+@record
 class ImpactReport:
+    """Elements a change asks to re-review, and the references it leaves dangling."""
     re_review: tuple[ImpactEntry, ...]
     dangling: tuple[DanglingReport, ...]
 

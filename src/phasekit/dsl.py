@@ -55,11 +55,11 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, Severity, Span, has_errors
+from .diagnostics import Diagnostic, Severity, Span, has_errors, record
 from .model import (
     DESCRIPTION,
     ID,
@@ -81,7 +81,7 @@ _WORD_CHARS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@record
 class ParseResult:
     """Outcome of :func:`parse`: ``model`` is present iff no error
     diagnostics were produced."""

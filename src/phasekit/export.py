@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from .analysis import (
     AnalysisBundle,
@@ -22,7 +22,7 @@ from .analysis import (
     scope_ranks,
     trace_loss,
 )
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, record
 from .model import (
     ENUM,
     GUIDE_TYPES,
@@ -43,8 +43,9 @@ _EDGE_STYLES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class RenderOptions:
+    """What :func:`to_dot` draws, and in which direction."""
     boundary: str | None = None
     include_iolinks: bool = True
     rankdir: str = "TB"  # control diagrams read top to bottom

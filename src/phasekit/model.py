@@ -27,13 +27,13 @@ traces and impact queries avoid rescanning whole collections.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple, Union
 
-from .diagnostics import Span
+from .diagnostics import Span, record
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
@@ -104,31 +104,35 @@ class ScenarioClass(str, Enum):
 NOT_HAZARDOUS = "not-hazardous"
 
 
-@dataclass(frozen=True)
+@record
 class Loss:
+    """Something of value the stakeholders must not lose."""
     id: str
     description: str
     category: LossCategory
 
 
-@dataclass(frozen=True)
+@record
 class SystemBoundary:
+    """A named scope of the system, optionally at one lifecycle stage."""
     id: str
     name: str
     stage: BoundaryStage | None = None
     includes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Hazard:
+    """A system state within a boundary that leads to losses."""
     id: str
     description: str
     boundary: str
     leads_to: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Node:
+    """A participant in the control structure, human or technical."""
     id: str
     name: str
     kind: NodeKind
@@ -136,8 +140,9 @@ class Node:
     control_algorithm: str | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Edge:
+    """A control action, feedback or io link from one node to another."""
     id: str
     kind: EdgeKind
     source: str
@@ -145,7 +150,7 @@ class Edge:
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class Uca:
     """A five-part unsafe control action.
 
@@ -163,8 +168,9 @@ class Uca:
     hazards: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class LossScenario:
+    """A causal account of how an unsafe control action comes about."""
     id: str
     uca: str
     scenario_class: ScenarioClass
@@ -172,14 +178,15 @@ class LossScenario:
     elements: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class SafetyRequirement:
+    """A requirement that prevents or mitigates loss scenarios."""
     id: str
     scenarios: tuple[str, ...]
     text: str
 
 
-@dataclass(frozen=True)
+@record
 class Assessment:
     """A deliberate "examined and not hazardous" waiver for one coverage cell.
 
@@ -350,7 +357,7 @@ def referenced_ids(element: Element, slot: Slot) -> tuple[str, ...]:
     return value if slot.kind == IDLIST else (value,)
 
 
-@dataclass(frozen=True)
+@record
 class Model:
     """A complete analysis document.
 

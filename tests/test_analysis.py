@@ -325,11 +325,30 @@ _ACTION_AND_HAZARD = {
             )
             for element_id in (["L1"], None, 5, "L 1", "", "L1\nL2")
         ),
+        # serialize quotes the name and leaves out a falsy one, so None would
+        # read back as "".
+        *(
+            (Model(name=name), [f"model has invalid name {name!r} (expected {expected})"])
+            for name, expected in (
+                ("a\nb", "a string without line breaks"),
+                ("a\rb", "a string without line breaks"),
+                (5, "a string"),
+                (None, "a string"),
+            )
+        ),
+        (
+            Model(name=b"m", losses=(Loss("L1", None, LossCategory.SAFETY_CRITICAL),)),
+            [
+                "model has invalid name b'm' (expected a string)",
+                "loss 'L1' has invalid description None (expected a string)",
+            ],
+        ),
     ],
     ids=[
         "id", "text", "optional-text", "text-line-break", "uca-source-and-action", "assessment-action",
         "element-id-list", "element-id-none", "element-id-int", "element-id-space",
-        "element-id-empty", "element-id-line-break",
+        "element-id-empty", "element-id-line-break", "name-line-feed", "name-carriage-return",
+        "name-int", "name-none", "name-before-elements",
     ],
 )
 def test_single_id_and_text_fields_of_the_wrong_type(model, messages):
@@ -410,6 +429,9 @@ _ODD_VALUES = st.one_of(
 
 #: An element's id, drawn like a slot; only an identifier is well typed.
 _ID = Slot("id", None, ID)
+#: The model's name, drawn like a slot; only text without a line break is
+#: well typed.
+_NAME = Slot("name", None, STRING)
 
 
 def _well_typed(slot, value) -> bool:
@@ -427,17 +449,22 @@ def _well_typed(slot, value) -> bool:
 @settings(max_examples=300, deadline=None)
 @given(valid_models(), st.data())
 def test_validate_reports_wrong_typed_values_and_never_raises(model, data):
+    # None draws the model's name.
     element_class = data.draw(
-        st.sampled_from([c for c in SCHEMA if model.elements_of(c.name)] or [None])
+        st.sampled_from([None, *(c for c in SCHEMA if model.elements_of(c.name))])
     )
-    assume(element_class is not None)
-    elements = list(model.elements_of(element_class.name))
-    index = data.draw(st.integers(0, len(elements) - 1))
-    slots = element_class.slots + ((_ID,) if element_class.identity else ())
-    slot = data.draw(st.sampled_from(slots))
-    value = data.draw(_ODD_VALUES)
-    elements[index] = dataclasses.replace(elements[index], **{slot.field: value})
-    model = dataclasses.replace(model, **{element_class.collection: tuple(elements)})
+    if element_class is None:
+        slot = _NAME
+        value = data.draw(_ODD_VALUES)
+        model = dataclasses.replace(model, name=value)
+    else:
+        elements = list(model.elements_of(element_class.name))
+        index = data.draw(st.integers(0, len(elements) - 1))
+        slots = element_class.slots + ((_ID,) if element_class.identity else ())
+        slot = data.draw(st.sampled_from(slots))
+        value = data.draw(_ODD_VALUES)
+        elements[index] = dataclasses.replace(elements[index], **{slot.field: value})
+        model = dataclasses.replace(model, **{element_class.collection: tuple(elements)})
 
     diagnostics = validate(model)
     if not _well_typed(slot, value):

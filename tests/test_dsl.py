@@ -6,7 +6,7 @@ import re
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from phasekit import LossCategory, Severity, parse, serialize
@@ -285,7 +285,15 @@ def takes_fast_path(text: str) -> bool:
     return not diags
 
 
-@settings(max_examples=1, derandomize=True, deadline=None, database=None)
+# No shrinking: each shrink step renders and parses a model of 1,000+
+# elements through the exact path, so a failure would take minutes to report.
+@settings(
+    max_examples=1,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
 @given(valid_models(max_per_class=300), st.integers(0, 2**32))
 def test_large_document_matches_exact_path(model, seed):
     assume(sum(len(model.elements_of(cls)) for cls in CLASS_FIELDS) >= 1000)

@@ -5,7 +5,8 @@ It visits every element of every class with a reference slot and checks every
 slot, so its diagnostics, in order, message and span, are what the current
 validate must return for any well-typed model. (On wrong-typed single-id or
 text fields it raises or passes silently; the current validate reports V007
-there, so the two are compared only on well-typed models.)
+there, so the two are compared only on well-typed models.) Both check the
+model's name first.
 """
 
 from __future__ import annotations
@@ -119,6 +120,18 @@ def oracle_validate(model: Model) -> list[Diagnostic]:
     from text.
     """
     diags: list[Diagnostic] = []
+    # The name, which serialize writes with dsl._quote, comes first.
+    name = model.name
+    if not isinstance(name, str) or "\n" in name or "\r" in name:
+        expected = "a string without line breaks" if isinstance(name, str) else "a string"
+        diags.append(
+            Diagnostic(
+                Severity.ERROR,
+                "V007",
+                f"model has invalid name {name!r} (expected {expected})",
+                None,
+            )
+        )
     ids = {
         c.name: {e.id for e in model.elements_of(c.name)} for c in SCHEMA if c.identity
     }
