@@ -12,34 +12,26 @@ diagnostics and keeps going. Duplicate ids are parse errors (fail fast);
 dangling references are deferred to semantic validation so a partially
 written model can still be explored.
 
-:func:`parse` has two paths over the same statement table,
-``_STATEMENTS``, which is derived from the schema table
+:func:`parse` reads the document once, statement by statement, against one
+statement table, ``_STATEMENTS``, which is derived from the schema table
 :data:`phasekit.model.SCHEMA` like the element constructors and the
 serializer:
 
-* The fast path reads each whole logical statement with one match of one
+* The fast match reads a whole logical statement with one match of one
   compiled pattern (``_STATEMENT_RE``), whose groups hold the keyword, the
   id and, item by item, each key and value, up to ``_MAX_ITEMS`` items (the
   most written slots of any class); only an id list is checked again, by
-  ``_LIST_RE``. It produces no diagnostics: on anything it does not accept
-  as well formed (no match, as for a statement of more items, unknown
-  keyword or attribute, a repeated attribute or description, a keyless
-  item that is not a quoted description, a value of the wrong kind, an
-  unknown enum value, an empty list that must not be empty, a missing
-  required attribute, a duplicate id, a second ``model`` header) it
-  declines, and :func:`parse` starts over on the exact path.
-* The exact path lexes the whole document into tokens (``_lex``) and parses
-  them statement by statement (``_parse_statement``). It is the only code
-  that reports lexical and statement errors (P001, P002, P004), with their
-  spans.
+  ``_LIST_RE``. It reports nothing: a statement it does not accept as well
+  formed (no match, an unknown keyword or attribute, a repeated item, a
+  value of the wrong kind, a missing required attribute) is declined.
+* The token fallback reads a declined statement alone: ``_TOKEN_RE`` splits
+  it into tokens (``_tokenize``) and ``_parse_statement`` parses them. It is
+  the only code that reports lexical and statement errors (P001, P002,
+  P004), with their spans. The fast match resumes at the next statement.
 
-Both paths hand the same assembly step (keyword, id, attributes, span)
-tuples; it builds the elements and reports duplicate ids (P003) and a
-repeated ``model`` header (P002). A report there on the fast path also
-sends the document to the exact path, so every diagnostic :func:`parse`
-returns comes from the exact path. When the fast path accepts a document,
-its result equals the exact path's result: the same model, the same
-``source_spans``, and no diagnostics.
+Both hand the same assembly step (keyword, id, attributes, span) tuples; it
+builds the elements, reports duplicate ids (P003) and a repeated ``model``
+header (P002), and sorts every diagnostic into source order.
 
 Diagnostic codes:
 
@@ -76,10 +68,6 @@ from .model import (
     is_valid_identifier,
 )
 
-_WORD_CHARS = frozenset(
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
-)
-
 
 @record
 class ParseResult:
@@ -99,127 +87,6 @@ class _Token(NamedTuple):
 
 def _error(code: str, message: str, span: Span, related: Span | None = None) -> Diagnostic:
     return Diagnostic(Severity.ERROR, code, message, span, related)
-
-
-# ---------------------------------------------------------------------------
-# Lexer
-# ---------------------------------------------------------------------------
-
-
-def _lex(text: str, filename: str, diags: list[Diagnostic]) -> list[list[_Token]]:
-    """Split the document into logical statements (token lists).
-
-    Lexical errors are recorded and the offending character skipped, so one
-    bad byte never hides the rest of the document.
-    """
-    statements: list[list[_Token]] = []
-    current: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-
-    def end_statement() -> None:
-        nonlocal current
-        if current:
-            statements.append(current)
-            current = []
-
-    while i < n:
-        ch = text[i]
-        if ch in "\r\n":
-            i += 1
-            if ch == "\r" and i < n and text[i] == "\n":
-                i += 1
-            end_statement()
-            line += 1
-            col = 1
-            continue
-        if ch in " \t":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] not in "\r\n":
-                i += 1
-                col += 1
-            continue
-        if ch == "\\":
-            # Line continuation: only legal immediately before the newline.
-            nxt = text[i + 1] if i + 1 < n else ""
-            if nxt in "\r\n":
-                i += 2
-                if nxt == "\r" and i < n and text[i] == "\n":
-                    i += 1
-                line += 1
-                col = 1
-                continue
-            diags.append(
-                _error(
-                    "P001",
-                    "stray '\\' (a backslash may only end a line to continue it)",
-                    Span(filename, line, col),
-                )
-            )
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start = Span(filename, line, col)
-            i += 1
-            col += 1
-            buf: list[str] = []
-            terminated = False
-            while i < n and text[i] not in "\r\n":
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    terminated = True
-                    break
-                if c == "\\":
-                    if i + 1 < n and text[i + 1] in '"\\':
-                        buf.append(text[i + 1])
-                        i += 2
-                        col += 2
-                        continue
-                    diags.append(
-                        _error(
-                            "P001",
-                            "unsupported escape (only \\\" and \\\\ are allowed)",
-                            Span(filename, line, col),
-                        )
-                    )
-                    i += 1
-                    col += 1
-                    continue
-                buf.append(c)
-                i += 1
-                col += 1
-            if not terminated:
-                diags.append(_error("P001", "unterminated string", start))
-            current.append(_Token("string", "".join(buf), start.line, start.column))
-            continue
-        if ch in "=[],":
-            current.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in _WORD_CHARS:
-            start_col = col
-            j = i
-            while j < n and text[j] in _WORD_CHARS:
-                j += 1
-                col += 1
-            current.append(_Token("word", text[i:j], line, start_col))
-            i = j
-            continue
-        diags.append(
-            _error("P001", f"unknown character {ch!r}", Span(filename, line, col))
-        )
-        i += 1
-        col += 1
-
-    end_statement()
-    return statements
 
 
 # ---------------------------------------------------------------------------
@@ -258,180 +125,12 @@ _EDGE_KINDS = {
 _EDGE_KEYWORDS = {kind: kw for kw, kind in _EDGE_KINDS.items()}
 
 
-class _StatementError(Exception):
-    """Internal signal: abort the current statement, diagnostic recorded."""
-
-
-class _Cursor:
-    def __init__(self, tokens: list[_Token], filename: str, diags: list[Diagnostic]):
-        self.tokens = tokens
-        self.pos = 0
-        self.filename = filename
-        self.diags = diags
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def peek(self) -> _Token | None:
-        return None if self.at_end() else self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def span_of(self, token: _Token) -> Span:
-        return Span(self.filename, token.line, token.column)
-
-    def here(self) -> Span:
-        """Span of the next token, or of the last one when input ran out."""
-        tok = self.peek() or self.tokens[-1]
-        return self.span_of(tok)
-
-    def fail(self, code: str, message: str, span: Span | None = None) -> None:
-        self.diags.append(_error(code, message, span or self.here()))
-        raise _StatementError
-
-
-def _parse_value(cur: _Cursor, key: str):
-    """Parse one attribute value: a word, a string, or ``[id,...]``.
-
-    Returns (kind, payload, token) where kind mirrors the token structure and
-    payload is the decoded value (str or tuple of id strings).
-    """
-    if cur.at_end():
-        cur.fail("P002", f"missing value for '{key}='")
-    tok = cur.advance()
-    if tok.kind == "string":
-        return STRING, tok.value, tok
-    if tok.kind == "word":
-        return "word", tok.value, tok
-    if tok.kind == "punct" and tok.value == "[":
-        items: list[str] = []
-        open_tok = tok
-        while True:
-            if cur.at_end():
-                cur.fail("P002", f"unclosed '[' in '{key}=' list", cur.span_of(open_tok))
-            nxt = cur.advance()
-            if nxt.kind == "punct" and nxt.value == "]":
-                break
-            if items:
-                if not (nxt.kind == "punct" and nxt.value == ","):
-                    cur.fail("P002", f"expected ',' or ']' in '{key}=' list", cur.span_of(nxt))
-                if cur.at_end():
-                    cur.fail("P002", f"unclosed '[' in '{key}=' list", cur.span_of(open_tok))
-                nxt = cur.advance()
-            if not (nxt.kind == "word" and is_valid_identifier(nxt.value)):
-                cur.fail("P002", f"expected an identifier in '{key}=' list", cur.span_of(nxt))
-            items.append(nxt.value)
-        return IDLIST, tuple(items), open_tok
-    cur.fail("P002", f"unexpected token after '{key}='", cur.span_of(tok))
-    raise AssertionError("unreachable")
-
-
-def _coerce_value(cur: _Cursor, key: str, spec: Slot, parsed) -> object:
-    kind, payload, token = parsed
-    span = cur.span_of(token)
-    if spec.kind == STRING:
-        if kind != STRING:
-            cur.fail("P002", f"'{key}=' expects a quoted string", span)
-        return payload
-    if spec.kind == ID:
-        if kind != "word" or not is_valid_identifier(payload):
-            cur.fail("P002", f"'{key}=' expects an identifier", span)
-        return payload
-    if spec.kind == IDLIST:
-        if kind != IDLIST:
-            cur.fail("P002", f"'{key}=' expects a list like [a,b]", span)
-        if spec.nonempty and not payload:
-            cur.fail("P002", f"'{key}=' must list at least one id", span)
-        return payload
-    # enum
-    values = ", ".join(spec.members)
-    if kind != "word":
-        cur.fail("P002", f"'{key}=' expects one of: {values}", span)
-    member = spec.members.get(payload)
-    if member is None:
-        cur.fail(
-            "P004",
-            f"invalid value '{payload}' for '{key}=' (expected one of: {values})",
-            span,
-        )
-    return member
-
-
-def _parse_statement(
-    tokens: list[_Token], filename: str, diags: list[Diagnostic]
-) -> tuple | None:
-    """One statement as (keyword, id, attributes keyed by field, span), or
-    None when it has an error, which is recorded in ``diags``."""
-    cur = _Cursor(tokens, filename, diags)
-    try:
-        head = cur.advance()
-        if head.kind != "word":
-            cur.fail("P002", "expected a statement keyword", cur.span_of(head))
-        shape = _STATEMENTS.get(head.value)
-        if shape is None:
-            cur.fail("P002", f"unknown statement '{head.value}'", cur.span_of(head))
-
-        stmt_id: str | None = None
-        if shape.has_id:
-            if cur.at_end() or cur.peek().kind != "word":
-                cur.fail("P002", f"'{head.value}' needs an identifier")
-            id_tok = cur.advance()
-            if not is_valid_identifier(id_tok.value):
-                cur.fail(
-                    "P002",
-                    f"invalid identifier '{id_tok.value}' (must start with a letter)",
-                    cur.span_of(id_tok),
-                )
-            stmt_id = id_tok.value
-
-        attrs: dict[str, object] = {}
-        while not cur.at_end():
-            tok = cur.advance()
-            if tok.kind == "string":
-                if shape.description is None or shape.description in attrs:
-                    cur.fail("P002", "unexpected string", cur.span_of(tok))
-                attrs[shape.description] = tok.value
-                continue
-            if tok.kind != "word":
-                cur.fail("P002", f"unexpected '{tok.value}'", cur.span_of(tok))
-            key = tok.value
-            eq = cur.peek()
-            if eq is None or not (eq.kind == "punct" and eq.value == "="):
-                cur.fail("P002", f"expected '=' after '{key}'", cur.span_of(tok))
-            cur.advance()
-            spec = shape.keys.get(key)
-            if spec is None:
-                cur.fail(
-                    "P002", f"unknown attribute '{key}' for '{head.value}'", cur.span_of(tok)
-                )
-            if spec.field in attrs:
-                cur.fail("P002", f"duplicate attribute '{key}'", cur.span_of(tok))
-            attrs[spec.field] = _coerce_value(cur, key, spec, _parse_value(cur, key))
-
-        if shape.description is not None and shape.description not in attrs:
-            cur.fail(
-                "P002",
-                f"'{head.value}' needs a quoted description",
-                cur.span_of(head),
-            )
-        for key, spec in shape.keys.items():
-            if spec.required and spec.field not in attrs:
-                cur.fail("P002", f"missing attribute '{key}=' on '{head.value}'", cur.span_of(head))
-
-        return head.value, stmt_id, attrs, Span(filename, head.line, head.column)
-    except _StatementError:
-        return None
-
-
 # ---------------------------------------------------------------------------
-# Fast path
+# Patterns
 # ---------------------------------------------------------------------------
 
 # Every word subpattern ends in a negative lookahead, so a word only ever
-# matches whole, as the lexer reads it. Without it, items written with no
+# matches whole, as the tokenizer reads it. Without it, items written with no
 # space between them (``a=b=c=...``) can be split in exponentially many ways
 # before the pattern gives up.
 _W = "[A-Za-z0-9_-]"
@@ -442,8 +141,8 @@ _QUOTED = r'"[^"\\\r\n]*(?:\\["\\][^"\\\r\n]*)*"'
 # depend on where a match happened to split it.
 _BREAK = r"\r\n|\r(?!\n)|\n"
 _END = rf"(?:{_BREAK}|\Z)"
-# Blanks and continuations. Like the lexer, a backslash at the very end of
-# the input counts as a continuation.
+# Blanks and continuations. A backslash at the very end of the input counts
+# as a continuation.
 _GAP = rf"[ \t]*(?:\\{_END}[ \t]*)*"
 _BLANK_LINES = rf"(?:[ \t]*(?:#[^\r\n]*|\\)?(?:{_BREAK}))*"
 
@@ -462,92 +161,283 @@ _STATEMENT_RE = re.compile(
 )
 #: Where each item's key is in the statement's groups; its value follows.
 _KEY_GROUPS = range(3, 3 + 2 * _MAX_ITEMS, 2)
-#: What may follow the last statement.
-_TRAILER_RE = re.compile(rf"{_BLANK_LINES}[ \t]*(?:#[^\r\n]*|\\)?")
-#: An id list as the exact path reads it: ids, commas, blanks, continuations.
+#: An id list as the token parser reads it: ids, commas, blanks, continuations.
 _LIST_RE = re.compile(rf"\[{_GAP}(?:{_IDENT}{_GAP}(?:,{_GAP}{_IDENT}{_GAP})*)?\]")
 _LIST_ITEM_RE = re.compile(_WORD)
-_ESCAPE_RE = re.compile(r'\\(["\\])')
+#: A backslash in a string and the character it escapes, none when that is
+#: not '"' or '\'.
+_ESCAPE_RE = re.compile(r'\\(["\\]?)')
+#: One token or run of text between tokens; ``lastgroup`` names which. A
+#: string ends at its closing quote or the end of the line, and ``close`` is
+#: empty when it is unterminated.
+_TOKEN_RE = re.compile(
+    rf"(?P<newline>{_BREAK})|(?P<continuation>\\{_END})|(?P<blank>[ \t]+|#[^\r\n]*)"
+    r'|(?P<string>"(?P<body>[^"\\\r\n]*(?:\\[^\r\n]?[^"\\\r\n]*)*)(?P<close>"?))'
+    rf"|(?P<punct>[=\[\],])|(?P<word>{_W}+)|(?P<other>.)"
+)
 
 
-class _Decline(Exception):
-    """Internal signal: the fast path leaves this document to the exact path."""
-
-
-def _unquote(quoted: str) -> str:
-    text = quoted[1:-1]
+def _unescape(body: str) -> str:
     # A callable, not the template r"\1", keeps the substitution in C.
-    return _ESCAPE_RE.sub(itemgetter(1), text) if "\\" in text else text
+    return _ESCAPE_RE.sub(itemgetter(1), body) if "\\" in body else body
 
 
-def _fast_statements(text: str, filename: str) -> Iterator[tuple]:
-    """The statements of a well-formed document as :func:`_parse_statement`
-    gives them, or :class:`_Decline`."""
-    count = text.count
-    crlf = "\r" in text
-    match_statement = _STATEMENT_RE.match
-    # ``line`` is the number of the line that starts at ``line_start``.
-    pos, line, line_start = 0, 1, 0
-    while (m := match_statement(text, pos)) is not None:
-        groups = m.groups()
-        keyword, stmt_id = groups[1], groups[2]
+# ---------------------------------------------------------------------------
+# Token fallback
+# ---------------------------------------------------------------------------
+
+
+def _tokenize(
+    text: str, pos: int, line: int, filename: str, diags: list[Diagnostic]
+) -> tuple[list[_Token], int, int]:
+    """The tokens of the logical statement at ``pos``, the start of line
+    ``line``, then the position and line number after it.
+
+    Lexical errors are recorded and the offending character skipped, so one
+    bad byte never hides the rest of the statement. Lines that hold no token
+    end no statement.
+    """
+    tokens: list[_Token] = []
+    line_start = pos
+    for m in _TOKEN_RE.finditer(text, pos):
+        kind = m.lastgroup
+        if kind == "newline" or kind == "continuation":
+            line += 1
+            line_start = m.end()
+            if kind == "newline" and tokens:
+                return tokens, line_start, line
+            continue
+        if kind == "blank":
+            continue
+        column = m.start() - line_start + 1
+        if kind == "string":
+            body = m["body"]
+            for escape in _ESCAPE_RE.finditer(body):
+                if not escape[1]:
+                    diags.append(
+                        _error(
+                            "P001",
+                            "unsupported escape (only \\\" and \\\\ are allowed)",
+                            Span(filename, line, column + 1 + escape.start()),
+                        )
+                    )
+            if not m["close"]:
+                diags.append(_error("P001", "unterminated string", Span(filename, line, column)))
+            tokens.append(_Token(kind, _unescape(body), line, column))
+        elif kind == "other":
+            ch = m[kind]
+            message = (
+                "stray '\\' (a backslash may only end a line to continue it)"
+                if ch == "\\"
+                else f"unknown character {ch!r}"
+            )
+            diags.append(_error("P001", message, Span(filename, line, column)))
+        else:
+            tokens.append(_Token(kind, m[kind], line, column))
+    return tokens, len(text), line
+
+
+class _StatementError(Exception):
+    """Internal signal: abort the current statement, diagnostic recorded."""
+
+
+def _parse_statement(
+    tokens: list[_Token], filename: str, diags: list[Diagnostic]
+) -> tuple | None:
+    """One statement as (keyword, id, attributes keyed by field, span), or
+    None when it has an error, which is recorded in ``diags``."""
+    rest = iter(tokens)
+
+    def fail(code: str, message: str, token: _Token | None = None) -> None:
+        """Record an error at ``token``, else at the last token, and abort."""
+        token = token or tokens[-1]
+        diags.append(_error(code, message, Span(filename, token.line, token.column)))
+        raise _StatementError
+
+    def list_item(key: str, open_tok: _Token) -> _Token:
+        tok = next(rest, None)
+        if tok is None:
+            fail("P002", f"unclosed '[' in '{key}=' list", open_tok)
+        return tok
+
+    def value(key: str, spec: Slot) -> object:
+        """The value after ``key=``: a word, a string or ``[id,...]``, which
+        must be of the kind ``spec`` takes."""
+        tok = next(rest, None)
+        if tok is None:
+            fail("P002", f"missing value for '{key}='")
+        kind, payload = tok.kind, tok.value
+        if kind == "punct":
+            if payload != "[":
+                fail("P002", f"unexpected token after '{key}='", tok)
+            kind, ids = IDLIST, []
+            while (item := list_item(key, tok))[:2] != ("punct", "]"):
+                if ids:
+                    if item[:2] != ("punct", ","):
+                        fail("P002", f"expected ',' or ']' in '{key}=' list", item)
+                    item = list_item(key, tok)
+                if not (item.kind == "word" and is_valid_identifier(item.value)):
+                    fail("P002", f"expected an identifier in '{key}=' list", item)
+                ids.append(item.value)
+            payload = tuple(ids)
+        if spec.kind == STRING:
+            if kind != "string":
+                fail("P002", f"'{key}=' expects a quoted string", tok)
+        elif spec.kind == ID:
+            if kind != "word" or not is_valid_identifier(payload):
+                fail("P002", f"'{key}=' expects an identifier", tok)
+        elif spec.kind == IDLIST:
+            if kind != IDLIST:
+                fail("P002", f"'{key}=' expects a list like [a,b]", tok)
+            if spec.nonempty and not payload:
+                fail("P002", f"'{key}=' must list at least one id", tok)
+        else:  # an enum
+            values = ", ".join(spec.members)
+            if kind != "word":
+                fail("P002", f"'{key}=' expects one of: {values}", tok)
+            payload = spec.members.get(payload)
+            if payload is None:
+                fail(
+                    "P004",
+                    f"invalid value '{tok.value}' for '{key}=' (expected one of: {values})",
+                    tok,
+                )
+        return payload
+
+    try:
+        head = next(rest)
+        keyword = head.value
+        if head.kind != "word":
+            fail("P002", "expected a statement keyword", head)
         shape = _STATEMENTS.get(keyword)
-        if shape is None or shape.has_id != (stmt_id is not None):
-            raise _Decline
-        keys = shape.keys
+        if shape is None:
+            fail("P002", f"unknown statement '{keyword}'", head)
+
+        stmt_id: str | None = None
+        if shape.has_id:
+            tok = next(rest, None)
+            if tok is None or tok.kind != "word":
+                fail("P002", f"'{keyword}' needs an identifier", tok)
+            if not is_valid_identifier(tok.value):
+                fail(
+                    "P002", f"invalid identifier '{tok.value}' (must start with a letter)", tok
+                )
+            stmt_id = tok.value
+
         attrs: dict[str, object] = {}
-        for i in _KEY_GROUPS:
-            key, value = groups[i], groups[i + 1]
-            if value is None:
-                break
-            # The first character tells the value's kind: '"' a string,
-            # '[' a list, a letter an identifier or enum word.
-            first = value[0]
-            if key is None:
-                if first != '"' or shape.description is None or shape.description in attrs:
-                    raise _Decline
-                attrs[shape.description] = _unquote(value)
+        for tok in rest:
+            if tok.kind == "string":
+                if shape.description is None or shape.description in attrs:
+                    fail("P002", "unexpected string", tok)
+                attrs[shape.description] = tok.value
                 continue
-            spec = keys.get(key)
+            if tok.kind != "word":
+                fail("P002", f"unexpected '{tok.value}'", tok)
+            key = tok.value
+            if next(rest, (None, None))[:2] != ("punct", "="):
+                fail("P002", f"expected '=' after '{key}'", tok)
+            spec = shape.keys.get(key)
             if spec is None:
-                raise _Decline
-            field, _, kind, members, _, _, nonempty = spec
-            if field in attrs:
-                raise _Decline
-            if kind == STRING:
-                if first != '"':
-                    raise _Decline
-                value = _unquote(value)
-            elif kind == IDLIST:
-                if first != "[" or _LIST_RE.fullmatch(value) is None:
-                    raise _Decline
-                value = tuple(_LIST_ITEM_RE.findall(value))
-                if nonempty and not value:
-                    raise _Decline
-            elif not first.isalpha():
-                raise _Decline
-            elif members is not None:
-                value = members.get(value)
-                if value is None:
-                    raise _Decline
-            attrs[field] = value
-        if not shape.required <= attrs.keys():
-            raise _Decline
-        # Line breaks from the previous statement's line to this one's.
-        start = m.end(1)
-        line += count("\n", line_start, start)
-        if crlf:
-            line += count("\r", line_start, start) - count("\r\n", line_start, start)
-        line_start = start
-        yield keyword, stmt_id, attrs, Span(filename, line, m.start(2) - line_start + 1)
-        pos = m.end()
-    if _TRAILER_RE.fullmatch(text, pos) is None:
-        raise _Decline
+                fail("P002", f"unknown attribute '{key}' for '{keyword}'", tok)
+            if spec.field in attrs:
+                fail("P002", f"duplicate attribute '{key}'", tok)
+            attrs[spec.field] = value(key, spec)
+
+        if shape.description is not None and shape.description not in attrs:
+            fail("P002", f"'{keyword}' needs a quoted description", head)
+        for key, spec in shape.keys.items():
+            if spec.required and spec.field not in attrs:
+                fail("P002", f"missing attribute '{key}=' on '{keyword}'", head)
+
+        return keyword, stmt_id, attrs, Span(filename, head.line, head.column)
+    except _StatementError:
+        return None
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+class _Decline(Exception):
+    """Internal signal: the fast match leaves this statement to the token
+    fallback."""
+
+
+def _statements(text: str, filename: str, diags: list[Diagnostic]) -> Iterator[tuple | None]:
+    """The statements of the document, each as :func:`_parse_statement` gives
+    it; lexical and statement errors are recorded in ``diags``."""
+    count = text.count
+    crlf = "\r" in text
+    match_statement = _STATEMENT_RE.match
+    end = len(text)
+    # ``line`` is the number of the line that starts at ``line_start``.
+    pos, line, line_start = 0, 1, 0
+    while pos < end:
+        m = match_statement(text, pos)
+        try:
+            if m is None:
+                raise _Decline
+            groups = m.groups()
+            keyword, stmt_id = groups[1], groups[2]
+            shape = _STATEMENTS.get(keyword)
+            if shape is None or shape.has_id != (stmt_id is not None):
+                raise _Decline
+            keys = shape.keys
+            attrs: dict[str, object] = {}
+            for i in _KEY_GROUPS:
+                key, value = groups[i], groups[i + 1]
+                if value is None:
+                    break
+                # The first character tells the value's kind: '"' a string,
+                # '[' a list, a letter an identifier or enum word.
+                first = value[0]
+                if key is None:
+                    if first != '"' or shape.description is None or shape.description in attrs:
+                        raise _Decline
+                    attrs[shape.description] = _unescape(value[1:-1])
+                    continue
+                spec = keys.get(key)
+                if spec is None:
+                    raise _Decline
+                field, _, kind, members, _, _, nonempty = spec
+                if field in attrs:
+                    raise _Decline
+                if kind == STRING:
+                    if first != '"':
+                        raise _Decline
+                    value = _unescape(value[1:-1])
+                elif kind == IDLIST:
+                    if first != "[" or _LIST_RE.fullmatch(value) is None:
+                        raise _Decline
+                    value = tuple(_LIST_ITEM_RE.findall(value))
+                    if nonempty and not value:
+                        raise _Decline
+                elif not first.isalpha():
+                    raise _Decline
+                elif members is not None:
+                    value = members.get(value)
+                    if value is None:
+                        raise _Decline
+                attrs[field] = value
+            if not shape.required <= attrs.keys():
+                raise _Decline
+        except _Decline:
+            m = None
+        # Line breaks from the previous statement's line to this one's.
+        start = pos if m is None else m.end(1)
+        line += count("\n", line_start, start)
+        if crlf:
+            line += count("\r", line_start, start) - count("\r\n", line_start, start)
+        line_start = start
+        if m is not None:
+            yield keyword, stmt_id, attrs, Span(filename, line, m.start(2) - start + 1)
+            pos = m.end()
+            continue
+        tokens, pos, line = _tokenize(text, pos, line, filename, diags)
+        line_start = pos
+        if tokens:
+            yield _parse_statement(tokens, filename, diags)
 
 
 def _constructor(element_class: ElementClass, keyword: str) -> Callable | None:
@@ -612,8 +502,8 @@ def _assemble(statements: Iterable[tuple | None], diags: list[Diagnostic]) -> Pa
         spans[ref] = span
         collections[element_class.name].append(element)
 
-    # Lexical errors are found in a separate pass; present everything in
-    # source order.
+    # A statement's lexical errors come before its syntax error and assembly
+    # reports after both; present everything in source order.
     diags.sort(key=lambda d: (d.span.line, d.span.column) if d.span else (0, 0))
 
     if has_errors(diags):
@@ -633,15 +523,6 @@ def _assemble(statements: Iterable[tuple | None], diags: list[Diagnostic]) -> Pa
     return ParseResult(model, tuple(diags))
 
 
-def _parse_exact(text: str, filename: str) -> ParseResult:
-    """Parse through the token lexer; reports every problem it finds."""
-    diags: list[Diagnostic] = []
-    statements = _lex(text, filename, diags)
-    return _assemble(
-        (_parse_statement(tokens, filename, diags) for tokens in statements), diags
-    )
-
-
 def parse(text: str, filename: str = "<input>") -> ParseResult:
     """Parse a PHASE document.
 
@@ -650,14 +531,7 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
     error-severity diagnostics.
     """
     diags: list[Diagnostic] = []
-    try:
-        result = _assemble(_fast_statements(text, filename), diags)
-    except _Decline:
-        pass
-    else:
-        if not diags:
-            return result
-    return _parse_exact(text, filename)
+    return _assemble(_statements(text, filename, diags), diags)
 
 
 def parse_file(path: str) -> ParseResult:

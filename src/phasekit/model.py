@@ -391,6 +391,10 @@ class Model:
         model with a fresh index."""
         return ModelIndex(self)
 
+    def __getstate__(self) -> dict:
+        """The fields alone: a pickle or copy leaves a built index out."""
+        return {k: v for k, v in vars(self).items() if k != "index"}
+
 
 #: Each slot by (class, field name).
 _SLOTS: dict[tuple[str, str], Slot] = {

@@ -4,13 +4,15 @@ import itertools
 import random
 import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from phasekit import LossCategory, Severity, parse, serialize
-from phasekit.dsl import _MAX_ITEMS, _assemble, _Decline, _fast_statements, _parse_exact
+from phasekit import dsl
+from phasekit.dsl import _MAX_ITEMS
 from phasekit.model import (
     CLASS_FIELDS,
     DESCRIPTION,
@@ -22,6 +24,7 @@ from phasekit.model import (
     GuideType,
 )
 
+from .parse_oracle import _parse_exact
 from .strategies import documents, messy_render, valid_models
 
 
@@ -256,15 +259,16 @@ def test_single_byte_corruption_keeps_spans_in_bounds(doc, data):
         assert span is not None
         assert 1 <= span.line <= len(lines)
         assert 1 <= span.column <= max(1, len(lines[span.line - 1]) + 1)
+    assert_matches_exact(corrupted)
 
 
 # ---------------------------------------------------------------------------
-# Fast path against the exact path
+# parse against the whole-document token parser of tests/parse_oracle.py
 # ---------------------------------------------------------------------------
 
 
 def assert_matches_exact(text: str):
-    """``parse`` must give exactly what the token parser gives."""
+    """``parse`` must give exactly what the oracle token parser gives."""
     got = parse(text, "doc.phase")
     want = _parse_exact(text, "doc.phase")
     assert got.diagnostics == want.diagnostics
@@ -274,26 +278,32 @@ def assert_matches_exact(text: str):
     return got
 
 
+def token_fallback(text: str) -> tuple[int, tuple]:
+    """How many statements ``parse`` hands to the token parser, and the codes
+    of the diagnostics it returns."""
+    with mock.patch.object(dsl, "_parse_statement", wraps=dsl._parse_statement) as spy:
+        result = parse(text, "doc.phase")
+    return spy.call_count, tuple(d.code for d in result.diagnostics)
+
+
 def takes_fast_path(text: str) -> bool:
-    """Whether ``parse`` returns the fast path's result: every statement
-    matches and assembling them reports nothing."""
-    diags = []
-    try:
-        _assemble(_fast_statements(text, "doc.phase"), diags)
-    except _Decline:
-        return False
-    return not diags
+    """Whether ``parse`` reads every statement with the fast match and
+    reports nothing."""
+    return token_fallback(text) == (0, ())
 
 
 # No shrinking: each shrink step renders and parses a model of 1,000+
-# elements through the exact path, so a failure would take minutes to report.
-@settings(
+# elements through the oracle, so a failure would take minutes to report.
+_ONE_LARGE_MODEL = settings(
     max_examples=1,
     derandomize=True,
     deadline=None,
     database=None,
     phases=(Phase.explicit, Phase.reuse, Phase.generate),
 )
+
+
+@_ONE_LARGE_MODEL
 @given(valid_models(max_per_class=300), st.integers(0, 2**32))
 def test_large_document_matches_exact_path(model, seed):
     assume(sum(len(model.elements_of(cls)) for cls in CLASS_FIELDS) >= 1000)
@@ -302,6 +312,22 @@ def test_large_document_matches_exact_path(model, seed):
         text = doc.replace("\n", newline)
         assert takes_fast_path(text)
         assert assert_matches_exact(text).model is not None
+
+
+@_ONE_LARGE_MODEL
+@given(valid_models(max_per_class=300))
+def test_token_fallback_reads_only_the_bad_statement(model):
+    """One bad statement in the middle of a large document is the only one
+    the token parser reads; a duplicate id at the end needs none."""
+    assume(sum(len(model.elements_of(cls)) for cls in CLASS_FIELDS) >= 1000)
+    assume(model.losses)
+    lines = serialize(model).splitlines()
+    lines[len(lines) // 2] += " $"
+    lines.append(next(line for line in lines if line.startswith("loss ")))
+    for newline in ("\n", "\r\n", "\r"):
+        text = newline.join(lines)
+        assert token_fallback(text) == (1, ("P001", "P003"))
+        assert_matches_exact(text)
 
 
 @pytest.mark.parametrize("name", ["c1", "c2", "c3"])
@@ -336,7 +362,7 @@ def test_fixtures_take_fast_path(name):
         'loss L1"a"category=sociotechnical',
         'hazard H1 boundary=B leads_to=[ L1 ,\\\n L2 ]"h"',
         "  \\\n\tloss L1 category = sociotechnical \\\n\\\n  \"x\"",
-        # Each of these is declined and left to the exact path.
+        # Each of these is left to the token fallback.
         'loss L1 "a" category=sociotechnical\nloss L1 "b" category=sociotechnical',
         'model "a"\nmodel "b"',
         'loss L1 "a" "b" category=sociotechnical',
@@ -375,7 +401,7 @@ def _items(element_class, continued: bool) -> list[str]:
 @pytest.mark.parametrize("element_class", SCHEMA, ids=[c.name for c in SCHEMA])
 def test_every_order_of_a_complete_statement_takes_fast_path(element_class):
     """A statement with every attribute of its class, in each order, is read
-    by the fast path, so _MAX_ITEMS leaves no statement to the exact path."""
+    by the fast match, so _MAX_ITEMS leaves no statement to the token fallback."""
     head = element_class.keywords[0] + (" E1" if element_class.identity else "")
     for continued in (True, False):
         for order in itertools.permutations(_items(element_class, continued)):
@@ -436,8 +462,10 @@ def test_token_soup_matches_exact_path(tokens):
         "=".join(["ab", "cd"] * 1250),
         'loss L1 "x" category=sociotechnical ' + "=".join(["ab", "cd"] * 1250),
         "uca U1 " + "".join(f'k{i}="v"' for i in range(700)) + " $",
+        'loss L1 "' + "\\q" * 5000,
+        "loss 9\n" * 10000,
     ],
-    ids=["bare", "after-statement", "quoted-values"],
+    ids=["bare", "after-statement", "quoted-values", "bad-escapes", "bad-statements"],
 )
 def test_items_without_blanks_parse_in_linear_time(text):
     assert len(text) >= 5000

@@ -8,7 +8,9 @@ fixtures and on a derandomized model of more than a thousand elements.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -337,6 +339,18 @@ def test_built_index_leaves_equality_and_hash_alone():
     assert used == fresh
     assert hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
+
+
+def test_pickle_and_deepcopy_leave_a_built_index_out():
+    used, fresh = load_fixture("c1"), load_fixture("c1")
+    loss = used.losses[0].id
+    trace_loss(used, loss)
+    assert len(pickle.dumps(used)) == len(pickle.dumps(fresh))
+    for copied in (pickle.loads(pickle.dumps(used)), copy.deepcopy(used)):
+        assert "index" not in vars(copied)
+        assert copied == used
+        assert copied.source_spans == used.source_spans
+        assert trace_loss(copied, loss) == trace_loss(used, loss)
 
 
 def test_replace_gets_a_fresh_index():
