@@ -1,4 +1,10 @@
-"""Command-line front end: parse, analyze, export, diff, format.
+"""Command-line front end: argv in, one artifact and an exit code out.
+
+:func:`run` parses argv, reads the document from a file or from stdin
+(``-``), calls the analysis the subcommand names and writes the artifact
+that :mod:`phasekit.export` builds for it to stdout, or to the ``-o`` file.
+It writes only to the streams it is given, help and version text included;
+a stream left as None is the process's own.
 
 Exit codes: 0 success, 1 findings above a requested threshold, 2 parse or
 validation errors, 3 usage or IO errors. Diagnostics go to stderr in
@@ -9,9 +15,9 @@ spans; stdout carries only the requested artifact.
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import io
-import json
 import math
 import os
 import sys
@@ -27,20 +33,23 @@ from .analysis import (
     validate,
 )
 from .diagnostics import Diagnostic, Severity, has_errors
-from .diff import ChangeSet, ImpactReport, diff, impact
-from .dsl import ParseResult, parse, serialize
+from .diff import diff, impact
+from .dsl import parse, serialize
 from .export import (
     RenderOptions,
-    _json_text,
-    coverage_cell_text,
     coverage_csv,
     coverage_json,
-    json_value,
+    coverage_table,
+    diff_json,
+    diff_text,
+    hints_text,
     report_json,
     report_markdown,
     to_dot,
+    trace_loss_text,
+    trace_node_text,
 )
-from .model import GUIDE_TYPES, SCHEMA, STRING, Model, UnknownReferenceError, lookup
+from .model import Model, UnknownReferenceError
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -52,11 +61,25 @@ class _UsageError(Exception):
     pass
 
 
+class _Invalid(Exception):
+    """The document has errors, and their diagnostics are printed."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse that reports usage problems through our exit-code scheme."""
+    """argparse that reports usage problems through our exit-code scheme and
+    writes help and version text to the run's stdout."""
+
+    def __init__(self, *args, stdout: TextIO | None = None, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._stdout = stdout
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(f"{self.prog}: {message}")
+
+    def _print_message(self, message: str, file=None) -> None:
+        # --help and --version name sys.stdout; with no stdout at all,
+        # argparse falls back to sys.stderr.
+        super()._print_message(message, self._stdout if file is sys.stdout else file)
 
 
 class _Streams:
@@ -103,55 +126,47 @@ def _read_stdin(stdin: TextIO | None) -> str:
     buffer = getattr(stdin, "buffer", None)
     if buffer is None:
         return stdin.read()
-    try:
-        text = buffer.read().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise _UsageError(f"cannot read <stdin>: not valid UTF-8 ({exc.reason})") from exc
-    return io.StringIO(text, newline=None).read()
+    return io.StringIO(buffer.read().decode("utf-8"), newline=None).read()
 
 
 def _read_source(path: str, streams: _Streams) -> tuple[str, str]:
-    if path == "-":
-        return _read_stdin(streams.stdin), "<stdin>"
+    name = "<stdin>" if path == "-" else path
     try:
+        if path == "-":
+            return _read_stdin(streams.stdin), name
         with open(path, encoding="utf-8") as handle:
-            return handle.read(), path
+            return handle.read(), name
     except UnicodeDecodeError as exc:
-        raise _UsageError(f"cannot read {path}: not valid UTF-8 ({exc.reason})") from exc
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise _UsageError(f"cannot read {name}: not valid UTF-8 ({exc.reason})") from exc
+    # ValueError: a path holding a NUL byte, or a stream already closed.
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read {name}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def _write_output(path: str, document: str) -> None:
+def _write(document: str, path: str | None, streams: _Streams) -> None:
+    """Write ``document`` to the file at ``path``, or to stdout without one."""
+    if not path:
+        streams.stdout.write(document)
+        return
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(document)
-    except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def _parse_source(path: str, streams: _Streams) -> tuple[ParseResult, str]:
-    text, name = _read_source(path, streams)
-    return parse(text, name), name
-
-
-def _load_validated(path: str, streams: _Streams) -> tuple[Model | None, list[Diagnostic]]:
+def _load(path: str, streams: _Streams) -> tuple[Model, list[Diagnostic]]:
     """Parse and validate: the model and the diagnostics found. On any
-    error print the diagnostics and return None for the model."""
-    result, _ = _parse_source(path, streams)
+    error print the diagnostics and raise :class:`_Invalid`."""
+    result = parse(*_read_source(path, streams))
     if result.model is None:
         _print_diagnostics(result.diagnostics, streams)
-        return None, list(result.diagnostics)
+        raise _Invalid
     problems = validate(result.model)
     if has_errors(problems):
         _print_diagnostics(problems, streams)
-        return None, problems
+        raise _Invalid
     return result.model, problems
-
-
-def _load_valid_model(path: str, streams: _Streams) -> Model | None:
-    """Parse and validate; on any error print diagnostics and return None."""
-    return _load_validated(path, streams)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +175,7 @@ def _load_valid_model(path: str, streams: _Streams) -> Model | None:
 
 
 def _cmd_check(args: argparse.Namespace, streams: _Streams) -> int:
-    result, _ = _parse_source(args.file, streams)
+    result = parse(*_read_source(args.file, streams))
     diagnostics = list(result.diagnostics)
     if result.model is not None:
         diagnostics.extend(validate(result.model))
@@ -172,238 +187,52 @@ def _cmd_check(args: argparse.Namespace, streams: _Streams) -> int:
     return EXIT_OK
 
 
-def _coverage_table(matrix) -> str:
-    header = ["controller", "action", *(g.value for g in GUIDE_TYPES)]
-    rows = [header]
-    for row in matrix.rows:
-        cells = [coverage_cell_text(cell) for cell in row.cells]
-        rows.append([row.controller, row.action, *cells])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
-    covered, waived, gap = matrix.counts()
-    lines.append(f"{covered} covered, {waived} waived, {gap} gaps; ratio {matrix.ratio()!r}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_coverage(args: argparse.Namespace, streams: _Streams) -> int:
-    model = _load_valid_model(args.file, streams)
-    if model is None:
-        return EXIT_INVALID
+    model, _ = _load(args.file, streams)
     matrix = coverage(model, args.boundary)
     _print_diagnostics(matrix.warnings, streams)
-    if args.format == "csv":
-        streams.stdout.write(coverage_csv(matrix))
-    elif args.format == "json":
-        streams.stdout.write(coverage_json(matrix))
-    else:
-        streams.stdout.write(_coverage_table(matrix))
+    writer = {"table": coverage_table, "csv": coverage_csv, "json": coverage_json}[args.format]
+    streams.stdout.write(writer(matrix))
     if args.fail_under is not None and matrix.ratio() < args.fail_under:
         return EXIT_FINDINGS
     return EXIT_OK
 
 
-#: The field that describes an element of each class: its first string field.
-_TEXT_FIELDS = {
-    c.name: next(s.field for s in c.slots if s.kind == STRING) for c in SCHEMA
-}
-
-
-def _describe(model: Model, element_class: str, element_id: str) -> str:
-    element = lookup(model, element_class, element_id)
-    if element is None:
-        return element_id
-    return f'{element_id} "{getattr(element, _TEXT_FIELDS[element_class])}"'
-
-
 def _cmd_trace(args: argparse.Namespace, streams: _Streams) -> int:
-    model = _load_valid_model(args.file, streams)
-    if model is None:
-        return EXIT_INVALID
-    out = streams.stdout
+    model, _ = _load(args.file, streams)
     if args.loss is not None:
-        # Depth first, children in order, each indented one step more.
-        stack = [(trace_loss(model, args.loss), 0)]
-        while stack:
-            node, depth = stack.pop()
-            out.write("  " * depth + f"{node.element_class} "
-                      + _describe(model, node.element_class, node.element_id) + "\n")
-            stack.extend((child, depth + 1) for child in reversed(node.children))
+        streams.stdout.write(trace_loss_text(model, trace_loss(model, args.loss)))
     else:
-        report = trace_node(model, args.node)
-        out.write(f"node {_describe(model, 'node', report.node)}\n")
-        sections = (
-            ("controls", "edge", report.actions),
-            ("ucas", "uca", report.ucas),
-            ("hazards reached", "hazard", report.hazards),
-            ("losses reached", "loss", report.losses),
-            ("cited in scenarios", "scenario", report.scenarios),
-        )
-        for title, cls, ids in sections:
-            if not ids:
-                continue
-            out.write(f"{title}:\n")
-            for element_id in ids:
-                out.write(f"  {_describe(model, cls, element_id)}\n")
+        streams.stdout.write(trace_node_text(model, trace_node(model, args.node)))
     return EXIT_OK
 
 
 def _cmd_hints(args: argparse.Namespace, streams: _Streams) -> int:
-    model = _load_valid_model(args.file, streams)
-    if model is None:
-        return EXIT_INVALID
-    for hint in hints(model):
-        subjects = ",".join(ref.id for ref in hint.subjects)
-        streams.stdout.write(f"{hint.code.value} {subjects}: {hint.message}\n")
+    model, _ = _load(args.file, streams)
+    streams.stdout.write(hints_text(hints(model)))
     return EXIT_OK
 
 
 def _cmd_render(args: argparse.Namespace, streams: _Streams) -> int:
-    model = _load_valid_model(args.file, streams)
-    if model is None:
-        return EXIT_INVALID
-    document = to_dot(model, RenderOptions(boundary=args.boundary))
-    if args.output:
-        _write_output(args.output, document)
-    else:
-        streams.stdout.write(document)
+    model, _ = _load(args.file, streams)
+    _write(to_dot(model, RenderOptions(boundary=args.boundary)), args.output, streams)
     return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace, streams: _Streams) -> int:
-    model, problems = _load_validated(args.file, streams)
-    if model is None:
-        return EXIT_INVALID
-    bundle = _analyze(model, problems)
-    if args.format == "json":
-        document = report_json(model, bundle)
-    else:
-        document = report_markdown(model, bundle)
-    if args.output:
-        _write_output(args.output, document)
-    else:
-        streams.stdout.write(document)
+    model, problems = _load(args.file, streams)
+    writer = report_json if args.format == "json" else report_markdown
+    _write(writer(model, _analyze(model, problems)), args.output, streams)
     return EXIT_OK
 
 
-def _changeset_text(changes: ChangeSet) -> str:
-    if changes.is_empty():
-        return "no changes\n"
-    lines: list[str] = []
-    if changes.added:
-        lines.append("added:")
-        lines.extend(f"  {ref.cls} {ref.id}" for ref in changes.added)
-    if changes.removed:
-        lines.append("removed:")
-        lines.extend(f"  {ref.cls} {ref.id}" for ref in changes.removed)
-    if changes.modified:
-        lines.append("modified:")
-        for entry in changes.modified:
-            lines.append(f"  {entry.ref.cls} {entry.ref.id}:")
-            for change in entry.changes:
-                lines.append(
-                    f"    {change.field}: {_change_value(change.old)} -> "
-                    f"{_change_value(change.new)}"
-                )
-    return "\n".join(lines) + "\n"
-
-
-def _change_value(value) -> str:
-    if isinstance(value, tuple):
-        return "[" + ",".join(str(v) for v in value) + "]"
-    if value is None:
-        return "(unset)"
-    if hasattr(value, "value"):
-        return str(value.value)
-    return json.dumps(value, ensure_ascii=False)
-
-
-def _ref_json(ref) -> dict:
-    return {"class": ref.cls, "id": ref.id}
-
-
-def _changeset_json(changes: ChangeSet, report: ImpactReport | None) -> dict:
-    document = {
-        "added": [_ref_json(r) for r in changes.added],
-        "removed": [_ref_json(r) for r in changes.removed],
-        "modified": [
-            {
-                "ref": _ref_json(entry.ref),
-                "changes": [
-                    {
-                        "field": change.field,
-                        "old": json_value(change.old),
-                        "new": json_value(change.new),
-                    }
-                    for change in entry.changes
-                ],
-            }
-            for entry in changes.modified
-        ],
-    }
-    if report is not None:
-        document["impact"] = {
-            "re_review": [
-                {
-                    "subject": _ref_json(entry.subject),
-                    "ucas": list(entry.ucas),
-                    "scenarios": list(entry.scenarios),
-                    "hazards": list(entry.hazards),
-                    "losses": list(entry.losses),
-                }
-                for entry in report.re_review
-            ],
-            "dangling": [
-                {
-                    "removed": _ref_json(entry.removed),
-                    "referenced_by": [_ref_json(r) for r in entry.referenced_by],
-                }
-                for entry in report.dangling
-            ],
-        }
-    return document
-
-
-def _impact_text(report: ImpactReport) -> str:
-    lines: list[str] = []
-    if report.re_review:
-        lines.append("re-review required:")
-        for entry in report.re_review:
-            lines.append(f"  {entry.subject.cls} {entry.subject.id}:")
-            for title, ids in (
-                ("ucas", entry.ucas),
-                ("scenarios", entry.scenarios),
-                ("hazards", entry.hazards),
-                ("losses", entry.losses),
-            ):
-                if ids:
-                    lines.append(f"    {title}: {', '.join(ids)}")
-    if report.dangling:
-        lines.append("dangling after removal:")
-        for entry in report.dangling:
-            refs = ", ".join(f"{r.cls} {r.id}" for r in entry.referenced_by)
-            lines.append(
-                f"  {entry.removed.cls} {entry.removed.id}: {refs or '(no references)'}"
-            )
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_diff(args: argparse.Namespace, streams: _Streams) -> int:
-    old_model = _load_valid_model(args.old, streams)
-    if old_model is None:
-        return EXIT_INVALID
-    new_model = _load_valid_model(args.new, streams)
-    if new_model is None:
-        return EXIT_INVALID
+    old_model, _ = _load(args.old, streams)
+    new_model, _ = _load(args.new, streams)
     changes = diff(old_model, new_model)
     report = impact(changes, new_model) if args.impact else None
-    if args.format == "json":
-        streams.stdout.write(_json_text(_changeset_json(changes, report)) + "\n")
-    else:
-        streams.stdout.write(_changeset_text(changes))
-        if report is not None:
-            streams.stdout.write(_impact_text(report))
+    writer = diff_json if args.format == "json" else diff_text
+    streams.stdout.write(writer(changes, report))
     if args.fail_on_change and not changes.is_empty():
         return EXIT_FINDINGS
     return EXIT_OK
@@ -421,12 +250,9 @@ def _cmd_fmt(args: argparse.Namespace, streams: _Streams) -> int:
             print(f"{name}: not in canonical form", file=streams.stderr)
             return EXIT_FINDINGS
         return EXIT_OK
-    if args.write:
-        if args.file == "-":
-            raise _UsageError("--write cannot be used with stdin")
-        _write_output(args.file, canonical)
-        return EXIT_OK
-    streams.stdout.write(canonical)
+    if args.write and args.file == "-":
+        raise _UsageError("--write cannot be used with stdin")
+    _write(canonical, args.file if args.write else None, streams)
     return EXIT_OK
 
 
@@ -447,55 +273,56 @@ def _ratio(text: str) -> float:
     return value
 
 
-def _build_parser() -> _ArgumentParser:
+def _build_parser(stdout: TextIO | None) -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="phasekit",
         description="Model, analyze, render, and diff PHASE hazard analyses.",
+        stdout=stdout,
     )
     parser.add_argument("--version", action="version", version=f"phasekit {__version__}")
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+    commands = parser.add_subparsers(
+        dest="command",
+        metavar="COMMAND",
+        parser_class=functools.partial(_ArgumentParser, stdout=stdout),
+    )
     commands.required = True
 
-    def cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        sub = commands.add_parser(name, help=help_text)
-        return sub
-
-    check = cmd("check", "parse and validate a document")
+    check = commands.add_parser("check", help="parse and validate a document")
     check.add_argument("file")
     check.add_argument("--strict", action="store_true", help="exit 1 on warnings")
     check.set_defaults(handler=_cmd_check)
 
-    cov = cmd("coverage", "show the control action x guide type grid")
+    cov = commands.add_parser("coverage", help="show the control action x guide type grid")
     cov.add_argument("file")
     cov.add_argument("--boundary")
     cov.add_argument("--format", choices=("table", "csv", "json"), default="table")
     cov.add_argument("--fail-under", type=_ratio, dest="fail_under")
     cov.set_defaults(handler=_cmd_coverage)
 
-    trace = cmd("trace", "trace a loss chain or a node's accountability")
+    trace = commands.add_parser("trace", help="trace a loss chain or a node's accountability")
     trace.add_argument("file")
     group = trace.add_mutually_exclusive_group(required=True)
     group.add_argument("--loss")
     group.add_argument("--node")
     trace.set_defaults(handler=_cmd_trace)
 
-    hint = cmd("hints", "list advisory structural findings")
+    hint = commands.add_parser("hints", help="list advisory structural findings")
     hint.add_argument("file")
     hint.set_defaults(handler=_cmd_hints)
 
-    render = cmd("render", "emit a control diagram in dot form")
+    render = commands.add_parser("render", help="emit a control diagram in dot form")
     render.add_argument("file")
     render.add_argument("-o", "--output")
     render.add_argument("--boundary")
     render.set_defaults(handler=_cmd_render)
 
-    report = cmd("report", "emit a full analysis report")
+    report = commands.add_parser("report", help="emit a full analysis report")
     report.add_argument("file")
     report.add_argument("--format", choices=("md", "json"), required=True)
     report.add_argument("-o", "--output")
     report.set_defaults(handler=_cmd_report)
 
-    diff_cmd = cmd("diff", "compare two document versions")
+    diff_cmd = commands.add_parser("diff", help="compare two document versions")
     diff_cmd.add_argument("old")
     diff_cmd.add_argument("new")
     diff_cmd.add_argument("--impact", action="store_true")
@@ -503,7 +330,7 @@ def _build_parser() -> _ArgumentParser:
     diff_cmd.add_argument("--fail-on-change", action="store_true", dest="fail_on_change")
     diff_cmd.set_defaults(handler=_cmd_diff)
 
-    fmt = cmd("fmt", "print or rewrite the canonical form")
+    fmt = commands.add_parser("fmt", help="print or rewrite the canonical form")
     fmt.add_argument("file")
     flags = fmt.add_mutually_exclusive_group()
     flags.add_argument("--write", action="store_true")
@@ -520,6 +347,9 @@ def run(
     stderr: TextIO | None = None,
 ) -> int:
     """Execute one CLI invocation and return its exit code.
+
+    A stream left as None is the process's own. ``--help`` and ``--version``
+    write to ``stdout`` like any artifact.
 
     The cyclic garbage collector is paused for the run and turned back on
     afterwards only if it was on when the run began, so a caller that keeps
@@ -543,7 +373,7 @@ def run(
 
 
 def _run(argv: Sequence[str], streams: _Streams) -> int:
-    parser = _build_parser()
+    parser = _build_parser(streams._stdout)
     try:
         args = parser.parse_args(list(argv))
         return args.handler(args, streams)
@@ -551,6 +381,8 @@ def _run(argv: Sequence[str], streams: _Streams) -> int:
         print(str(exc), file=streams.stderr)
         print(parser.format_usage().rstrip(), file=streams.stderr)
         return EXIT_USAGE
+    except _Invalid:
+        return EXIT_INVALID
     except UnknownReferenceError as exc:
         print(f"phasekit: {exc}", file=streams.stderr)
         return EXIT_USAGE

@@ -1,8 +1,15 @@
-"""Deterministic renderers: dot diagrams, JSON and markdown reports, CSV.
+"""Deterministic writers of every artifact phasekit emits: the control
+diagram in dot (``to_dot``); the coverage grid as text, CSV and JSON
+(``coverage_table``, ``coverage_csv``, ``coverage_json``); a loss chain and a
+node's accountability (``trace_loss_text``, ``trace_node_text``); the hint
+list (``hints_text``); the full report in markdown and JSON
+(``report_markdown``, ``report_json``); a change set and its impact
+(``diff_text``, ``diff_json``).
 
 Every function here is a pure function of its inputs and emits byte-equal
 output for equal inputs: no timestamps, no absolute paths, no environment
-leakage.
+leakage. A fragment two artifacts share, such as the coverage header row,
+the totals line or the line of a hint, is written by one function.
 """
 
 from __future__ import annotations
@@ -13,26 +20,32 @@ import json
 from dataclasses import fields
 
 from .analysis import (
+    AccountabilityReport,
     AnalysisBundle,
     CellState,
     CoverageCell,
     CoverageMatrix,
+    Hint,
     Metrics,
     TraceTree,
     scope_ranks,
     trace_loss,
 )
 from .diagnostics import Diagnostic, record
+from .diff import ChangeSet, ImpactReport
 from .model import (
     ENUM,
     GUIDE_TYPES,
     IDLIST,
     SCHEMA,
+    STRING,
     EdgeKind,
     ElementClass,
     Model,
     NodeKind,
+    Ref,
     elements_in_boundary,
+    lookup,
 )
 
 _BOX_KINDS = frozenset({NodeKind.HUMAN, NodeKind.TEAM, NodeKind.ORGANIZATION})
@@ -191,6 +204,18 @@ def _diagnostic_json(diagnostic: Diagnostic) -> dict:
     }
 
 
+def _ref_json(ref: Ref) -> dict:
+    return {"class": ref.cls, "id": ref.id}
+
+
+def _hint_json(hint: Hint) -> dict:
+    return {
+        "code": hint.code.value,
+        "subjects": [_ref_json(ref) for ref in hint.subjects],
+        "message": hint.message,
+    }
+
+
 def json_value(value):
     """A field value as JSON: an id list as a list, an enum member as its
     value text, anything else (text, None) as it is."""
@@ -267,18 +292,202 @@ def report_json(model: Model, analyses: AnalysisBundle) -> str:
         "model": _model_json(model),
         "diagnostics": [_diagnostic_json(d) for d in analyses.diagnostics],
         "coverage": _coverage_json(analyses.coverage),
-        "hints": [
-            {
-                "code": h.code.value,
-                "subjects": [{"class": ref.cls, "id": ref.id} for ref in h.subjects],
-                "message": h.message,
-            }
-            for h in analyses.hints
-        ],
+        "hints": [_hint_json(h) for h in analyses.hints],
         "metrics": metrics,
         "schema_version": "1",
     }
     return _json_text(document) + "\n"
+
+
+#: The id lists of an impact entry, in the order both diff views write them.
+_IMPACT_LISTS = ("ucas", "scenarios", "hazards", "losses")
+
+
+def diff_json(changes: ChangeSet, report: ImpactReport | None) -> str:
+    """A change set, and its impact when ``report`` is given, as a JSON
+    document."""
+    document = {
+        "added": [_ref_json(r) for r in changes.added],
+        "removed": [_ref_json(r) for r in changes.removed],
+        "modified": [
+            {
+                "ref": _ref_json(entry.ref),
+                "changes": [
+                    {
+                        "field": change.field,
+                        "old": json_value(change.old),
+                        "new": json_value(change.new),
+                    }
+                    for change in entry.changes
+                ],
+            }
+            for entry in changes.modified
+        ],
+    }
+    if report is not None:
+        document["impact"] = {
+            "re_review": [
+                {
+                    "subject": _ref_json(entry.subject),
+                    **{name: list(getattr(entry, name)) for name in _IMPACT_LISTS},
+                }
+                for entry in report.re_review
+            ],
+            "dangling": [
+                {
+                    "removed": _ref_json(entry.removed),
+                    "referenced_by": [_ref_json(r) for r in entry.referenced_by],
+                }
+                for entry in report.dangling
+            ],
+        }
+    return _json_text(document) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Coverage grid
+# ---------------------------------------------------------------------------
+
+_COVERAGE_HEADER = ("controller", "action", *(g.value for g in GUIDE_TYPES))
+
+
+def coverage_cell_text(cell: CoverageCell) -> str:
+    """``covered:<uca ids>``, ``waived`` or ``gap``: one cell of the CSV and
+    text coverage tables."""
+    if cell.state is CellState.COVERED:
+        return "covered:" + ";".join(cell.uca_ids)
+    if cell.state is CellState.WAIVED:
+        return "waived"
+    return "gap"
+
+
+def _coverage_rows(matrix: CoverageMatrix, cell_text=coverage_cell_text) -> list[list[str]]:
+    """The header row, then one row per control action."""
+    return [list(_COVERAGE_HEADER)] + [
+        [row.controller, row.action, *map(cell_text, row.cells)] for row in matrix.rows
+    ]
+
+
+def _coverage_totals(matrix: CoverageMatrix) -> str:
+    covered, waived, gap = matrix.counts()
+    return f"{covered} covered, {waived} waived, {gap} gaps; ratio {matrix.ratio()!r}"
+
+
+def coverage_table(matrix: CoverageMatrix) -> str:
+    """The coverage grid as left-aligned text columns, then the totals."""
+    rows = _coverage_rows(matrix)
+    widths = [max(len(r[i]) for r in rows) for i in range(len(_COVERAGE_HEADER))]
+    lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]
+    lines.append(_coverage_totals(matrix))
+    return "\n".join(lines) + "\n"
+
+
+def coverage_csv(matrix: CoverageMatrix) -> str:
+    """RFC 4180 rendering of the coverage grid, one row per control action,
+    rows presorted by (controller, action)."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(_coverage_rows(matrix))
+    return buffer.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# Text views: traces, hints, diffs
+# ---------------------------------------------------------------------------
+
+#: The field that describes an element of each class: its first string field.
+_TEXT_FIELDS = {
+    c.name: next(s.field for s in c.slots if s.kind == STRING) for c in SCHEMA
+}
+
+
+def _describe(model: Model, element_class: str, element_id: str) -> str:
+    element = lookup(model, element_class, element_id)
+    if element is None:
+        return element_id
+    return f'{element_id} "{getattr(element, _TEXT_FIELDS[element_class])}"'
+
+
+def trace_loss_text(model: Model, tree: TraceTree) -> str:
+    """A loss chain depth first, children in order, each indented one step
+    more than its parent."""
+    lines = []
+    stack = [(tree, 0)]
+    while stack:
+        node, depth = stack.pop()
+        lines.append("  " * depth + f"{node.element_class} "
+                     + _describe(model, node.element_class, node.element_id))
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+    return "\n".join(lines) + "\n"
+
+
+def trace_node_text(model: Model, report: AccountabilityReport) -> str:
+    """A node, then each non-empty section of what it can influence."""
+    lines = [f"node {_describe(model, 'node', report.node)}"]
+    for title, cls, ids in (
+        ("controls", "edge", report.actions),
+        ("ucas", "uca", report.ucas),
+        ("hazards reached", "hazard", report.hazards),
+        ("losses reached", "loss", report.losses),
+        ("cited in scenarios", "scenario", report.scenarios),
+    ):
+        if ids:
+            lines.append(f"{title}:")
+            lines.extend(f"  {_describe(model, cls, element_id)}" for element_id in ids)
+    return "\n".join(lines) + "\n"
+
+
+def _hint_text(hint: Hint) -> str:
+    return f"{hint.code.value} {','.join(ref.id for ref in hint.subjects)}: {hint.message}"
+
+
+def hints_text(found: list[Hint]) -> str:
+    """One line per hint: code, subject ids, message."""
+    return "".join(_hint_text(hint) + "\n" for hint in found)
+
+
+def _ref_text(ref: Ref) -> str:
+    return f"{ref.cls} {ref.id}"
+
+
+def _change_value(value) -> str:
+    if isinstance(value, tuple):
+        return "[" + ",".join(str(v) for v in value) + "]"
+    if value is None:
+        return "(unset)"
+    if hasattr(value, "value"):
+        return str(value.value)
+    return _json_text(value)
+
+
+def diff_text(changes: ChangeSet, report: ImpactReport | None) -> str:
+    """A change set, then its impact when ``report`` is given."""
+    lines = ["no changes"] if changes.is_empty() else []
+    for title, refs in (("added", changes.added), ("removed", changes.removed)):
+        if refs:
+            lines.append(f"{title}:")
+            lines.extend(f"  {_ref_text(ref)}" for ref in refs)
+    if changes.modified:
+        lines.append("modified:")
+        for entry in changes.modified:
+            lines.append(f"  {_ref_text(entry.ref)}:")
+            lines.extend(
+                f"    {change.field}: {_change_value(change.old)} -> {_change_value(change.new)}"
+                for change in entry.changes
+            )
+    if report is not None and report.re_review:
+        lines.append("re-review required:")
+        for entry in report.re_review:
+            lines.append(f"  {_ref_text(entry.subject)}:")
+            for name in _IMPACT_LISTS:
+                ids = getattr(entry, name)
+                if ids:
+                    lines.append(f"    {name}: {', '.join(ids)}")
+    if report is not None and report.dangling:
+        lines.append("dangling after removal:")
+        for entry in report.dangling:
+            refs = ", ".join(map(_ref_text, entry.referenced_by))
+            lines.append(f"  {_ref_text(entry.removed)}: {refs or '(no references)'}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +496,7 @@ def report_json(model: Model, analyses: AnalysisBundle) -> str:
 
 
 def _md_cell(text: str) -> str:
-    return text.replace("|", "\\|")
+    return text.replace("\\", "\\\\").replace("|", "\\|")
 
 
 def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
@@ -298,6 +507,12 @@ def _md_table(header: list[str], rows: list[list[str]]) -> list[str]:
     return lines
 
 
+def _md_section(title: str, lines: list[str], empty: str) -> list[str]:
+    """A heading, a blank line, ``lines`` (or ``empty`` when ``lines`` is
+    empty or another false value), a blank line."""
+    return [f"## {title}", "", *(lines or [empty]), ""]
+
+
 def _markdown_cell_text(cell: CoverageCell) -> str:
     if cell.state is CellState.COVERED:
         return "✓ " + ";".join(cell.uca_ids)
@@ -306,130 +521,54 @@ def _markdown_cell_text(cell: CoverageCell) -> str:
     return "GAP"
 
 
-def _reached(tree: TraceTree) -> dict[str, set[str]]:
-    """The distinct ids below the root of a loss trace, per class."""
+def _trace_line(model: Model, loss_id: str) -> str:
+    """A loss and how many distinct ids of each class its trace reaches."""
     reached: dict[str, set[str]] = {
         cls: set() for cls in ("hazard", "uca", "scenario", "requirement")
     }
-    below = list(tree.children)
+    below = list(trace_loss(model, loss_id).children)
     while below:
         node = below.pop()
         reached[node.element_class].add(node.element_id)
         below.extend(node.children)
-    return reached
+    return f"- {loss_id}: " + ", ".join(f"{len(ids)} {cls}s" for cls, ids in reached.items())
 
 
 def report_markdown(model: Model, analyses: AnalysisBundle) -> str:
     """Human-readable rendering of the same analysis bundle."""
-    out: list[str] = [f"# Hazard analysis report: {model.name or '(unnamed model)'}", ""]
-
-    out.append("## Losses")
-    out.append("")
-    if model.losses:
-        out.extend(
-            _md_table(
-                ["id", "description", "category"],
-                [[l.id, l.description, l.category.value] for l in model.losses],
-            )
-        )
-    else:
-        out.append("No losses declared.")
-    out.append("")
-
-    out.append("## Hazard-to-loss matrix")
-    out.append("")
-    if model.hazards and model.losses:
-        loss_ids = [l.id for l in model.losses]
-        rows = []
-        for hazard in model.hazards:
-            marks = ["x" if lid in hazard.leads_to else "" for lid in loss_ids]
-            rows.append([hazard.id, hazard.description, *marks])
-        out.extend(_md_table(["hazard", "description", *loss_ids], rows))
-    else:
-        out.append("No hazards declared.")
-    out.append("")
-
-    out.append("## Coverage")
-    out.append("")
-    if analyses.coverage.rows:
-        rows = [
-            [row.controller, row.action, *(_markdown_cell_text(c) for c in row.cells)]
-            for row in analyses.coverage.rows
-        ]
-        out.extend(
-            _md_table(
-                ["controller", "action", *(g.value for g in GUIDE_TYPES)], rows
-            )
-        )
-        covered, waived, gap = analyses.coverage.counts()
-        out.append("")
-        out.append(
-            f"{covered} covered, {waived} waived, {gap} gaps; "
-            f"ratio {analyses.coverage.ratio()!r}"
-        )
-    else:
-        out.append("No control actions declared.")
-    out.append("")
-
-    out.append("## Diagnostics")
-    out.append("")
-    if analyses.diagnostics:
-        out.extend(f"- {d.format()}" for d in analyses.diagnostics)
-    else:
-        out.append("No diagnostics.")
-    out.append("")
-
-    out.append("## Hints")
-    out.append("")
-    if analyses.hints:
-        out.extend(
-            f"- {h.code.value} {','.join(ref.id for ref in h.subjects)}: {h.message}"
-            for h in analyses.hints
-        )
-    else:
-        out.append("No hints.")
-    out.append("")
-
-    out.append("## Traceability")
-    out.append("")
-    if model.losses:
-        for loss in model.losses:
-            reached = _reached(trace_loss(model, loss.id))
-            out.append(
-                f"- {loss.id}: {len(reached['hazard'])} hazards, "
-                f"{len(reached['uca'])} ucas, {len(reached['scenario'])} scenarios, "
-                f"{len(reached['requirement'])} requirements"
-            )
-    else:
-        out.append("No losses declared.")
-    out.append("")
-
+    loss_ids = [l.id for l in model.losses]
+    grid = analyses.coverage
+    coverage_rows = _coverage_rows(grid, _markdown_cell_text)
+    out = [f"# Hazard analysis report: {model.name or '(unnamed model)'}", ""]
+    out += _md_section(
+        "Losses",
+        loss_ids and _md_table(
+            ["id", "description", "category"],
+            [[l.id, l.description, l.category.value] for l in model.losses],
+        ),
+        "No losses declared.",
+    )
+    out += _md_section(
+        "Hazard-to-loss matrix",
+        model.hazards and loss_ids and _md_table(
+            ["hazard", "description", *loss_ids],
+            [
+                [h.id, h.description, *("x" if lid in h.leads_to else "" for lid in loss_ids)]
+                for h in model.hazards
+            ],
+        ),
+        "No hazards declared.",
+    )
+    out += _md_section(
+        "Coverage",
+        grid.rows and [*_md_table(coverage_rows[0], coverage_rows[1:]), "", _coverage_totals(grid)],
+        "No control actions declared.",
+    )
+    out += _md_section(
+        "Diagnostics", [f"- {d.format()}" for d in analyses.diagnostics], "No diagnostics."
+    )
+    out += _md_section("Hints", [f"- {_hint_text(h)}" for h in analyses.hints], "No hints.")
+    out += _md_section(
+        "Traceability", [_trace_line(model, lid) for lid in loss_ids], "No losses declared."
+    )
     return "\n".join(out)
-
-
-# ---------------------------------------------------------------------------
-# CSV coverage table
-# ---------------------------------------------------------------------------
-
-
-def coverage_cell_text(cell: CoverageCell) -> str:
-    """``covered:<uca ids>``, ``waived`` or ``gap``: one cell of the CSV and
-    CLI coverage tables."""
-    if cell.state is CellState.COVERED:
-        return "covered:" + ";".join(cell.uca_ids)
-    if cell.state is CellState.WAIVED:
-        return "waived"
-    return "gap"
-
-
-def coverage_csv(matrix: CoverageMatrix) -> str:
-    """RFC 4180 rendering of the coverage grid, one row per control action,
-    rows presorted by (controller, action)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["controller", "action", *(g.value for g in GUIDE_TYPES)])
-    for row in matrix.rows:
-        writer.writerow(
-            [row.controller, row.action, *(coverage_cell_text(c) for c in row.cells)]
-        )
-    return buffer.getvalue()

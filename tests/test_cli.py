@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+from itertools import chain
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import phasekit.analysis
 import phasekit.cli
@@ -13,6 +16,8 @@ from phasekit.cli import run
 from .conftest import fixture_path
 
 C1 = str(fixture_path("c1"))
+C1_TEXT = fixture_path("c1").read_text(encoding="utf-8")
+C1_REV = fixture_path("c1").parent.parent / "tests/goldens/inputs/c1_rev.phase"
 C2 = str(fixture_path("c2"))
 
 INVALID_REF = (
@@ -364,5 +369,146 @@ def test_stdout_stderr_separation(tmp_path):
 def test_help_and_version_exit_zero(flag, capsys):
     code = run([flag])
     assert code == 0
-    # argparse writes these to the process-level stdout.
+    # A run given no stdout writes to the process's own.
     assert capsys.readouterr().out
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["check", "--help"]])
+def test_help_and_version_go_to_the_stdout_of_the_run(argv, capsys):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, stdout=out, stderr=err) == 0
+    assert capsys.readouterr() == ("", "")
+    assert err.getvalue() == ""
+    assert out.getvalue().startswith("phasekit " if argv == ["--version"] else "usage: phasekit")
+
+
+@pytest.mark.parametrize("argv", [["check", "a\x00b"], ["fmt", "--write", "a\x00"]])
+def test_nul_byte_in_an_input_path_exit_3(argv):
+    code, out, err = cli(*argv)
+    assert (code, out) == (3, "")
+    message, usage = err.splitlines()
+    assert message == f"cannot read {argv[-1]}: embedded null byte"
+    assert usage.startswith("usage: phasekit")
+
+
+@pytest.mark.parametrize("argv", [["render", C1], ["report", C1, "--format", "md"]])
+def test_nul_byte_in_an_output_path_exit_3(argv):
+    code, out, err = cli(*argv, "-o", "x\x00y")
+    assert (code, out) == (3, "")
+    message, usage = err.splitlines()
+    assert message == "cannot write x\x00y: embedded null byte"
+    assert usage.startswith("usage: phasekit")
+
+
+def test_closed_stdin_stream_exit_3():
+    stdin = io.StringIO("")
+    stdin.close()
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["check", "-"], stdin=stdin, stdout=out, stderr=err) == 3
+    assert err.getvalue().startswith("cannot read <stdin>: I/O operation on closed file")
+
+
+# Placeholders the totality property draws; the test maps them to paths
+# under tmp_path, so every file the runs read or write lives there.
+_INPUTS = (
+    "GOOD", "REV", "INVALID", "BROKEN", "BINARY", "MISSING", "DIR", "SURROGATE", "-", "a\x00b",
+)
+_OUTPUTS = ("OUT", "DIR", "MISSING_DIR", "SURROGATE_OUT", "x\x00y")
+_STDINS = ("text", "bytes", "non-utf8", "surrogate", "closed")
+
+
+def _option(flag, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda value: [flag, value]))
+
+
+def _switch(*flags):
+    return st.sampled_from([[], *([flag] for flag in flags)])
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(lambda drawn: [name, *chain.from_iterable(drawn)])
+
+
+_FILE = st.sampled_from(_INPUTS).map(lambda path: [path])
+_BOUNDARY = _option("--boundary", ["SB1", "SB9", ""])
+_ARGV = st.tuples(
+    st.one_of(
+        st.sampled_from([[], ["--help"], ["--version"], ["frobnicate"], ["--wibble"]]),
+        _command("check", _FILE, _switch("--strict")),
+        _command(
+            "coverage", _FILE, _BOUNDARY,
+            _option("--format", ["table", "csv", "json", "xml"]),
+            _option("--fail-under", ["0.5", "1", "nan", "2", "-1", "-1e999", "inf", "x"]),
+        ),
+        _command(
+            "trace", _FILE, _option("--loss", ["L1", "L99"]),
+            _option("--node", ["Physician", "Nobody"]),
+        ),
+        _command("hints", _FILE),
+        _command("render", _FILE, _option("-o", _OUTPUTS), _BOUNDARY),
+        _command(
+            "report", _FILE, _option("--format", ["md", "json", "pdf"]),
+            _option("-o", _OUTPUTS),
+        ),
+        _command(
+            "diff", _FILE, _FILE, _switch("--impact"),
+            _option("--format", ["text", "json", "yaml"]), _switch("--fail-on-change"),
+        ),
+        _command("fmt", _FILE, _switch("--write", "--check")),
+    ),
+    _switch("--help", "--strict", "-o", "extra"),
+).map(lambda drawn: drawn[0] + drawn[1])
+
+
+def _stdin(kind: str) -> io.TextIOBase:
+    if kind == "text":
+        return io.StringIO(C1_TEXT)
+    if kind == "surrogate":
+        return io.StringIO(f'model "\udcff"\n{C1_TEXT}')
+    if kind == "closed":
+        stream = io.StringIO(C1_TEXT)
+        stream.close()
+        return stream
+    return _bytes_stdin(C1_TEXT.encode("utf-8") if kind == "bytes" else b'model "\xff\xfe"\n')
+
+
+@settings(
+    derandomize=True,
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=_ARGV, stdin=st.sampled_from(_STDINS))
+@example(argv=["check", "a\x00b"], stdin="text")
+@example(argv=["render", "GOOD", "-o", "x\x00y"], stdin="text")
+@example(argv=["report", "GOOD", "--format", "md", "-o", "x\x00y"], stdin="text")
+@example(argv=["fmt", "--write", "a\x00"], stdin="text")
+@example(argv=["--version"], stdin="text")
+@example(argv=["check", "-"], stdin="closed")
+@example(argv=["diff", "GOOD", "REV", "--impact", "--fail-on-change"], stdin="text")
+def test_run_is_total(argv, stdin, tmp_path, capsys):
+    """Whatever the argv and stdin, a run returns an exit code from 0 to 3,
+    raises nothing and writes only to the streams it is given."""
+    paths = {
+        "GOOD": tmp_path / "good.phase",
+        "REV": tmp_path / "rev.phase",
+        "INVALID": tmp_path / "invalid.phase",
+        "BROKEN": tmp_path / "broken.phase",
+        "BINARY": tmp_path / "binary.phase",
+        "MISSING": tmp_path / "missing.phase",
+        "DIR": tmp_path,
+        "SURROGATE": tmp_path / "\udcff.phase",
+        "OUT": tmp_path / "out.txt",
+        "MISSING_DIR": tmp_path / "missing" / "out.txt",
+        "SURROGATE_OUT": tmp_path / "missing" / "\udcff",
+    }
+    if not paths["GOOD"].exists():
+        paths["GOOD"].write_text(C1_TEXT, encoding="utf-8")
+        paths["REV"].write_text(C1_REV.read_text(encoding="utf-8"), encoding="utf-8")
+        paths["INVALID"].write_text(INVALID_REF, encoding="utf-8")
+        paths["BROKEN"].write_text('loss L1 "x" category=bogus\n', encoding="utf-8")
+        paths["BINARY"].write_bytes(b"loss L1 \xff\xfe")
+    resolved = [str(paths[token]) if token in paths else token for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    code = run(resolved, stdin=_stdin(stdin), stdout=out, stderr=err)
+    assert code in (0, 1, 2, 3)
+    assert capsys.readouterr() == ("", "")

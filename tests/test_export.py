@@ -9,8 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasekit import (
+    Hazard,
+    Loss,
+    LossCategory,
     Model,
     RenderOptions,
+    SystemBoundary,
     UnknownReferenceError,
     analyze,
     coverage,
@@ -155,6 +159,45 @@ def test_markdown_single_gap_count():
     model = model_of(text)
     document = report_markdown(model, analyze(model))
     assert document.count("GAP") == 1
+
+
+def markdown_cells(line: str) -> list[str]:
+    """The cells of a markdown table row, split at the pipes no backslash
+    escapes, still escaped."""
+    segments, segment, chars = [], "", iter(line)
+    for char in chars:
+        if char == "|":
+            segments.append(segment)
+            segment = ""
+        else:
+            segment += char + (next(chars, "") if char == "\\" else "")
+    segments.append(segment)
+    return [cell[1:-1] for cell in segments[1:-1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(alphabet="\\|a", max_size=6), min_size=1, max_size=3))
+@example(["a\\|b", "\\", "|", "a\\\\|b\\"])
+def test_markdown_cells_split_and_unescape_to_their_text(texts):
+    model = Model(
+        name="escapes",
+        losses=tuple(Loss(f"L{i}", t, LossCategory.SAFETY_CRITICAL) for i, t in enumerate(texts)),
+        boundaries=(SystemBoundary("B1", "Boundary", includes=()),),
+        hazards=tuple(Hazard(f"H{i}", t, "B1", ("L0",)) for i, t in enumerate(texts)),
+    )
+    rows, header = {}, None
+    for line in report_markdown(model, analyze(model)).splitlines():
+        if not line.startswith("|"):
+            header = None
+            continue
+        cells = markdown_cells(line)
+        header = header or cells
+        assert len(cells) == len(header), line
+        rows[cells[0]] = [re.sub(r"\\(.)", r"\1", cell) for cell in cells]
+    marks = ["x"] + [""] * (len(texts) - 1)
+    for i, text in enumerate(texts):
+        assert rows[f"L{i}"] == [f"L{i}", text, "safety-critical"]
+        assert rows[f"H{i}"] == [f"H{i}", text, *marks]
 
 
 @pytest.mark.parametrize("name", ["c1", "c2", "c3"])
