@@ -78,6 +78,11 @@ def _cases() -> dict[str, list[str]]:
     cases["parse_errors_check"] = ["check", f"{INPUTS}/parse_errors.phase"]
     cases["semantic_errors_check"] = ["check", f"{INPUTS}/semantic_errors.phase"]
     cases["coverage_c001"] = ["coverage", f"{INPUTS}/coverage_c001.phase"]
+    # A control cycle with a tail, a self-loop and a parallel edge, drawn
+    # whole and inside a boundary that cuts the cycle open.
+    cycle = f"{INPUTS}/control_cycle.phase"
+    cases["control_cycle_render"] = ["render", cycle]
+    cases["control_cycle_render_boundary"] = ["render", cycle, "--boundary", "Scope"]
     return cases
 
 
