@@ -25,7 +25,6 @@ C001   coverage cell both waived and covered by a uca (warning)
 from __future__ import annotations
 
 import re
-from collections import deque
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter, eq
@@ -511,135 +510,81 @@ def validate(model: Model) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 
 
-def _control_subgraph(
-    model: Model, node_ids: list[str]
-) -> tuple[dict[str, list[tuple[int, str]]], list[Edge]]:
-    """Adjacency over control-action edges with both endpoints in scope.
+def _hint_order(hint: Hint) -> tuple[str, tuple[str, ...]]:
+    """Hints sort by code, then by subject ids."""
+    return hint.code.value, tuple(ref.id for ref in hint.subjects)
 
-    Self-loops are excluded from ranking; they are reported elsewhere.
+
+def control_hierarchy(
+    model: Model, nodes: tuple[Node, ...]
+) -> tuple[dict[str, int], list[list[str]]]:
+    """Control-authority ranks over a scope of nodes, and its control cycles.
+
+    One iterative depth-first walk over the control-action edges with both
+    endpoints in scope (self-loops left out), roots and edges taken in
+    declaration order. An edge into a node whose walk is still open closes a
+    cycle and is not used for ranking. Tarjan's low-links close each strongly
+    connected component; a cycle is one of two or more nodes, its ids sorted.
+    Ranks are the least with rank(target) > rank(source) over every other
+    edge: one relaxation in reverse finishing order. Ranks keep the order of
+    ``nodes``, cycles the order in which the walk closes them.
     """
-    in_scope = set(node_ids)
-    edges = [
-        e
-        for e in model.edges
-        if e.kind == EdgeKind.CONTROL_ACTION
-        and e.source in in_scope
-        and e.target in in_scope
-        and e.source != e.target
-    ]
-    adjacency: dict[str, list[tuple[int, str]]] = {nid: [] for nid in node_ids}
-    for index, edge in enumerate(edges):
-        adjacency[edge.source].append((index, edge.target))
-    return adjacency, edges
-
-
-def _back_edges(node_ids: list[str], adjacency: dict[str, list[tuple[int, str]]]) -> set[int]:
-    """Edges that close a cycle under a depth-first walk in declaration order."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {nid: WHITE for nid in node_ids}
-    back: set[int] = set()
-    for root in node_ids:
-        if color[root] != WHITE:
+    ranks = {node.id: 0 for node in nodes}
+    targets_of: dict[str, list[str]] = {nid: [] for nid in ranks}
+    for e in model.edges:
+        if e.kind == EdgeKind.CONTROL_ACTION and e.source != e.target:
+            if e.source in ranks and e.target in ranks:
+                targets_of[e.source].append(e.target)
+    # Discovery index of every node reached. Once a node's component closes
+    # its index becomes ``closed``, above every real one, so later edges into
+    # it leave low-links alone.
+    index: dict[str, int] = {}
+    low: dict[str, int] = {}
+    closed = len(ranks)
+    kept: dict[str, list[str]] = {nid: [] for nid in ranks}  # edges that rank
+    open_nodes: set[str] = set()
+    unclosed: list[str] = []  # Tarjan's stack
+    finished: list[str] = []
+    cycles: list[list[str]] = []
+    for root in ranks:
+        if root in index:
             continue
-        color[root] = GRAY
-        stack: list[tuple[str, "object"]] = [(root, iter(adjacency[root]))]
-        while stack:
-            node, edge_iter = stack[-1]
-            descended = False
-            for edge_index, target in edge_iter:
-                if color[target] == GRAY:
-                    back.add(edge_index)
-                elif color[target] == WHITE:
-                    color[target] = GRAY
-                    stack.append((target, iter(adjacency[target])))
-                    descended = True
+        index[root] = low[root] = len(index)
+        open_nodes.add(root)
+        unclosed.append(root)
+        walk = [(root, iter(targets_of[root]))]
+        while walk:
+            node, targets = walk[-1]
+            for target in targets:
+                if target not in index:
+                    kept[node].append(target)
+                    index[target] = low[target] = len(index)
+                    open_nodes.add(target)
+                    unclosed.append(target)
+                    walk.append((target, iter(targets_of[target])))
                     break
-            if not descended:
-                color[node] = BLACK
-                stack.pop()
-    return back
-
-
-def _longest_path_ranks(
-    node_ids: list[str], forward: list[tuple[str, str]]
-) -> dict[str, int]:
-    """Least rank assignment with rank(target) >= rank(source) + 1 per edge."""
-    indegree = {nid: 0 for nid in node_ids}
-    out: dict[str, list[str]] = {nid: [] for nid in node_ids}
-    for source, target in forward:
-        out[source].append(target)
-        indegree[target] += 1
-    ranks = {nid: 0 for nid in node_ids}
-    queue = deque(nid for nid in node_ids if indegree[nid] == 0)
-    while queue:
-        node = queue.popleft()
-        for target in out[node]:
+                low[node] = min(low[node], index[target])
+                if target not in open_nodes:
+                    kept[node].append(target)
+            else:
+                walk.pop()
+                open_nodes.remove(node)
+                finished.append(node)
+                if walk:
+                    parent = walk[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component, member = [], None
+                    while member != node:
+                        member = unclosed.pop()
+                        index[member] = closed
+                        component.append(member)
+                    if len(component) > 1:
+                        cycles.append(sorted(component))
+    for node in reversed(finished):
+        for target in kept[node]:
             ranks[target] = max(ranks[target], ranks[node] + 1)
-            indegree[target] -= 1
-            if indegree[target] == 0:
-                queue.append(target)
-    return ranks
-
-
-def _strongly_connected_components(
-    node_ids: list[str], adjacency: dict[str, list[tuple[int, str]]]
-) -> list[list[str]]:
-    """Kosaraju's algorithm; component members sorted by id."""
-    order: list[str] = []
-    seen: set[str] = set()
-    for root in node_ids:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack: list[tuple[str, "object"]] = [(root, iter(adjacency[root]))]
-        while stack:
-            node, edge_iter = stack[-1]
-            descended = False
-            for _, target in edge_iter:
-                if target not in seen:
-                    seen.add(target)
-                    stack.append((target, iter(adjacency[target])))
-                    descended = True
-                    break
-            if not descended:
-                order.append(node)
-                stack.pop()
-
-    reverse: dict[str, list[str]] = {nid: [] for nid in node_ids}
-    for source, targets in adjacency.items():
-        for _, target in targets:
-            reverse[target].append(source)
-
-    components: list[list[str]] = []
-    assigned: set[str] = set()
-    for root in reversed(order):
-        if root in assigned:
-            continue
-        members = [root]
-        assigned.add(root)
-        frontier = [root]
-        while frontier:
-            node = frontier.pop()
-            for source in reverse[node]:
-                if source not in assigned:
-                    assigned.add(source)
-                    members.append(source)
-                    frontier.append(source)
-        components.append(sorted(members))
-    return components
-
-
-def scope_ranks(model: Model, nodes: list[Node]) -> dict[str, int]:
-    """Hierarchy ranks over an explicit node scope (the whole model, say)."""
-    node_ids = [n.id for n in nodes]
-    adjacency, edges = _control_subgraph(model, node_ids)
-    back = _back_edges(node_ids, adjacency)
-    forward = [
-        (edge.source, edge.target)
-        for index, edge in enumerate(edges)
-        if index not in back
-    ]
-    return _longest_path_ranks(node_ids, forward)
+    return ranks, cycles
 
 
 def hierarchy_ranks(
@@ -649,25 +594,23 @@ def hierarchy_ranks(
 
     Rank 0 marks nodes nothing controls; every other node sits one level
     below its highest-ranked controller (longest path over control-action
-    edges). Cycles are legal: back edges found by a depth-first walk are
-    ignored for ranking and each multi-node strongly connected component is
-    reported as a hierarchy-cycle hint.
+    edges). Cycles are legal: the edge that closes one under a depth-first
+    walk in declaration order is ignored for ranking, and each multi-node
+    strongly connected component is reported as a hierarchy-cycle hint.
     """
     nodes, _ = elements_in_boundary(model, boundary_id)
-    node_ids = [n.id for n in nodes]
-    adjacency, _ = _control_subgraph(model, node_ids)
+    ranks, cycles = control_hierarchy(model, nodes)
     hints = [
         Hint(
             HintCode.HIERARCHY_CYCLE,
-            tuple(Ref("node", nid) for nid in component),
+            tuple(Ref("node", nid) for nid in cycle),
             "control actions form a cycle among nodes "
-            + ", ".join(f"'{nid}'" for nid in component),
+            + ", ".join(f"'{nid}'" for nid in cycle),
         )
-        for component in _strongly_connected_components(node_ids, adjacency)
-        if len(component) >= 2
+        for cycle in cycles
     ]
-    hints.sort(key=lambda h: (h.code.value, tuple(ref.id for ref in h.subjects)))
-    return scope_ranks(model, list(nodes)), hints
+    hints.sort(key=_hint_order)
+    return ranks, hints
 
 
 # ---------------------------------------------------------------------------
@@ -731,32 +674,28 @@ def coverage(model: Model, boundary_id: str | None = None) -> CoverageMatrix:
 # ---------------------------------------------------------------------------
 
 
-#: Each class of the accountability chain and the class that refers to it.
-_REFERRED_BY = {
-    "loss": "hazard",
-    "hazard": "uca",
-    "uca": "scenario",
-    "scenario": "requirement",
-}
-
-#: The hint for a chain element that nothing in the next class refers to,
-#: and what its message says about the element.
-_UNREFERENCED = {
-    "loss": (HintCode.LOSS_WITHOUT_HAZARD, "is not linked to any hazard"),
-    "hazard": (HintCode.HAZARD_WITHOUT_UCA, "is not referenced by any uca"),
-    "uca": (HintCode.UCA_WITHOUT_SCENARIO, "has no loss scenario"),
-    "scenario": (
-        HintCode.SCENARIO_WITHOUT_REQUIREMENT,
-        "is not addressed by any safety requirement",
-    ),
-}
-
-
-#: The reference slot through which the next class refers to each class of
-#: the chain.
-_CHAIN_SLOTS = {
-    target: next(slot.field for slot, targets in REFERENCES[source] if target in targets)
-    for target, source in _REFERRED_BY.items()
+#: Each class of the accountability chain but the last: the class that
+#: refers to it, the reference slot through which it does, and the hint for
+#: an element that nothing in that class refers to, with what its message
+#: says about the element.
+_CHAIN = {
+    cls: (
+        referrer,
+        next(slot.field for slot, targets in REFERENCES[referrer] if cls in targets),
+        code,
+        complaint,
+    )
+    for cls, referrer, code, complaint in (
+        ("loss", "hazard", HintCode.LOSS_WITHOUT_HAZARD, "is not linked to any hazard"),
+        ("hazard", "uca", HintCode.HAZARD_WITHOUT_UCA, "is not referenced by any uca"),
+        ("uca", "scenario", HintCode.UCA_WITHOUT_SCENARIO, "has no loss scenario"),
+        (
+            "scenario",
+            "requirement",
+            HintCode.SCENARIO_WITHOUT_REQUIREMENT,
+            "is not addressed by any safety requirement",
+        ),
+    )
 }
 
 
@@ -767,8 +706,8 @@ def _chain_children(model: Model) -> dict[str, dict[str, list[Element]]]:
     they are built once per model."""
     index = model.index
     return {
-        target: index.referrers(source, _CHAIN_SLOTS[target])
-        for target, source in _REFERRED_BY.items()
+        cls: index.referrers(referrer, field)
+        for cls, (referrer, field, _, _) in _CHAIN.items()
     }
 
 
@@ -834,14 +773,14 @@ def hints(model: Model) -> list[Hint]:
             )
 
     for cls, referenced in _chain_children(model).items():
-        code, complaint = _UNREFERENCED[cls]
+        _, _, code, complaint = _CHAIN[cls]
         for element in model.elements_of(cls):
             if element.id not in referenced:
                 found.append(
                     Hint(code, (Ref(cls, element.id),), f"{cls} '{element.id}' {complaint}")
                 )
 
-    found.sort(key=lambda h: (h.code.value, tuple(ref.id for ref in h.subjects)))
+    found.sort(key=_hint_order)
     return found
 
 
@@ -869,15 +808,17 @@ def trace_loss(model: Model, loss_id: str) -> TraceTree:
         levels.append((cls, pending))
         referrers = children.get(cls, {})
         pending = [child.id for i in pending for child in referrers.get(i, ())]
-        cls = _REFERRED_BY.get(cls)
+        cls = _CHAIN[cls][0] if cls in _CHAIN else None
+    below = None
     for cls, pending in reversed(levels):
-        below, referrers = _REFERRED_BY.get(cls), children.get(cls, {})
+        referrers = children.get(cls, {})
         for element_id in pending:
             built[(cls, element_id)] = TraceTree(
                 cls,
                 element_id,
                 tuple(built[(below, child.id)] for child in referrers.get(element_id, ())),
             )
+        below = cls
     return built[("loss", loss_id)]
 
 

@@ -28,7 +28,7 @@ from .analysis import (
     Hint,
     Metrics,
     TraceTree,
-    scope_ranks,
+    control_hierarchy,
     trace_loss,
 )
 from .diagnostics import Diagnostic, record
@@ -85,7 +85,7 @@ def to_dot(model: Model, options: RenderOptions | None = None) -> str:
     if not opts.include_iolinks:
         edges = tuple(e for e in edges if e.kind != EdgeKind.IO_LINK)
 
-    ranks = scope_ranks(model, list(nodes))
+    ranks, _ = control_hierarchy(model, nodes)
 
     lines = [f"digraph {_dot_quote(model.name or 'model')} {{"]
     lines.append(f"  rankdir={opts.rankdir};")

@@ -646,3 +646,31 @@ def graph_models(draw) -> Model:
         )
     boundary = SystemBoundary("B", "all", None, tuple(node_ids))
     return Model(nodes=nodes, edges=tuple(edges), boundaries=(boundary,))
+
+
+@st.composite
+def scoped_graph_models(draw) -> Model:
+    """Control graphs built to stress hierarchy ranking: nodes declared in a
+    shuffled order, parallel control edges, and edges whose endpoints lie
+    outside the boundary ``B`` (a node it leaves out) or outside the model
+    (an id no node declares). Node ids stay unique."""
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    node_count = rnd.randint(1, 10)
+    node_ids = [f"N{i}" for i in range(node_count)]
+    rnd.shuffle(node_ids)
+    nodes = tuple(Node(nid, nid, NodeKind.HUMAN) for nid in node_ids)
+    endpoints = node_ids + ["Ghost"] * rnd.randint(0, 1)
+    pairs = []
+    for _ in range(rnd.randint(0, 3 * node_count)):
+        if pairs and rnd.random() < 0.2:
+            pairs.append(rnd.choice(pairs))  # a parallel edge
+        else:
+            pairs.append((rnd.choice(endpoints), rnd.choice(endpoints)))
+    kinds = [EdgeKind.CONTROL_ACTION] * 4 + [EdgeKind.FEEDBACK, EdgeKind.IO_LINK]
+    edges = tuple(
+        Edge(f"E{index}", rnd.choice(kinds), source, target, "")
+        for index, (source, target) in enumerate(pairs)
+    )
+    included = tuple(nid for nid in node_ids if rnd.random() < 0.8)
+    boundary = SystemBoundary("B", "scope", None, included)
+    return Model(nodes=nodes, edges=edges, boundaries=(boundary,))

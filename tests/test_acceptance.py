@@ -426,6 +426,11 @@ def test_hierarchy_soundness(model):
     if nx.is_directed_acyclic_graph(graph):
         for edge in control:
             assert ranks[edge.source] < ranks[edge.target]
+        # And the least such ranks: one below the highest controller, 0 for
+        # a node nothing controls.
+        for node in model.nodes:
+            controllers = [ranks[e.source] + 1 for e in control if e.target == node.id]
+            assert ranks[node.id] == max(controllers, default=0)
         assert cycle_hints == []
     else:
         expected = sorted(

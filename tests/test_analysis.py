@@ -25,6 +25,7 @@ from phasekit import (
     trace_node,
     validate,
 )
+from phasekit.analysis import control_hierarchy
 from phasekit.export import RenderOptions
 from phasekit.diagnostics import has_errors
 from phasekit.model import (
@@ -47,7 +48,13 @@ from phasekit.model import (
     is_valid_identifier,
 )
 
-from .strategies import breakable_models, valid_models
+from .hierarchy_oracle import oracle_hierarchy_ranks, oracle_scope_ranks
+from .strategies import (
+    breakable_models,
+    graph_models,
+    scoped_graph_models,
+    valid_models,
+)
 from .validate_oracle import oracle_validate
 
 FIVE_ACTIONS = (
@@ -649,6 +656,49 @@ def test_hierarchy_iolinks_do_not_rank():
     )
     ranks, _ = hierarchy_ranks(model, "X")
     assert ranks == {"A": 0, "B": 0}
+
+
+def _rank_rows(dot: str) -> list[str]:
+    return [line for line in dot.splitlines() if "rank=same" in line]
+
+
+def _expected_rank_rows(ranks: dict[str, int]) -> list[str]:
+    rows: dict[int, list[str]] = {}
+    for nid, rank in ranks.items():
+        rows.setdefault(rank, []).append(f'"{nid}";')
+    return [f"  {{ rank=same; {' '.join(rows[rank])} }}" for rank in sorted(rows)]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.one_of(graph_models(), scoped_graph_models()))
+def test_hierarchy_matches_the_three_walk_oracle(model):
+    ranks, cycle_hints = hierarchy_ranks(model, "B")
+    oracle_ranks, oracle_hints = oracle_hierarchy_ranks(model, "B")
+    assert list(ranks.items()) == list(oracle_ranks.items())
+    assert cycle_hints == oracle_hints
+    # to_dot ranks the whole model, whatever the boundary.
+    whole = oracle_scope_ranks(model, list(model.nodes))
+    assert list(control_hierarchy(model, model.nodes)[0].items()) == list(whole.items())
+    assert _rank_rows(to_dot(model)) == _expected_rank_rows(whole)
+
+
+def test_hierarchy_repeated_node_id_ranks_below_its_highest_controller():
+    # validate accepts a node id declared twice in a programmatic model; the
+    # scope holds it once, and E still sits one level below C.
+    model = Model(
+        nodes=tuple(Node(nid, nid, NodeKind.HUMAN) for nid in "AABCDE"),
+        edges=tuple(
+            Edge(f"E{index}", EdgeKind.CONTROL_ACTION, source, target, "")
+            for index, (source, target) in enumerate(["AC", "DB", "BC", "CE"])
+        ),
+        boundaries=(SystemBoundary("X", "all", None, tuple("ABCDE")),),
+    )
+    assert validate(model) == []
+    ranks, cycle_hints = hierarchy_ranks(model, "X")
+    assert ranks == {"A": 0, "B": 1, "C": 2, "D": 0, "E": 3}
+    assert cycle_hints == []
+    rows = _rank_rows(to_dot(model))
+    assert [row for row in rows if '"C"' in row] != [row for row in rows if '"E"' in row]
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from phasekit import Ref, diff, impact, lookup, parse, trace_loss, trace_node
 from phasekit.analysis import (
     AccountabilityReport,
     TraceTree,
+    _CHAIN,
     _chain_children,
-    _REFERRED_BY,
 )
 from phasekit.diff import DanglingReport, ImpactEntry, ImpactReport, _referencers
 from phasekit.model import (
@@ -48,6 +48,9 @@ from .strategies import model_pairs, valid_models
 # ---------------------------------------------------------------------------
 # Oracles: one linear scan per query
 # ---------------------------------------------------------------------------
+
+#: Each class of the accountability chain and the class that refers to it.
+_REFERRED_BY = {cls: link[0] for cls, link in _CHAIN.items()}
 
 
 def oracle_lookup(model, element_class, element_id_text):
