@@ -17,6 +17,7 @@ V006   enumeration field holds a value the parser would reject
 V007   id, text or id-list field holds a value of the wrong type, text
        holds a line break, an element's id is not an identifier, or the
        model's name is not a string without line breaks
+V008   id declared twice in one element class (the parser reports P003)
 V100   self-loop edge (warning)
 C001   coverage cell both waived and covered by a uca (warning)
 =====  ==================================================
@@ -411,12 +412,15 @@ def validate(model: Model) -> list[Diagnostic]:
         if cls == "assessment":
             keys = list(map(assessment_key, elements))
             duplicates = len(set(keys)) < len(keys)
+        # An id set smaller than its column: an id repeats, or a bad id is out.
+        repeated = cls in ids and len(ids[cls]) < len(id_columns[cls])
         bad_id = cls in bad_ids
-        if not (bad_id or refs or texts or enums or links or loops or duplicates):
+        if not (bad_id or refs or texts or enums or links or loops or duplicates or repeated):
             continue
 
         occurrences: dict[str, int] = {}
         seen_cells: dict[str, Span | None] = {}
+        seen_ids: set[str] = set()
         for element in elements:
             if bad_id and _bad_ids([element.id]):
                 # Its other checks would name the element by that id, so
@@ -432,6 +436,10 @@ def validate(model: Model) -> list[Diagnostic]:
                 continue
             if element_class.identity:
                 ref = Ref(cls, element.id)
+                if repeated and element.id in seen_ids:
+                    message = f"duplicate {cls} id '{element.id}'"
+                    diags.append(Diagnostic(Severity.ERROR, "V008", message, _span(model, ref)))
+                seen_ids.add(element.id)
             else:
                 key = assessment_key(element)
                 occurrences[key] = occurrences.get(key, 0) + 1
@@ -891,9 +899,4 @@ def analyze(model: Model) -> AnalysisBundle:
 def _analyze(model: Model, diagnostics: list[Diagnostic]) -> AnalysisBundle:
     """The bundle of a model whose validation diagnostics are known."""
     grid = coverage(model)
-    return AnalysisBundle(
-        diagnostics=tuple(diagnostics),
-        coverage=grid,
-        hints=tuple(hints(model)),
-        metrics=_metrics(model, grid),
-    )
+    return AnalysisBundle(tuple(diagnostics), grid, tuple(hints(model)), _metrics(model, grid))

@@ -215,7 +215,7 @@ def _cmd_hints(args: argparse.Namespace, streams: _Streams) -> int:
 
 def _cmd_render(args: argparse.Namespace, streams: _Streams) -> int:
     model, _ = _load(args.file, streams)
-    _write(to_dot(model, RenderOptions(boundary=args.boundary)), args.output, streams)
+    _write(to_dot(model, RenderOptions(args.boundary)), args.output, streams)
     return EXIT_OK
 
 
@@ -398,8 +398,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     then run one invocation on the process's own streams and return its
     exit code. In-process callers use :func:`run`, which freezes nothing.
     """
-    # The imports leave some 15,000 objects for the collector to track
-    # (dataclass methods, enums, compiled regexes, argparse), and the
+    # The imports leave thousands of objects for the collector to track
+    # (record methods, enums, compiled regexes, argparse), and the
     # collection CPython runs at shutdown would walk them all, about 15-19 ms
     # per call. gc.freeze() moves them into the permanent generation, which
     # no collection visits. The process ends after this one run, so none of

@@ -2,11 +2,40 @@
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cache
 from operator import attrgetter
 from reprlib import recursive_repr
+from typing import NamedTuple
+
+MISSING = object()  # the default of a field that has none
+#: ``object.__setattr__`` bound to a given record, past its frozen own.
+_bound_setattr = object.__setattr__.__get__
+
+
+class Field(NamedTuple):
+    """One field of a record: its name, its annotation and what :func:`field` takes."""
+
+    name: str
+    type: object
+    default: object = MISSING
+    default_factory: object = MISSING
+    repr: bool = True
+    compare: bool = True
+
+
+def field(*, default_factory=MISSING, repr=True, compare=True) -> Field:
+    return Field("", None, MISSING, default_factory, repr, compare)
+
+
+def new_record(cls: type, values: Sequence) -> object:
+    """``cls(*values)`` for one value per field, without the argument
+    handling of ``__init__``; the parser builds each span and element so."""
+    self = object.__new__(cls)
+    any(map(_bound_setattr(self), cls.__match_args__, values))
+    return self
 
 
 def _fields_of(names: list[str]):
@@ -16,19 +45,84 @@ def _fields_of(names: list[str]):
     return attrgetter(*names) if names else lambda obj: ()
 
 
+@cache
+def _twin(cls: type) -> type:
+    """``make_dataclass(..., frozen=True, eq=False, repr=False)`` with the
+    fields of record ``cls``, built on first use. Its ``__init__`` binds the
+    calls off the fast path, raising what a dataclass raises, and ``cls``
+    takes its ``__dataclass_fields__``, ``__dataclass_params__`` (which
+    read ``eq=False, repr=False``) and ``__signature__``."""
+    import dataclasses
+    import inspect
+
+    spec = []
+    for f in cls.__record_fields__:
+        flags = {key: value for key, value in zip(Field._fields[2:], f[2:]) if value is not MISSING}
+        spec.append((f.name, f.type, dataclasses.field(**flags)))
+    twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=True, eq=False, repr=False,
+                                      namespace={"__qualname__": cls.__qualname__})
+    cls.__dataclass_fields__ = twin.__dataclass_fields__
+    cls.__dataclass_params__ = twin.__dataclass_params__
+    cls.__signature__ = inspect.signature(twin)
+    return twin
+
+
+class _FromTwin:
+    """A class attribute :func:`_twin` sets on first access, which only a
+    caller that has imported ``dataclasses`` or ``inspect`` makes."""
+
+    def __init__(self, cls: type, name: str) -> None:
+        self.cls, self.name = cls, name
+
+    def __get__(self, instance, owner=None):
+        _twin(self.cls)
+        return vars(self.cls)[self.name]
+
+
 def record(cls):
-    """``@dataclass(frozen=True)``, except that ``__repr__``, ``__eq__`` and
-    ``__hash__`` are closures over ``fields(cls)``, one code object for every
-    record, rather than compiled source; ``dataclasses`` compiles only
-    ``__init__``, ``__setattr__`` and ``__delattr__``. The closures behave as
-    the generated methods; only ``__dataclass_params__`` differs, reading
-    ``eq=False, repr=False``."""
-    cls = dataclass(cls, frozen=True, eq=False, repr=False)
-    shown = [f.name for f in fields(cls) if f.repr]
-    compared = _fields_of([f.name for f in fields(cls) if f.compare])
-    hashed = _fields_of(
-        [f.name for f in fields(cls) if (f.compare if f.hash is None else f.hash)]
-    )
+    """``@dataclass(frozen=True)`` without ``dataclasses``: the methods are
+    closures over the field table ``__record_fields__``, one code object
+    each for all records. ``__init__`` takes values by position on a fast
+    path, down to the last field without a plain default; :func:`_twin`
+    binds any other call. ``__replace__`` comes on Python 3.13 and later."""
+    table = []
+    for name, annotation in vars(cls).get("__annotations__", {}).items():
+        spec = vars(cls).get(name, MISSING)
+        if isinstance(spec, Field):  # as with dataclasses, a field() leaves the class
+            delattr(cls, name)
+        else:
+            spec = Field(name, annotation, spec)
+        table.append(spec._replace(name=name, type=annotation))
+    table = tuple(table)
+    names = tuple(f.name for f in table)
+    defaults = tuple(f.default for f in table)
+    count = len(names)
+    # The fewest values the fast path takes: plain defaults fill the rest.
+    least = max((i + 1 for i, f in enumerate(table) if f.default is MISSING), default=0)
+    shown = [f.name for f in table if f.repr]
+    compared = _fields_of([f.name for f in table if f.compare])
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or not least <= len(args) <= count:
+            return _twin(cls).__init__(self, *args, **kwargs)
+        any(map(_bound_setattr(self), names, args + defaults[len(args):]))
+
+    def frozen(self, name, verb):
+        if type(self) is cls or name in names:
+            from dataclasses import FrozenInstanceError
+
+            raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+
+    def __setattr__(self, name, value):
+        frozen(self, name, "assign to")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self, name):
+        frozen(self, name, "delete")
+        super(cls, self).__delattr__(name)
+
+    def __replace__(self, /, **changes):
+        return self.__class__(**changes, **{n: getattr(self, n) for n in names if n not in changes})
 
     @recursive_repr()
     def __repr__(self):
@@ -41,11 +135,15 @@ def record(cls):
         return NotImplemented
 
     def __hash__(self):
-        return hash(hashed(self))
+        return hash(compared(self))
 
-    for method in (__repr__, __eq__, __hash__):
+    methods = [__init__, __setattr__, __delattr__, __repr__, __eq__, __hash__]
+    for method in methods + [__replace__] * (sys.version_info >= (3, 13)):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
+    cls.__record_fields__, cls.__match_args__ = table, names
+    for name in ("__dataclass_fields__", "__dataclass_params__", "__signature__"):
+        setattr(cls, name, _FromTwin(cls, name))
     return cls
 
 

@@ -180,11 +180,11 @@ def impact(changes: ChangeSet, new: Model) -> ImpactReport:
         )
         entries.append(
             ImpactEntry(
-                subject=subject,
-                ucas=tuple(u.id for u in ucas),
-                scenarios=tuple(s.id for s in citing.get(subject.id, ())),
-                hazards=tuple(hazard_ids),
-                losses=tuple(loss_ids),
+                subject,
+                tuple(u.id for u in ucas),
+                tuple(s.id for s in citing.get(subject.id, ())),
+                tuple(hazard_ids),
+                tuple(loss_ids),
             )
         )
 

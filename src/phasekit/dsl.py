@@ -47,11 +47,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import fields
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, Severity, Span, has_errors, record
+from .diagnostics import Diagnostic, Severity, Span, has_errors, new_record, record
 from .model import (
     DESCRIPTION,
     ID,
@@ -63,7 +62,6 @@ from .model import (
     Model,
     Ref,
     Slot,
-    Uca,
     assessment_ref,
     is_valid_identifier,
 )
@@ -383,7 +381,7 @@ def _statements(text: str, filename: str, diags: list[Diagnostic]) -> Iterator[t
             shape = _STATEMENTS.get(keyword)
             if shape is None or shape.has_id != (stmt_id is not None):
                 raise _Decline
-            keys = shape.keys
+            keys, description = shape.keys, shape.description
             attrs: dict[str, object] = {}
             for i in _KEY_GROUPS:
                 key, value = groups[i], groups[i + 1]
@@ -393,9 +391,10 @@ def _statements(text: str, filename: str, diags: list[Diagnostic]) -> Iterator[t
                 # '[' a list, a letter an identifier or enum word.
                 first = value[0]
                 if key is None:
-                    if first != '"' or shape.description is None or shape.description in attrs:
+                    if first != '"' or description is None or description in attrs:
                         raise _Decline
-                    attrs[shape.description] = _unescape(value[1:-1])
+                    value = value[1:-1]
+                    attrs[description] = _unescape(value) if "\\" in value else value
                     continue
                 spec = keys.get(key)
                 if spec is None:
@@ -406,7 +405,9 @@ def _statements(text: str, filename: str, diags: list[Diagnostic]) -> Iterator[t
                 if kind == STRING:
                     if first != '"':
                         raise _Decline
-                    value = _unescape(value[1:-1])
+                    value = value[1:-1]
+                    if "\\" in value:
+                        value = _unescape(value)
                 elif kind == IDLIST:
                     if first != "[" or _LIST_RE.fullmatch(value) is None:
                         raise _Decline
@@ -420,7 +421,7 @@ def _statements(text: str, filename: str, diags: list[Diagnostic]) -> Iterator[t
                     if value is None:
                         raise _Decline
                 attrs[field] = value
-            if not shape.required <= attrs.keys():
+            if not attrs.keys() >= shape.required:
                 raise _Decline
         except _Decline:
             m = None
@@ -431,7 +432,7 @@ def _statements(text: str, filename: str, diags: list[Diagnostic]) -> Iterator[t
             line += count("\r", line_start, start) - count("\r\n", line_start, start)
         line_start = start
         if m is not None:
-            yield keyword, stmt_id, attrs, Span(filename, line, m.start(2) - start + 1)
+            yield keyword, stmt_id, attrs, new_record(Span, (filename, line, m.start(2) - start + 1))
             pos = m.end()
             continue
         tokens, pos, line = _tokenize(text, pos, line, filename, diags)
@@ -440,23 +441,19 @@ def _statements(text: str, filename: str, diags: list[Diagnostic]) -> Iterator[t
             yield _parse_statement(tokens, filename, diags)
 
 
-def _constructor(element_class: ElementClass, keyword: str) -> Callable | None:
-    """Builds an element from its id and its attributes keyed by field; None
-    for a uca, which :func:`_assemble` builds once all edges are known."""
-    cls = element_class.type
-    if not element_class.identity:
-        return lambda i, a: cls(**a)
-    if element_class.name == "uca":
-        return None
-    if keyword in _EDGE_KINDS:  # the edge kind comes from the keyword
-        kind = _EDGE_KINDS[keyword]
-        return lambda i, a: cls(i, kind, **a)
-    return lambda i, a: cls(i, **a)
+def _fields(element_class: ElementClass, keyword: str) -> tuple[dict, Callable]:
+    """The defaults of the element's fields, in order, and a function from
+    attributes holding every field to their values in that order. An edge's
+    kind is its keyword's; :func:`_assemble` adds the id and a uca's source."""
+    defaults = {f.name: f.default for f in element_class.type.__record_fields__}
+    if keyword in _EDGE_KINDS:
+        defaults["kind"] = _EDGE_KINDS[keyword]
+    return defaults, itemgetter(*defaults)  # a tuple: every class has two fields
 
 
-#: Element class and constructor of each element keyword.
-_CONSTRUCTORS: dict[str, tuple[ElementClass, Callable | None]] = {
-    kw: (c, _constructor(c, kw)) for c in SCHEMA for kw in c.keywords
+#: Per element keyword: class name, record class, whether it has ids, _fields.
+_CONSTRUCTORS: dict[str, tuple] = {
+    kw: (c.name, c.type, bool(c.identity), *_fields(c, kw)) for c in SCHEMA for kw in c.keywords
 }
 
 
@@ -481,26 +478,27 @@ def _assemble(statements: Iterable[tuple | None], diags: list[Diagnostic]) -> Pa
             name = attrs["name"]
             name_span = span
             continue
-        element_class, build = _CONSTRUCTORS[kw]
-        if element_class.identity:
-            ref = new_ref(Ref, (element_class.name, stmt_id))
-            prior = spans.get(ref)
-            if prior is not None:
+        cls, record_cls, has_id, defaults, values = _CONSTRUCTORS[kw]
+        if has_id:
+            ref = new_ref(Ref, (cls, stmt_id))
+            prior = spans.setdefault(ref, span)
+            if prior is not span:
                 diags.append(
                     _error("P003", f"duplicate {ref.cls} id '{stmt_id}'", span, prior)
                 )
                 continue
             # A uca stays a statement until its action's source is known.
-            element = statement if build is None else build(stmt_id, attrs)
-        else:
-            element = build(stmt_id, attrs)
-            # Duplicate assessment cells are a semantic error, not a parse
-            # error; keep every declaration, each with its own span.
-            cell = (element.action, element.guide_type)
-            occurrences[cell] = occurrences.get(cell, 0) + 1
-            ref = assessment_ref(*cell, occurrences[cell])
-        spans[ref] = span
-        collections[element_class.name].append(element)
+            if kw != "uca":
+                statement = new_record(record_cls, values({**defaults, **attrs, "id": stmt_id}))
+            collections[cls].append(statement)
+            continue
+        element = new_record(record_cls, values(defaults | attrs))
+        # Duplicate assessment cells are a semantic error, not a parse
+        # error; keep every declaration, each with its own span.
+        cell = (element.action, element.guide_type)
+        occurrences[cell] = occurrences.get(cell, 0) + 1
+        spans[assessment_ref(*cell, occurrences[cell])] = span
+        collections[cls].append(element)
 
     # A statement's lexical errors come before its syntax error and assembly
     # reports after both; present everything in source order.
@@ -511,15 +509,13 @@ def _assemble(statements: Iterable[tuple | None], diags: list[Diagnostic]) -> Pa
 
     # A uca's source is the source of its action edge, empty without one.
     sources = {e.id: e.source for e in collections["edge"]}
-    collections["uca"] = [
-        Uca(uca_id, sources.get(attrs["action"], ""), **attrs)
-        for _, uca_id, attrs, _ in collections["uca"]
-    ]
-    model = Model(
-        name=name,
-        source_spans=spans,
-        **{c.collection: tuple(collections[c.name]) for c in SCHEMA},
-    )
+    _, uca_cls, _, defaults, values = _CONSTRUCTORS["uca"]
+    ucas = collections["uca"]
+    for index, (_, uca_id, attrs, _) in enumerate(ucas):
+        source = sources.get(attrs["action"], "")
+        ucas[index] = new_record(uca_cls, values({**defaults, **attrs, "id": uca_id, "source": source}))
+    # Model's fields: the name, the collections in schema order, the spans.
+    model = Model(name, *(tuple(collections[c.name]) for c in SCHEMA), spans)
     return ParseResult(model, tuple(diags))
 
 
@@ -580,7 +576,7 @@ _ALWAYS = object()  # compares unequal to every field value
 def _serializer_steps(element_class: ElementClass) -> tuple:
     """(getter, writer, value left out) per written slot, in slot order. An
     optional field is left out when it equals its default."""
-    defaults = {f.name: f.default for f in fields(element_class.type)}
+    defaults = {f.name: f.default for f in element_class.type.__record_fields__}
     return tuple(
         (attrgetter(s.field), _writer(s), _ALWAYS if s.required else defaults[s.field])
         for s in element_class.slots

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import fields
 
 from .analysis import (
     AccountabilityReport,
@@ -286,7 +285,7 @@ def report_json(model: Model, analyses: AnalysisBundle) -> str:
     metrics sections and a mandatory schema version."""
     # The counts, then every ratio in Metrics field order.
     metrics = dict(analyses.metrics.counts)
-    for field in fields(Metrics)[1:]:
+    for field in Metrics.__record_fields__[1:]:
         metrics[field.name] = getattr(analyses.metrics, field.name)
     document = {
         "model": _model_json(model),

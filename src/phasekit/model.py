@@ -7,12 +7,14 @@ per element class, so a loss and a hazard may share the same id text without
 conflict.
 
 Models never mutate after construction; every operation in this package is a
-pure function of its inputs. Cross-references are plain id strings and are
-checked by :func:`phasekit.analysis.validate`, not at construction time, so a
-partially written document can still be parsed and explored.
+pure function of its inputs. The element classes and :class:`Model` are
+frozen records (:func:`phasekit.diagnostics.record`), which behave as frozen
+dataclasses. Cross-references are plain id strings and are checked by
+:func:`phasekit.analysis.validate`, not at construction time, so a partially
+written document can still be parsed and explored.
 
 :data:`SCHEMA` is the one description of the nine element classes: per class
-its statement keywords, dataclass and ``Model`` collection, and per field its
+its statement keywords, record class and ``Model`` collection, and per field its
 DSL key, value kind, whether it is required and which class it refers to.
 The grammar and serializer in :mod:`phasekit.dsl`, the fields diff compares,
 the reference checks of validation, the JSON export and the reference
@@ -27,13 +29,12 @@ traces and impact queries avoid rescanning whole collections.
 from __future__ import annotations
 
 import re
-from dataclasses import field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple, Union
 
-from .diagnostics import Span, record
+from .diagnostics import Span, field, record
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
@@ -267,7 +268,7 @@ def _enum(field_name: str, key: str, enum_cls: type, required: bool = True) -> S
 
 
 #: The one description of the nine element classes, in canonical order. Each
-#: class lists its slots in dataclass field order (an assessment writes its
+#: class lists its slots in record field order (an assessment writes its
 #: verdict before its rationale); the DSL keys, the serializer, diff and the
 #: JSON export all follow that order. The grammar, the element constructors,
 #: the serializer, diff fields, the reference topology, the reference checks
@@ -386,7 +387,7 @@ class Model:
     @cached_property
     def index(self) -> ModelIndex:
         """The lazy maps of this model. ``cached_property`` stores it in the
-        instance ``__dict__``, outside the dataclass fields, so equality,
+        instance ``__dict__``, outside the record's fields, so equality,
         hashing and ``repr`` ignore it and ``dataclasses.replace`` returns a
         model with a fresh index."""
         return ModelIndex(self)

@@ -383,6 +383,18 @@ def test_an_edge_with_a_bad_id_leaves_the_others_checked():
     ]
 
 
+def test_an_id_declared_again_in_a_model_built_in_code_is_v008(c1):
+    node = c1.nodes[0]
+    model = dataclasses.replace(c1, nodes=(*c1.nodes, node, node))
+    diagnostics = validate(model)
+    assert [(d.severity, d.code, d.message, d.span) for d in diagnostics] == [
+        (Severity.ERROR, "V008", f"duplicate node id '{node.id}'", c1.source_spans[("node", node.id)])
+    ] * 2
+    # Classes are namespaced: a loss may share a node's id.
+    loss = dataclasses.replace(c1.losses[0], id=node.id)
+    assert validate(dataclasses.replace(c1, losses=(*c1.losses, loss))) == []
+
+
 def test_edge_kinds_given_as_text_behave_like_their_members():
     model = Model(
         **{
@@ -493,11 +505,26 @@ def test_valid_models_have_no_enum_errors_and_reparse(model):
 # ---------------------------------------------------------------------------
 
 
+def _repeated_ids(model: Model) -> int:
+    """Declarations whose valid id an earlier element of the same class has,
+    counted by comparing each with every one before it."""
+    count = 0
+    for element_class in SCHEMA:
+        if element_class.identity:
+            ids = [e.id for e in model.elements_of(element_class.name)]
+            count += sum(
+                isinstance(i, str) and is_valid_identifier(i) and i in ids[:n]
+                for n, i in enumerate(ids)
+            )
+    return count
+
+
 def assert_matches_walk(model: Model) -> list:
     """Full diagnostics, in order: code, severity, message, span and related
-    span."""
+    span. The walk predates V008, so a repeated id is counted apart."""
     diagnostics = validate(model)
-    assert diagnostics == oracle_validate(model)
+    assert [d for d in diagnostics if d.code != "V008"] == oracle_validate(model)
+    assert sum(d.code == "V008" for d in diagnostics) == _repeated_ids(model)
     return diagnostics
 
 
@@ -537,8 +564,8 @@ def _with_assessments(model: Model, rnd: random.Random, count: int) -> Model:
 def _inject_faults(model: Model, rnd: random.Random, rate: float = 0.05) -> Model:
     """Break about ``rate`` of the elements, each in one slot, with values of
     the right type: unknown or other ids and emptied or extended id lists
-    (V001-V004), enum text the parser rejects (V006), plus self-loops (V100)
-    and repeated assessment cells (V005)."""
+    (V001-V004), enum text the parser rejects (V006), plus self-loops (V100),
+    repeated assessment cells (V005) and elements declared again (V008)."""
     collections = {}
     for element_class in SCHEMA:
         elements = list(model.elements_of(element_class.name))
@@ -565,6 +592,11 @@ def _inject_faults(model: Model, rnd: random.Random, rate: float = 0.05) -> Mode
     assessments = collections["assessments"]
     repeated = rnd.sample(assessments, len(assessments) // 10)
     collections["assessments"] = assessments + tuple(repeated)
+    for element_class in SCHEMA:
+        elements = collections[element_class.collection]
+        if element_class.identity and elements:
+            again = rnd.sample(elements, max(1, int(len(elements) * rate)))
+            collections[element_class.collection] = elements + tuple(again)
     return dataclasses.replace(model, **collections)
 
 
@@ -580,7 +612,7 @@ def test_large_model_with_injected_faults_matches_walk(model, seed):
     model = parse(serialize(model), "large.phase").model
     diagnostics = assert_matches_walk(_inject_faults(model, rnd))
     assert {d.code for d in diagnostics} == {
-        "V001", "V002", "V003", "V004", "V005", "V006", "V100"
+        "V001", "V002", "V003", "V004", "V005", "V006", "V008", "V100"
     }
 
 
@@ -683,8 +715,8 @@ def test_hierarchy_matches_the_three_walk_oracle(model):
 
 
 def test_hierarchy_repeated_node_id_ranks_below_its_highest_controller():
-    # validate accepts a node id declared twice in a programmatic model; the
-    # scope holds it once, and E still sits one level below C.
+    # validate reports a node id declared twice in a programmatic model
+    # (V008); the scope holds it once, and E still sits one level below C.
     model = Model(
         nodes=tuple(Node(nid, nid, NodeKind.HUMAN) for nid in "AABCDE"),
         edges=tuple(
@@ -693,7 +725,7 @@ def test_hierarchy_repeated_node_id_ranks_below_its_highest_controller():
         ),
         boundaries=(SystemBoundary("X", "all", None, tuple("ABCDE")),),
     )
-    assert validate(model) == []
+    assert [d.message for d in validate(model)] == ["duplicate node id 'A'"]
     ranks, cycle_hints = hierarchy_ranks(model, "X")
     assert ranks == {"A": 0, "B": 1, "C": 2, "D": 0, "E": 3}
     assert cycle_hints == []

@@ -93,6 +93,96 @@ def test_main_freezes_the_import_time_heap():
     assert process.stdout.decode().splitlines()[-1] == "0 0 True True"
 
 
+#: Imports the CLI, then runs every subcommand in process, printing which of
+#: dataclasses and inspect are loaded after each step.
+CLI_IMPORTS = """
+import io, sys
+import phasekit.cli
+print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))
+for argv in sys.argv[1:]:
+    phasekit.cli.run(argv.split(), stdin=io.StringIO(), stdout=io.StringIO(), stderr=io.StringIO())
+print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))
+"""
+
+
+def test_importing_and_running_the_cli_loads_neither_dataclasses_nor_inspect():
+    inputs = SRC.parent / "tests" / "goldens" / "inputs"
+    c2 = fixture_path("c2")
+    calls = [
+        f"check {C1} --strict", f"check {inputs / 'parse_errors.phase'}",
+        f"check {inputs / 'semantic_errors.phase'}", f"coverage {c2} --format json",
+        f"coverage {C3} --format csv", f"trace {C1} --loss L1", f"hints {C3}",
+        f"render {c2} --boundary SB2", f"report {C3} --format md",
+        f"report {C3} --format json", f"diff {C1} {inputs / 'c1_rev.phase'} --impact",
+        f"diff {C1} {inputs / 'c1_rev.phase'} --format json", f"fmt {C1}",
+    ]
+    # -S: no site module, which may import either on its own.
+    process = _python("-S", "-c", CLI_IMPORTS, *calls)
+    assert process.stdout.decode().splitlines() == ["[]", "[]"], process.stderr
+
+
+#: Imports phasekit before dataclasses, then compares fields() and replace()
+#: on a Span and a Model with stdlib twins declared with the same fields.
+LATE_DATACLASSES = """
+import phasekit
+import dataclasses
+from phasekit import Model, Node, NodeKind, Ref, Span
+
+SpanTwin = dataclasses.make_dataclass(
+    "Span", [("file", "str"), ("line", "int"), ("column", "int")], frozen=True
+)
+collections = [
+    ("losses", "tuple[Loss, ...]"),
+    ("boundaries", "tuple[SystemBoundary, ...]"),
+    ("hazards", "tuple[Hazard, ...]"),
+    ("nodes", "tuple[Node, ...]"),
+    ("edges", "tuple[Edge, ...]"),
+    ("ucas", "tuple[Uca, ...]"),
+    ("scenarios", "tuple[LossScenario, ...]"),
+    ("requirements", "tuple[SafetyRequirement, ...]"),
+    ("assessments", "tuple[Assessment, ...]"),
+]
+ModelTwin = dataclasses.make_dataclass(
+    "Model",
+    [
+        ("name", "str", dataclasses.field(default="")),
+        *((name, kind, dataclasses.field(default=())) for name, kind in collections),
+        ("source_spans", "dict[Ref, Span]",
+         dataclasses.field(default_factory=dict, compare=False, repr=False)),
+    ],
+    frozen=True,
+)
+
+
+def table(cls):
+    return [
+        (f.name, f.type, f.default, f.default_factory, f.init, f.repr, f.hash, f.compare)
+        for f in dataclasses.fields(cls)
+    ]
+
+
+span, twin_span = Span("a.phase", 1, 2), SpanTwin("a.phase", 1, 2)
+spans = {Ref("node", "A"): span}
+node = Node("A", "a", NodeKind.HUMAN)
+model = Model(name="m", nodes=(node,), source_spans=spans)
+twin_model = ModelTwin(name="m", nodes=(node,), source_spans=spans)
+new_model, new_twin = dataclasses.replace(model, name="n"), dataclasses.replace(twin_model, name="n")
+print(
+    table(Span) == table(SpanTwin),
+    table(Model) == table(ModelTwin),
+    repr(dataclasses.replace(span, line=5)) == repr(dataclasses.replace(twin_span, line=5)),
+    repr(new_model) == repr(new_twin),
+    new_model.source_spans is new_twin.source_spans is spans,
+    dataclasses.replace(Model()).source_spans == {},
+)
+"""
+
+
+def test_dataclasses_imported_after_phasekit_sees_the_twins_fields_and_replace():
+    process = _python("-S", "-c", LATE_DATACLASSES)
+    assert process.stdout.decode().splitlines()[-1] == "True True True True True True"
+
+
 @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor in the child")
 @pytest.mark.parametrize(
     "fd,argv,code,message",

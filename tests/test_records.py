@@ -1,10 +1,10 @@
 """Every public record against its stdlib twin.
 
-The twin is ``@dataclass(frozen=True)`` built from the record's own fields,
-defaults and flags, so its ``__repr__``, ``__eq__`` and ``__hash__`` are the
-ones ``dataclasses`` generates. The instances come from the c1-c3 parses,
-their analyses, traces and diffs against the edited revisions, and the
-parse and validation of the error inputs.
+The twin is ``@dataclass(frozen=True)`` applied to the annotations and
+defaults the record's class body declares, so its methods, fields,
+signature and errors are the ones ``dataclasses`` generates. The instances
+come from the c1-c3 parses, their analyses, traces and diffs against the
+edited revisions, and the parse and validation of the error inputs.
 
 Only the standard library and phasekit are imported, so interpreters without
 pytest can run the same checks: ``PYTHONPATH=src python tests/test_records.py``.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import inspect
 import math
 import pickle
 from pathlib import Path
@@ -45,19 +46,24 @@ RECORDS = [
 ]
 
 
+#: The ``field()`` of each field declared with one; ``record``, like
+#: ``dataclasses``, leaves such a field off the class.
+FIELD_CALLS = {
+    (Model, "source_spans"): {"default_factory": dict, "compare": False, "repr": False},
+}
+
+
 def _twin(cls: type) -> type:
-    """``@dataclass(frozen=True)`` with the fields of ``cls``."""
-    spec = []
-    for f in dataclasses.fields(cls):
-        flags = {"repr": f.repr, "hash": f.hash, "compare": f.compare}
-        if f.default is not dataclasses.MISSING:
-            flags["default"] = f.default
-        if f.default_factory is not dataclasses.MISSING:
-            flags["default_factory"] = f.default_factory
-        spec.append((f.name, f.type, dataclasses.field(**flags)))
-    return dataclasses.make_dataclass(
-        cls.__name__, spec, frozen=True, namespace={"__qualname__": cls.__qualname__}
-    )
+    """``@dataclass(frozen=True)`` on the annotations and defaults of the
+    body of ``cls``."""
+    annotations = dict(vars(cls).get("__annotations__", {}))
+    namespace = {"__annotations__": annotations, "__qualname__": cls.__qualname__}
+    for name in annotations:
+        if (cls, name) in FIELD_CALLS:
+            namespace[name] = dataclasses.field(**FIELD_CALLS[cls, name])
+        elif name in vars(cls):
+            namespace[name] = vars(cls)[name]
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
 
 
 TWINS = {cls: _twin(cls) for cls in RECORDS}
@@ -123,6 +129,38 @@ def _frozen(action, *args) -> bool:
     return False
 
 
+def _outcome(action, /, *args, **kwargs):
+    """The repr of what ``action`` returns, or the type and text of what it
+    raises."""
+    try:
+        return repr(action(*args, **kwargs))
+    except Exception as error:  # the error is the outcome
+        return type(error), str(error)
+
+
+def _calls(names: list[str]) -> list[tuple[tuple, dict]]:
+    """Calls of an ``__init__`` with fields ``names``: valid ones, and each
+    way of binding its arguments that ``TypeError`` rejects, alone and
+    together, so the order of the checks shows too."""
+    n = len(names)
+    calls = [(tuple(range(k)), {}) for k in range(n + 3)]
+    calls += [((), dict(zip(names, range(n)))), ((), dict(zip(names[::-1], range(n))))]
+    calls += [
+        ((), {"unknown": 0}),
+        ((), {"self": 0}),
+        (tuple(range(n + 1)), {"unknown": 0}),
+    ]
+    for name in names:
+        calls += [
+            ((), {name: 0}),
+            ((), {name[:-1] or "x": 0}),  # a near miss, which 3.13 names
+            ((0,), {name: 1}),
+            (tuple(range(n + 1)), {name: 1, "unknown": 0}),
+            (tuple(range(n + 1)), {"unknown": 0, name: 1}),
+        ]
+    return calls
+
+
 def test_every_record_is_a_frozen_dataclass_with_instances():
     assert len(RECORDS) == 28
     for cls in RECORDS:
@@ -131,11 +169,79 @@ def test_every_record_is_a_frozen_dataclass_with_instances():
 
 
 def test_records_share_their_methods_and_have_their_own_docstrings():
+    names = ["__init__", "__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__"]
+    if hasattr(copy, "replace"):
+        names.append("__replace__")
     for cls in RECORDS:
-        for name in ("__eq__", "__hash__", "__repr__"):
-            assert getattr(cls, name).__code__ is getattr(Span, name).__code__, (cls, name)
+        for name in names:
+            method = vars(cls)[name]
+            assert method.__code__ is vars(Span)[name].__code__, (cls, name)
+            assert method.__qualname__ == f"{cls.__qualname__}.{name}", (cls, name)
         # dataclasses writes the signature where a class has no docstring.
         assert cls.__doc__ and not cls.__doc__.startswith(f"{cls.__name__}("), cls
+
+
+def test_signatures_fields_and_dataclass_functions_equal_the_twins():
+    def flags(cls_or_obj):
+        return [
+            (f.name, f.type, f.default, f.default_factory, f.init, f.repr, f.hash,
+             f.compare, dict(f.metadata), getattr(f, "kw_only", None))
+            for f in dataclasses.fields(cls_or_obj)
+        ]
+
+    for cls, twin in TWINS.items():
+        assert inspect.signature(cls) == inspect.signature(twin), cls
+        assert str(inspect.signature(cls)) == str(inspect.signature(twin)), cls
+        assert flags(cls) == flags(twin), cls
+        assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(twin), cls
+        assert cls.__dataclass_params__.init and cls.__dataclass_params__.frozen, cls
+        for obj in INSTANCES[cls]:
+            twin_obj = _as_twin(obj)
+            assert flags(obj) == flags(twin_obj)
+            assert dataclasses.is_dataclass(obj) and dataclasses.is_dataclass(twin_obj)
+            assert dataclasses.asdict(obj) == dataclasses.asdict(twin_obj)
+            assert dataclasses.astuple(obj) == dataclasses.astuple(twin_obj)
+
+
+def test_init_accepts_and_rejects_the_calls_the_twins_do():
+    for cls, twin in TWINS.items():
+        names = [f.name for f in dataclasses.fields(cls)]
+        for args, kwargs in _calls(names):
+            assert _outcome(cls, *args, **kwargs) == _outcome(twin, *args, **kwargs), (
+                cls, args, kwargs
+            )
+
+
+def test_replace_and_frozen_errors_equal_the_twins():
+    for cls, instances in INSTANCES.items():
+        obj = instances[0]
+        twin = _as_twin(obj)
+        names = [f.name for f in dataclasses.fields(cls)]
+        for changes in ({"unknown": 0}, {names[0]: 0, "unknown": 0}, {names[0]: 0}):
+            assert _outcome(dataclasses.replace, obj, **changes) == _outcome(
+                dataclasses.replace, twin, **changes
+            ), (cls, changes)
+            if hasattr(copy, "replace"):
+                assert _outcome(copy.replace, obj, **changes) == _outcome(
+                    copy.replace, twin, **changes
+                ), (cls, changes)
+        for name in (*names, "unknown", "__dict__"):
+            for action, args in ((setattr, (name, 0)), (delattr, (name,))):
+                assert _outcome(action, obj, *args) == _outcome(action, twin, *args), (
+                    cls, name
+                )
+
+
+def test_copy_replace_swaps_fields_as_the_twins_do():
+    if not hasattr(copy, "replace"):  # Python 3.13 and later
+        return
+    for cls, instances in INSTANCES.items():
+        for a, b in zip(instances, instances[1:] + instances[:1]):
+            changes = {f.name: getattr(b, f.name) for f in dataclasses.fields(a)}
+            swapped = copy.replace(a, **changes)
+            assert type(swapped) is cls
+            assert swapped == b
+            assert repr(swapped) == repr(copy.replace(_as_twin(a), **changes))
 
 
 def test_repr_hash_and_match_args_equal_the_twins():
