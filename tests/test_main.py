@@ -111,7 +111,8 @@ def test_importing_and_running_the_cli_loads_neither_dataclasses_nor_inspect():
     calls = [
         f"check {C1} --strict", f"check {inputs / 'parse_errors.phase'}",
         f"check {inputs / 'semantic_errors.phase'}", f"coverage {c2} --format json",
-        f"coverage {C3} --format csv", f"trace {C1} --loss L1", f"hints {C3}",
+        f"coverage {C3} --format csv", f"trace {C1} --loss L1",
+        f"trace {C1} --node DataProcessingTeam", f"hints {C3}",
         f"render {c2} --boundary SB2", f"report {C3} --format md",
         f"report {C3} --format json", f"diff {C1} {inputs / 'c1_rev.phase'} --impact",
         f"diff {C1} {inputs / 'c1_rev.phase'} --format json", f"fmt {C1}",
