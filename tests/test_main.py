@@ -6,6 +6,7 @@ bytes that ``run`` gives for the same argv."""
 from __future__ import annotations
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -94,32 +95,37 @@ def test_main_freezes_the_import_time_heap():
 
 
 #: Imports the CLI, then runs every subcommand in process, printing which of
-#: dataclasses and inspect are loaded after each step.
+#: dataclasses and inspect are loaded after each step, and the exit codes.
 CLI_IMPORTS = """
-import io, sys
+import io, json, sys
 import phasekit.cli
 print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))
-for argv in sys.argv[1:]:
-    phasekit.cli.run(argv.split(), stdin=io.StringIO(), stdout=io.StringIO(), stderr=io.StringIO())
+codes = [
+    phasekit.cli.run(argv, stdin=io.StringIO(), stdout=io.StringIO(), stderr=io.StringIO())
+    for argv in json.loads(sys.argv[1])
+]
 print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))
+print(*codes)
 """
 
 
 def test_importing_and_running_the_cli_loads_neither_dataclasses_nor_inspect():
     inputs = SRC.parent / "tests" / "goldens" / "inputs"
-    c2 = fixture_path("c2")
+    c2, rev = str(fixture_path("c2")), str(inputs / "c1_rev.phase")
     calls = [
-        f"check {C1} --strict", f"check {inputs / 'parse_errors.phase'}",
-        f"check {inputs / 'semantic_errors.phase'}", f"coverage {c2} --format json",
-        f"coverage {C3} --format csv", f"trace {C1} --loss L1",
-        f"trace {C1} --node DataProcessingTeam", f"hints {C3}",
-        f"render {c2} --boundary SB2", f"report {C3} --format md",
-        f"report {C3} --format json", f"diff {C1} {inputs / 'c1_rev.phase'} --impact",
-        f"diff {C1} {inputs / 'c1_rev.phase'} --format json", f"fmt {C1}",
+        ["check", C1, "--strict"], ["check", str(inputs / "parse_errors.phase")],
+        ["check", str(inputs / "semantic_errors.phase")], ["coverage", c2, "--format", "json"],
+        ["coverage", C3, "--format", "csv"], ["trace", C1, "--loss", "L1"],
+        ["trace", C1, "--node", "DataProcessingTeam"], ["hints", C3],
+        ["render", c2, "--boundary", "SB2"], ["report", C3, "--format", "md"],
+        ["report", C3, "--format", "json"], ["diff", C1, rev, "--impact"],
+        ["diff", C1, rev, "--format", "json"], ["fmt", C1],
     ]
     # -S: no site module, which may import either on its own.
-    process = _python("-S", "-c", CLI_IMPORTS, *calls)
-    assert process.stdout.decode().splitlines() == ["[]", "[]"], process.stderr
+    process = _python("-S", "-c", CLI_IMPORTS, json.dumps(calls))
+    assert process.stdout.decode().splitlines() == [
+        "[]", "[]", "0 2 2 0 0 0 0 0 0 0 0 0 0 0"
+    ], process.stderr
 
 
 #: Imports phasekit before dataclasses, then compares fields() and replace()
