@@ -20,18 +20,19 @@ serializer:
 * The fast match reads a whole logical statement with one match of one
   compiled pattern (``_STATEMENT_RE``), whose groups hold the keyword, the
   id and, item by item, each key and value, up to ``_MAX_ITEMS`` items (the
-  most written slots of any class); only an id list is checked again, by
-  ``_LIST_RE``. It reports nothing: a statement it does not accept as well
-  formed (no match, an unknown keyword or attribute, a repeated item, a
-  value of the wrong kind, a missing required attribute) is declined.
+  most written slots of any class), through a plan per statement shape
+  (``_PLANS``) that checks the keys once, so a statement only converts its
+  values. It reports nothing: a statement it does not accept as well formed
+  (no match, an unknown keyword or attribute, a repeated item, a value of the
+  wrong kind, a missing required attribute) is declined.
 * The token fallback reads a declined statement alone: ``_TOKEN_RE`` splits
   it into tokens (``_tokenize``) and ``_parse_statement`` parses them. It is
   the only code that reports lexical and statement errors (P001, P002,
   P004), with their spans. The fast match resumes at the next statement.
 
-Both hand the same assembly step (keyword, id, attributes, span) tuples; it
-builds the elements, reports duplicate ids (P003) and a repeated ``model``
-header (P002), and sorts every diagnostic into source order.
+Both feed the one loop of ``_assemble``, which builds the elements, reports
+duplicate ids (P003) and a repeated ``model`` header (P002), and sorts every
+diagnostic into source order.
 
 Diagnostic codes:
 
@@ -46,7 +47,7 @@ P004   invalid enumeration value
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -97,21 +98,18 @@ class _Shape(NamedTuple):
     has_id: bool
     description: str | None  # field of the quoted description
     keys: dict[str, Slot]
-    required: frozenset[str]  # fields of the description and required keys
 
 
 def _shape(element_class: ElementClass) -> _Shape:
-    keys = {s.key: s for s in element_class.slots if s.key not in (None, DESCRIPTION)}
     return _Shape(
         bool(element_class.identity),
         next((s.field for s in element_class.slots if s.key == DESCRIPTION), None),
-        keys,
-        frozenset(s.field for s in element_class.slots if s.key is not None and s.required),
+        {s.key: s for s in element_class.slots if s.key not in (None, DESCRIPTION)},
     )
 
 
 _STATEMENTS: dict[str, _Shape] = {
-    "model": _Shape(False, "name", {}, frozenset({"name"})),
+    "model": _Shape(False, "name", {}),
     **{kw: _shape(c) for c in SCHEMA for kw in c.keywords},
 }
 
@@ -148,17 +146,16 @@ _BLANK_LINES = rf"(?:[ \t]*(?:#[^\r\n]*|\\)?(?:{_BREAK}))*"
 _MAX_ITEMS = max(sum(s.key is not None for s in c.slots) for c in SCHEMA)
 # One item: a value with its key, or a description (a keyless value). A list
 # is only delimited here; _LIST_RE checks what it holds.
-_ITEM = rf"{_GAP}(?:({_WORD}){_GAP}={_GAP})?({_QUOTED}|{_WORD}|\[[^\]]*\])"
+_ITEM = rf"{_GAP}(?:({_WORD}){_GAP}={_GAP}|)({_QUOTED}|{_WORD}|\[[^\]]*\])"
 #: One logical statement, with the blank and comment lines before it: groups
 #: lead, keyword and id, then a key and a value per item. Each item is nested
-#: in the one before it, so the items present are the first ones.
+#: in the one before it: the items present are the first, the last one's value
+#: is the last group matched. ``(?:X|)``, unlike ``(?:X)?``, sets up no repeat.
 _STATEMENT_RE = re.compile(
-    rf"({_BLANK_LINES})[ \t]*({_WORD})(?:{_GAP}({_IDENT}))?"
-    + f"(?:{_ITEM}" * _MAX_ITEMS + ")?" * _MAX_ITEMS
+    rf"({_BLANK_LINES})[ \t]*({_WORD})(?:{_GAP}({_IDENT})|)"
+    + f"(?:{_ITEM}" * _MAX_ITEMS + "|)" * _MAX_ITEMS
     + rf"{_GAP}(?:#[^\r\n]*)?{_END}"
 )
-#: Where each item's key is in the statement's groups; its value follows.
-_KEY_GROUPS = range(3, 3 + 2 * _MAX_ITEMS, 2)
 #: An id list as the token parser reads it: ids, commas, blanks, continuations.
 _LIST_RE = re.compile(rf"\[{_GAP}(?:{_IDENT}{_GAP}(?:,{_GAP}{_IDENT}{_GAP})*)?\]")
 _LIST_ITEM_RE = re.compile(_WORD)
@@ -362,85 +359,6 @@ class _Decline(Exception):
     fallback."""
 
 
-def _statements(text: str, filename: str, diags: list[Diagnostic]) -> Iterator[tuple | None]:
-    """The statements of the document, each as :func:`_parse_statement` gives
-    it; lexical and statement errors are recorded in ``diags``."""
-    count = text.count
-    crlf = "\r" in text
-    match_statement = _STATEMENT_RE.match
-    end = len(text)
-    # ``line`` is the number of the line that starts at ``line_start``.
-    pos, line, line_start = 0, 1, 0
-    while pos < end:
-        m = match_statement(text, pos)
-        try:
-            if m is None:
-                raise _Decline
-            groups = m.groups()
-            keyword, stmt_id = groups[1], groups[2]
-            shape = _STATEMENTS.get(keyword)
-            if shape is None or shape.has_id != (stmt_id is not None):
-                raise _Decline
-            keys, description = shape.keys, shape.description
-            attrs: dict[str, object] = {}
-            for i in _KEY_GROUPS:
-                key, value = groups[i], groups[i + 1]
-                if value is None:
-                    break
-                # The first character tells the value's kind: '"' a string,
-                # '[' a list, a letter an identifier or enum word.
-                first = value[0]
-                if key is None:
-                    if first != '"' or description is None or description in attrs:
-                        raise _Decline
-                    value = value[1:-1]
-                    attrs[description] = _unescape(value) if "\\" in value else value
-                    continue
-                spec = keys.get(key)
-                if spec is None:
-                    raise _Decline
-                field, _, kind, members, _, _, nonempty = spec
-                if field in attrs:
-                    raise _Decline
-                if kind == STRING:
-                    if first != '"':
-                        raise _Decline
-                    value = value[1:-1]
-                    if "\\" in value:
-                        value = _unescape(value)
-                elif kind == IDLIST:
-                    if first != "[" or _LIST_RE.fullmatch(value) is None:
-                        raise _Decline
-                    value = tuple(_LIST_ITEM_RE.findall(value))
-                    if nonempty and not value:
-                        raise _Decline
-                elif not first.isalpha():
-                    raise _Decline
-                elif members is not None:
-                    value = members.get(value)
-                    if value is None:
-                        raise _Decline
-                attrs[field] = value
-            if not attrs.keys() >= shape.required:
-                raise _Decline
-        except _Decline:
-            m = None
-        # Line breaks from the previous statement's line to this one's.
-        start = pos if m is None else m.end(1)
-        line += count("\n", line_start, start)
-        if crlf:
-            line += count("\r", line_start, start) - count("\r\n", line_start, start)
-        line_start = start
-        if m is not None:
-            yield keyword, stmt_id, attrs, new_record(Span, (filename, line, m.start(2) - start + 1))
-            pos = m.end()
-            continue
-        tokens, pos, line = _tokenize(text, pos, line, filename, diags)
-        line_start = pos
-        if tokens:
-            yield _parse_statement(tokens, filename, diags)
-
-
 def _fields(element_class: ElementClass, keyword: str) -> tuple[dict, Callable]:
     """The defaults of the element's fields, in order, and a function from
     attributes holding every field to their values in that order. An edge's
@@ -451,54 +369,147 @@ def _fields(element_class: ElementClass, keyword: str) -> tuple[dict, Callable]:
     return defaults, itemgetter(*defaults)  # a tuple: every class has two fields
 
 
-#: Per element keyword: class name, record class, whether it has ids, _fields.
+#: Per keyword: class name, record class, _fields; the model header has none.
 _CONSTRUCTORS: dict[str, tuple] = {
-    kw: (c.name, c.type, bool(c.identity), *_fields(c, kw)) for c in SCHEMA for kw in c.keywords
+    "model": (None, None, {"name": ""}, lambda attrs: (attrs["name"],)),
+    **{kw: (c.name, c.type, *_fields(c, kw)) for c in SCHEMA for kw in c.keywords},
 }
+#: :func:`_plan` per statement shape; threads may build one at once, either is kept.
+_PLANS: dict[tuple, tuple] = {}
 
 
-def _assemble(statements: Iterable[tuple | None], diags: list[Diagnostic]) -> ParseResult:
-    """Build the model from parsed statements, reporting duplicate ids and
-    a repeated ``model`` header into ``diags``."""
-    name = ""
-    name_span: Span | None = None
+def _plan(shape: tuple) -> tuple:
+    """The plan of a shape (keyword and keys, and whether the id is absent):
+    class name, record class, (group, field position, kind, enum members,
+    nonempty) per value, and the defaults of the fields after the first. The
+    key checks run here, once per shape; one never well formed is not kept."""
+    (keyword, *keys), no_id = shape
+    statement = _STATEMENTS.get(keyword)
+    if statement is None or statement.has_id == no_id:
+        raise _Decline
+    cls, record_cls, defaults, _ = _CONSTRUCTORS[keyword]
+    fields = [*defaults]
+    items = []
+    written = set() if no_id else {"id"}
+    for group, key in enumerate(keys, 2):  # a keyless value is the description
+        slot = statement.keys.get(key) if key else Slot(statement.description, DESCRIPTION, STRING)
+        if slot is None or slot.field is None or slot.field in written:
+            raise _Decline
+        written.add(slot.field)
+        items.append((2 * group, fields.index(slot.field), slot.kind, slot.members, slot.nonempty))
+    # The first value is the id, or a field an item sets in a class without ids.
+    required = {s.field for s in statement.keys.values() if s.required}
+    if not required | {statement.description, fields[0]} <= written | {None}:
+        raise _Decline
+    _PLANS[shape] = plan = (cls, record_cls, tuple(items), tuple(defaults.values())[1:])
+    return plan
+
+
+def _assemble(
+    statements: Iterator[tuple | None], diags: list[Diagnostic], text: str = "", filename: str = ""
+) -> ParseResult:
+    """Build the model of ``text``, then of ``statements`` as
+    :func:`_parse_statement` gives them, recording lexical and statement
+    errors, duplicate ids (P003) and a repeated ``model`` header (P002) in
+    ``diags``. :func:`parse` passes only text."""
+    name, name_span = "", None
     collections: dict[str, list] = {c.name: [] for c in SCHEMA}
     spans: dict[Ref, Span] = {}
     occurrences: dict[tuple, int] = {}
     new_ref = tuple.__new__  # Ref's own __new__ only packs its arguments
-
-    for statement in statements:
-        if statement is None:
-            continue
-        kw, stmt_id, attrs, span = statement
-        if kw == "model":
+    new_object, set_field = object.__new__, object.__setattr__  # past Span's frozen one
+    plan_of = _PLANS.get
+    count = text.count
+    crlf = "\r" in text
+    match_statement = _STATEMENT_RE.match
+    end = len(text)
+    # ``line`` is the number of the line that starts at ``line_start``.
+    pos, line, line_start = 0, 1, 0
+    while True:
+        if pos < end:
+            m = match_statement(text, pos)
+            try:
+                if m is None:
+                    raise _Decline
+                groups = m.groups()
+                stmt_id = groups[2]
+                shape = (groups[1 : m.lastindex : 2], stmt_id is None)
+                cls, record_cls, items, defaults = plan_of(shape) or _plan(shape)
+                values = [stmt_id, *defaults]
+                for group, position, kind, members, nonempty in items:
+                    value = groups[group]
+                    # The first character tells the value's kind: '"' a
+                    # string, '[' a list, a letter an identifier or enum word.
+                    first = value[0]
+                    if kind == STRING:
+                        if first != '"':
+                            raise _Decline
+                        value = value[1:-1]
+                        if "\\" in value:
+                            value = _unescape(value)
+                    elif kind == IDLIST:
+                        if first != "[" or _LIST_RE.fullmatch(value) is None:
+                            raise _Decline
+                        value = tuple(_LIST_ITEM_RE.findall(value))
+                        if nonempty and not value:
+                            raise _Decline
+                    elif not first.isalpha():
+                        raise _Decline
+                    elif members is not None:
+                        value = members.get(value)
+                        if value is None:
+                            raise _Decline
+                    values[position] = value
+            except _Decline:
+                m = None
+            # Line breaks from the previous statement's line to this one's.
+            start = pos if m is None else m.end(1)
+            line += count("\n", line_start, start)
+            if crlf:
+                line += count("\r", line_start, start) - count("\r\n", line_start, start)
+            line_start = start
+            if m is not None:
+                # Three calls in the loop cost less than new_record's one.
+                span = new_object(Span)
+                set_field(span, "file", filename)
+                set_field(span, "line", line)
+                set_field(span, "column", m.start(2) - start + 1)
+                pos = m.end()
+            else:
+                tokens, pos, line = _tokenize(text, pos, line, filename, diags)
+                line_start = pos
+                statement = tokens and _parse_statement(tokens, filename, diags)
+        else:
+            m, statement = None, next(statements, False)
+            if statement is False:
+                break
+        if m is None:
+            if not statement:
+                continue
+            kw, stmt_id, attrs, span = statement
+            cls, record_cls, defaults, fields = _CONSTRUCTORS[kw]
+            values = [*fields({**defaults, **attrs, "id": stmt_id})]
+        if cls is None:
             if name_span is not None:
                 diags.append(_error("P002", "model name already declared", span, name_span))
-                continue
-            name = attrs["name"]
-            name_span = span
-            continue
-        cls, record_cls, has_id, defaults, values = _CONSTRUCTORS[kw]
-        if has_id:
+            else:
+                name, name_span = values[0], span
+        elif stmt_id is not None:
             ref = new_ref(Ref, (cls, stmt_id))
             prior = spans.setdefault(ref, span)
             if prior is not span:
-                diags.append(
-                    _error("P003", f"duplicate {ref.cls} id '{stmt_id}'", span, prior)
-                )
-                continue
-            # A uca stays a statement until its action's source is known.
-            if kw != "uca":
-                statement = new_record(record_cls, values({**defaults, **attrs, "id": stmt_id}))
-            collections[cls].append(statement)
-            continue
-        element = new_record(record_cls, values(defaults | attrs))
-        # Duplicate assessment cells are a semantic error, not a parse
-        # error; keep every declaration, each with its own span.
-        cell = (element.action, element.guide_type)
-        occurrences[cell] = occurrences.get(cell, 0) + 1
-        spans[assessment_ref(*cell, occurrences[cell])] = span
-        collections[cls].append(element)
+                diags.append(_error("P003", f"duplicate {cls} id '{stmt_id}'", span, prior))
+            else:
+                # A uca stays a value list until its action's source is known.
+                collections[cls].append(values if cls == "uca" else new_record(record_cls, values))
+        else:
+            element = new_record(record_cls, values)
+            # Duplicate assessment cells are a semantic error, not a parse
+            # error; keep every declaration, each with its own span.
+            cell = (element.action, element.guide_type)
+            occurrences[cell] = occurrences.get(cell, 0) + 1
+            spans[assessment_ref(*cell, occurrences[cell])] = span
+            collections[cls].append(element)
 
     # A statement's lexical errors come before its syntax error and assembly
     # reports after both; present everything in source order.
@@ -509,11 +520,12 @@ def _assemble(statements: Iterable[tuple | None], diags: list[Diagnostic]) -> Pa
 
     # A uca's source is the source of its action edge, empty without one.
     sources = {e.id: e.source for e in collections["edge"]}
-    _, uca_cls, _, defaults, values = _CONSTRUCTORS["uca"]
+    _, uca_cls, defaults, _ = _CONSTRUCTORS["uca"]
+    source, action = map([*defaults].index, ("source", "action"))
     ucas = collections["uca"]
-    for index, (_, uca_id, attrs, _) in enumerate(ucas):
-        source = sources.get(attrs["action"], "")
-        ucas[index] = new_record(uca_cls, values({**defaults, **attrs, "id": uca_id, "source": source}))
+    for index, values in enumerate(ucas):
+        values[source] = sources.get(values[action], "")
+        ucas[index] = new_record(uca_cls, values)
     # Model's fields: the name, the collections in schema order, the spans.
     model = Model(name, *(tuple(collections[c.name]) for c in SCHEMA), spans)
     return ParseResult(model, tuple(diags))
@@ -526,8 +538,7 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
     a span into ``text``. The model is returned only when there are no
     error-severity diagnostics.
     """
-    diags: list[Diagnostic] = []
-    return _assemble(_statements(text, filename, diags), diags)
+    return _assemble(iter(()), [], text, filename)
 
 
 def parse_file(path: str) -> ParseResult:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import re
+import sys
+import threading
 import time
 from unittest import mock
 
@@ -415,6 +418,118 @@ def test_every_order_of_a_complete_statement_takes_fast_path(element_class):
                     text += ("" if text[-1] in '"]' or item[0] == '"' else "\\\n") + item
             assert takes_fast_path(text), text
             assert assert_matches_exact(text).model is not None
+
+
+def _accepted_shapes(element_class) -> int:
+    """How many statement shapes of one keyword the fast match accepts: each
+    order of each choice of written slots that holds every required one."""
+    written = [slot for slot in element_class.slots if slot.key is not None]
+    optional = sum(not slot.required for slot in written)
+    required = len(written) - optional
+    return sum(
+        math.comb(optional, k) * math.factorial(required + k) for k in range(optional + 1)
+    )
+
+
+def test_declined_statements_add_no_plan():
+    """A statement the fast match declines leaves the plan table as it was,
+    so no input can grow it, and the token parser still reports it."""
+    text = "".join(f'loss L{i} "d" category=sociotechnical k{i}=x\n' for i in range(5000))
+    with mock.patch.object(dsl, "_PLANS", {}):
+        result = parse(text, "doc.phase")
+        assert dsl._PLANS == {}
+    assert [(d.code, d.message, d.span.line) for d in result.diagnostics] == [
+        ("P002", f"unknown attribute 'k{i}' for 'loss'", i + 1) for i in range(5000)
+    ]
+
+
+def test_plan_table_is_bounded_by_the_schema():
+    """Every accepted order of every keyword's items, spelled two ways, fills
+    the table with one plan per shape and no more."""
+    bound = 1 + sum(len(c.keywords) * _accepted_shapes(c) for c in SCHEMA)  # 1: model
+    docs = ['model "m"']
+    for element_class in SCHEMA:
+        items = _items(element_class, continued=False)
+        required = [
+            item for item, slot in zip(items, [s for s in element_class.slots if s.key is not None])
+            if slot.required
+        ]
+        for keyword in element_class.keywords:
+            head = keyword + (" E1" if element_class.identity else "")
+            for size in range(len(required), len(items) + 1):
+                for order in itertools.permutations(items, size):
+                    if set(required) <= set(order):
+                        docs.append(" ".join([head, *order]))
+                        docs.append(" \\\n\t".join([head, *order]) + "  # c")
+    with mock.patch.object(dsl, "_PLANS", {}):
+        for doc in docs:
+            assert takes_fast_path(doc), doc
+        assert len(dsl._PLANS) == bound
+        for doc in reversed(docs):
+            assert takes_fast_path(doc), doc
+        assert len(dsl._PLANS) == bound
+
+
+def _large_documents(model, seed) -> list[str]:
+    """c1-c3 and a messy rendering of ``model``."""
+    from .conftest import fixture_path
+
+    texts = [fixture_path(f"c{n}").read_text(encoding="utf-8") for n in (1, 2, 3)]
+    return [*texts, messy_render(model, random.Random(seed))]
+
+
+@_ONE_LARGE_MODEL
+@given(valid_models(max_per_class=300), st.integers(0, 2**32))
+def test_parse_does_not_depend_on_the_plans_before_it(model, seed):
+    """Each document parses as the oracle does from an empty plan table and
+    from one the other documents have filled."""
+    assume(sum(len(model.elements_of(cls)) for cls in CLASS_FIELDS) >= 1000)
+    docs = _large_documents(model, seed)
+    for index, doc in enumerate(docs):
+        with mock.patch.object(dsl, "_PLANS", {}):
+            assert assert_matches_exact(doc).model is not None
+        with mock.patch.object(dsl, "_PLANS", {}):
+            for other in docs[:index] + docs[index + 1 :]:
+                parse(other, "other.phase")
+            assert dsl._PLANS
+            assert_matches_exact(doc)
+
+
+@_ONE_LARGE_MODEL
+@given(valid_models(max_per_class=300), st.integers(0, 2**32))
+def test_parse_from_threads_matches_serial_parse(model, seed):
+    """Four threads that start together from an empty plan table, each
+    reading the documents in another order, get what one thread gets."""
+    assume(sum(len(model.elements_of(cls)) for cls in CLASS_FIELDS) >= 1000)
+    docs = _large_documents(model, seed)
+    with mock.patch.object(dsl, "_PLANS", {}):
+        serial = [parse(doc, "doc.phase") for doc in docs]
+    got: dict[int, list] = {}
+    start = threading.Barrier(4)
+
+    def work(offset: int) -> None:
+        start.wait()
+        order = docs[offset:] + docs[:offset]
+        got[offset] = [parse(doc, "doc.phase") for doc in order * 2]
+
+    threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside plan building too
+    try:
+        with mock.patch.object(dsl, "_PLANS", {}):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for offset, results in got.items():
+        want = (serial[offset:] + serial[:offset]) * 2
+        assert results == want
+        for result, expected in zip(results, want):
+            assert result.model.source_spans == expected.model.source_spans
+    assert len(got) == 4
 
 
 def test_one_item_too_many_declines():
