@@ -4,12 +4,17 @@ Elements are matched by (class, id); renaming an id therefore shows up as a
 removal plus an addition, never as a modification. Reference lists are
 compared as sets, so reordering `includes=[a,b]` to `[b,a]` is not a change,
 while any field-content change is, including free text: context drift is
-treated as analysis-relevant, so there is no cosmetic exemption.
+treated as analysis-relevant, so there is no cosmetic exemption. When a
+class declares one id more than once, its first declaration is the one
+compared, the one :func:`phasekit.model.lookup` finds.
 
 The model name header is outside the element registry and is not diffed.
 """
 
 from __future__ import annotations
+
+from itertools import compress
+from operator import attrgetter, itemgetter, ne
 
 from .diagnostics import record
 from .model import (
@@ -30,6 +35,8 @@ from .model import (
 _FIELDS: dict[str, tuple[tuple[str, bool], ...]] = {
     c.name: tuple((s.field, s.kind == IDLIST) for s in c.slots) for c in SCHEMA
 }
+#: Per class, the tuple of an element's compared fields.
+_VALUES = {c.name: attrgetter(*(s.field for s in c.slots)) for c in SCHEMA}
 
 
 @record
@@ -92,41 +99,35 @@ def _ref_sort_key(ref: Ref) -> tuple[int, str]:
     return (class_rank(ref.cls), ref.id)
 
 
-def element_map(model: Model) -> dict[Ref, Element]:
-    """All elements keyed by (class, id), assessments under their synthetic
-    cell key."""
-    mapping: dict[Ref, Element] = {}
-    for cls in ELEMENT_CLASSES:
-        for element in model.elements_of(cls):
-            mapping[Ref(cls, element_id(cls, element))] = element
-    return mapping
-
-
 def _changed_fields(cls: str, old: Element, new: Element) -> tuple[FieldChange, ...]:
-    changes: list[FieldChange] = []
-    for field_name, as_set in _FIELDS[cls]:
-        old_value = getattr(old, field_name)
-        new_value = getattr(new, field_name)
-        if as_set:
-            if frozenset(old_value) != frozenset(new_value):
-                changes.append(FieldChange(field_name, old_value, new_value))
-        elif old_value != new_value:
-            changes.append(FieldChange(field_name, old_value, new_value))
-    return tuple(changes)
+    return tuple(
+        FieldChange(name, a, b)
+        for (name, as_set), a, b in zip(_FIELDS[cls], _VALUES[cls](old), _VALUES[cls](new))
+        if (frozenset(a) != frozenset(b) if as_set else a != b)
+    )
 
 
 def diff(old: Model, new: Model) -> ChangeSet:
     """Added, removed, and field-modified elements between two versions."""
-    old_map = element_map(old)
-    new_map = element_map(new)
-    added = tuple(sorted((r for r in new_map if r not in old_map), key=_ref_sort_key))
-    removed = tuple(sorted((r for r in old_map if r not in new_map), key=_ref_sort_key))
+    added: list[Ref] = []
+    removed: list[Ref] = []
     modified: list[ModifiedElement] = []
-    for ref in sorted((r for r in old_map.keys() & new_map.keys()), key=_ref_sort_key):
-        changes = _changed_fields(ref.cls, old_map[ref], new_map[ref])
-        if changes:
-            modified.append(ModifiedElement(ref, changes))
-    return ChangeSet(added, removed, tuple(modified))
+    for cls in ELEMENT_CLASSES:
+        old_at, new_at = old.index.positions(cls), new.index.positions(cls)
+        added += [Ref(cls, key) for key in sorted(new_at.keys() - old_at.keys())]
+        removed += [Ref(cls, key) for key in sorted(old_at.keys() - new_at.keys())]
+        keys = list(old_at.keys() & new_at.keys())
+        olds = list(map(old.elements_of(cls).__getitem__, map(old_at.__getitem__, keys)))
+        news = list(map(new.elements_of(cls).__getitem__, map(new_at.__getitem__, keys)))
+        # Equal field tuples are skipped in C; unequal ones may still be
+        # equal once their id lists are read as sets.
+        values = _VALUES[cls]
+        unequal = compress(zip(keys, olds, news), map(ne, map(values, olds), map(values, news)))
+        for key, old_element, new_element in sorted(unequal, key=itemgetter(0)):
+            changes = _changed_fields(cls, old_element, new_element)
+            if changes:
+                modified.append(ModifiedElement(Ref(cls, key), changes))
+    return ChangeSet(tuple(added), tuple(removed), tuple(modified))
 
 
 def _referencers(model: Model, target: Ref) -> tuple[Ref, ...]:

@@ -10,6 +10,12 @@ Every function here is a pure function of its inputs and emits byte-equal
 output for equal inputs: no timestamps, no absolute paths, no environment
 leakage. A fragment two artifacts share, such as the coverage header row,
 the totals line or the line of a hint, is written by one function.
+
+Every JSON document is the text of ``json.dumps(..., indent=2,
+ensure_ascii=False)``. The model and coverage sections, nearly all of a
+report, are written a field at a time over whole collections, with the
+fields of each element class taken from ``SCHEMA``; the other sections and
+the diff document are written through ``_json_text``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import chain, compress
+from operator import attrgetter, not_
 
 from .analysis import (
     AccountabilityReport,
@@ -27,23 +35,24 @@ from .analysis import (
     Hint,
     Metrics,
     TraceTree,
+    _chain_children,
     control_hierarchy,
-    trace_loss,
 )
 from .diagnostics import Diagnostic, record
 from .diff import ChangeSet, ImpactReport
 from .model import (
     ENUM,
     GUIDE_TYPES,
+    ID,
     IDLIST,
     SCHEMA,
     STRING,
     EdgeKind,
-    ElementClass,
     Model,
     NodeKind,
     Ref,
     elements_in_boundary,
+    enum_text,
     lookup,
 )
 
@@ -120,68 +129,55 @@ def to_dot(model: Model, options: RenderOptions | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 _encode_text = json.encoder.encode_basestring
-_INFINITY = float("inf")
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _object_text(pairs, newline: str) -> str:
+    """A JSON object of keys and values already written as JSON text."""
+    if not pairs:
+        return "{}"
+    inner = newline + "  "
+    pairs = ("," + inner).join([f"{_encode_text(key)}: {text}" for key, text in pairs])
+    return "".join(["{", inner, pairs, newline, "}"])
+
+
+def _list_text(texts: list[str], newline: str) -> str:
+    """A JSON list of values already written as JSON text."""
+    inner = newline + "  "
+    return f"[{inner}{(',' + inner).join(texts)}{newline}]" if texts else "[]"
 
 
 def _json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, ensure_ascii=False)``, written directly.
 
+    It writes the report's small sections (diagnostics, hints, metrics), the
+    diff document, and each value the column writers below leave to it.
     json's indented encoder is pure Python and yields every token through a
     chain of generators; this writes the same text with one call per
     container. ``newline`` is the line break and indentation of the depth
     ``value`` sits at. Text goes through the C function json itself uses,
-    numbers through ``int.__repr__`` and ``float.__repr__``. Dict keys must
-    be text, and the value must be a tree: json would also write number,
-    bool and None keys and would detect a cycle, where this raises
-    ``TypeError`` and ``RecursionError``.
+    other leaves through json's own encoder. Dict keys must be text, and the
+    value must be a tree: json would also write number, bool and None keys
+    and would detect a cycle, where this raises ``TypeError`` and
+    ``RecursionError``.
     """
     if type(value) is str:  # most leaves are text
         return _encode_text(value)
+    inner = newline + "  "
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = newline + "  "
-        return (
-            "{" + inner
-            + ("," + inner).join([
-                _encode_text(key) + ": "
-                + (_encode_text(item) if type(item) is str else _json_text(item, inner))
-                for key, item in value.items()
-            ])
-            + newline + "}"
-        )
+        return _object_text([
+            (key, _encode_text(item) if type(item) is str else _json_text(item, inner))
+            for key, item in value.items()
+        ], newline)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return (
-            "[" + inner
-            + ("," + inner).join([
-                _encode_text(item) if type(item) is str else _json_text(item, inner)
-                for item in value
-            ])
-            + newline + "]"
-        )
-    # In json's order: bool is a subclass of int, a str-Enum member of str.
-    if isinstance(value, str):
-        return _encode_text(value)
+        return _list_text([
+            _encode_text(item) if type(item) is str else _json_text(item, inner) for item in value
+        ], newline)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INFINITY:
-            return "Infinity"
-        if value == -_INFINITY:
-            return "-Infinity"
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    # Numbers, booleans and str subclasses as json writes them; TypeError for
+    # what json cannot write.
+    return _encode_scalar(value)
 
 
 def _span_json(diagnostic: Diagnostic) -> dict | None:
@@ -215,69 +211,100 @@ def _hint_json(hint: Hint) -> dict:
     }
 
 
-def json_value(value):
-    """A field value as JSON: an id list as a list, an enum member as its
-    value text, anything else (text, None) as it is."""
-    if isinstance(value, tuple):
-        return list(value)
-    if hasattr(value, "value"):
-        return value.value
-    return value
+#: What json's C text encoder writes as its JSON value: text, and the enums
+#: of SCHEMA, which mix in str with their value.
+_TEXT_TYPES = {str, *(type(m) for c in SCHEMA for s in c.slots if s.members
+                      for m in s.members.values())}
 
 
-def _element_json_steps(element_class: ElementClass) -> tuple:
-    """(JSON key, field, whether to convert) per field, ``id`` first, slots
-    in order. Identifiers and text are written as they are."""
-    steps = [("id", "id", False)] if element_class.identity else []
-    for slot in element_class.slots:
-        key = "class" if slot.field == "scenario_class" else slot.field
-        steps.append((key, slot.field, slot.kind in (ENUM, IDLIST)))
-    return tuple(steps)
+def _column_text(values: list, kind: str, newline: str) -> list[str]:
+    """The JSON text of each value of one field of ``kind`` at ``newline``.
+
+    Text, ids and enum members go through json's C encoder in one map, and a
+    tuple of ids none of which needs escaping is joined whole. A column with
+    any other value (None, a list, an enum given as text, a wrong type) is
+    written value by value through :func:`_json_text`, so the text is the same.
+    """
+    try:
+        if kind == IDLIST and set(map(type, values)) == {tuple}:
+            ids = "".join(chain.from_iterable(values))
+            if len(_encode_text(ids)) == len(ids) + 2:
+                inner = newline + "  "
+                wrap, join = f'[{inner}"%s"{newline}]'.__mod__, f'",{inner}"'.join
+                texts = list(map(wrap, map(join, values)))
+                for at in compress(range(len(values)), map(not_, values)):
+                    texts[at] = "[]"
+                return texts
+        elif kind != IDLIST and (kind != ENUM or set(map(type, values)) <= _TEXT_TYPES):
+            return list(map(_encode_text, values))
+    except TypeError:
+        pass
+    if kind in (ENUM, IDLIST):
+        values = list(map(enum_text, values))
+    return [_json_text(value, newline) for value in values]
 
 
-_MODEL_JSON_STEPS = tuple((c, _element_json_steps(c)) for c in SCHEMA)
+def _objects_text(records, fields, newline: str, extra=()) -> list[str]:
+    """The JSON object of each record at ``newline``: a column per (key,
+    getter, kind) of ``fields`` and per (key, texts) of ``extra``, filled
+    into one %-template."""
+    template = _object_text([(field[0], "%s") for field in (*fields, *extra)], newline)
+    inner = newline + "  "
+    try:
+        columns = [_column_text(list(map(get, records)), kind, inner) for _, get, kind in fields]
+    except TypeError:  # raise what the first bad value in document order raises
+        for record_ in records:
+            for _, get, kind in fields:
+                _column_text([get(record_)], kind, inner)
+        raise
+    return list(map(template.__mod__, zip(*columns, *(texts for _, texts in extra))))
 
 
-def _model_json(model: Model) -> dict:
-    document: dict = {"name": model.name}
-    for element_class, steps in _MODEL_JSON_STEPS:
-        document[element_class.collection] = [
-            {
-                key: json_value(getattr(element, name))
-                if convert
-                else getattr(element, name)
-                for key, name, convert in steps
-            }
-            for element in model.elements_of(element_class.name)
+def _model_text(model: Model, newline: str) -> str:
+    inner = newline + "  "
+    pairs = [("name", _json_text(model.name, inner))]
+    for c in SCHEMA:
+        fields = [("id", attrgetter("id"), ID)] * len(c.identity) + [
+            ("class" if s.field == "scenario_class" else s.field, attrgetter(s.field), s.kind)
+            for s in c.slots
         ]
-    return document
+        texts = _objects_text(getattr(model, c.collection), fields, inner + "  ")
+        pairs.append((c.collection, _list_text(texts, inner)))
+    return _object_text(pairs, newline)
 
 
-def _coverage_json(matrix: CoverageMatrix) -> dict:
-    rows = []
-    for row in matrix.rows:
-        cells = {}
-        for guide, cell in zip(GUIDE_TYPES, row.cells):
-            entry: dict = {"state": cell.state.value}
-            if cell.state is CellState.COVERED:
-                entry["ucas"] = list(cell.uca_ids)
-            if cell.assessment is not None:
-                entry["rationale"] = cell.assessment.rationale
-            cells[guide.value] = entry
-        rows.append({"controller": row.controller, "action": row.action, "cells": cells})
+def _coverage_text(matrix: CoverageMatrix, newline: str) -> str:
+    inner, row_line = newline + "  ", newline + "    "
+    # The cells of every row, grouped by shape: covered or not, assessed or not.
+    cells = list(chain.from_iterable(map(attrgetter("cells"), matrix.rows)))
+    shapes: dict[tuple[bool, bool], list[int]] = {}
+    for at, cell in enumerate(cells):
+        shape = (cell.state is CellState.COVERED, cell.assessment is not None)
+        shapes.setdefault(shape, []).append(at)
+    texts: dict[int, str] = {}
+    for (covered, assessed), positions in shapes.items():
+        fields = [("state", attrgetter("state.value"), STRING)]
+        fields += [("ucas", attrgetter("uca_ids"), IDLIST)] * covered
+        fields += [("rationale", attrgetter("assessment.rationale"), STRING)] * assessed
+        shaped = _objects_text([cells[at] for at in positions], fields, row_line + "    ")
+        texts.update(zip(positions, shaped))
+    guides = _object_text([(g.value, "%s") for g in GUIDE_TYPES], row_line + "  ")
+    by_row = zip(*[map(texts.__getitem__, range(len(cells)))] * len(GUIDE_TYPES))
+    extra = (("cells", list(map(guides.__mod__, by_row))),)
+    ids = [(key, attrgetter(key), ID) for key in ("controller", "action")]
     covered, waived, gap = matrix.counts()
-    return {
-        "guide_types": [g.value for g in GUIDE_TYPES],
-        "rows": rows,
-        "counts": {"covered": covered, "waived": waived, "gap": gap},
-        "ratio": matrix.ratio(),
-        "warnings": [_diagnostic_json(d) for d in matrix.warnings],
-    }
+    return _object_text([
+        ("guide_types", _json_text([g.value for g in GUIDE_TYPES], inner)),
+        ("rows", _list_text(_objects_text(matrix.rows, ids, row_line, extra), inner)),
+        ("counts", _json_text({"covered": covered, "waived": waived, "gap": gap}, inner)),
+        ("ratio", _json_text(matrix.ratio(), inner)),
+        ("warnings", _json_text([_diagnostic_json(d) for d in matrix.warnings], inner)),
+    ], newline)
 
 
 def coverage_json(matrix: CoverageMatrix) -> str:
     """The coverage grid alone, as a JSON document."""
-    return _json_text(_coverage_json(matrix)) + "\n"
+    return _coverage_text(matrix, "\n") + "\n"
 
 
 def report_json(model: Model, analyses: AnalysisBundle) -> str:
@@ -287,15 +314,15 @@ def report_json(model: Model, analyses: AnalysisBundle) -> str:
     metrics = dict(analyses.metrics.counts)
     for field in Metrics.__record_fields__[1:]:
         metrics[field.name] = getattr(analyses.metrics, field.name)
-    document = {
-        "model": _model_json(model),
-        "diagnostics": [_diagnostic_json(d) for d in analyses.diagnostics],
-        "coverage": _coverage_json(analyses.coverage),
-        "hints": [_hint_json(h) for h in analyses.hints],
-        "metrics": metrics,
-        "schema_version": "1",
-    }
-    return _json_text(document) + "\n"
+    inner = "\n  "
+    return _object_text([
+        ("model", _model_text(model, inner)),
+        ("diagnostics", _json_text([_diagnostic_json(d) for d in analyses.diagnostics], inner)),
+        ("coverage", _coverage_text(analyses.coverage, inner)),
+        ("hints", _json_text([_hint_json(h) for h in analyses.hints], inner)),
+        ("metrics", _json_text(metrics, inner)),
+        ("schema_version", '"1"'),
+    ], "\n") + "\n"
 
 
 #: The id lists of an impact entry, in the order both diff views write them.
@@ -314,8 +341,8 @@ def diff_json(changes: ChangeSet, report: ImpactReport | None) -> str:
                 "changes": [
                     {
                         "field": change.field,
-                        "old": json_value(change.old),
-                        "new": json_value(change.new),
+                        "old": enum_text(change.old),
+                        "new": enum_text(change.new),
                     }
                     for change in entry.changes
                 ],
@@ -521,16 +548,17 @@ def _markdown_cell_text(cell: CoverageCell) -> str:
 
 
 def _trace_line(model: Model, loss_id: str) -> str:
-    """A loss and how many distinct ids of each class its trace reaches."""
-    reached: dict[str, set[str]] = {
-        cls: set() for cls in ("hazard", "uca", "scenario", "requirement")
-    }
-    below = list(trace_loss(model, loss_id).children)
-    while below:
-        node = below.pop()
-        reached[node.element_class].add(node.element_id)
-        below.extend(node.children)
-    return f"- {loss_id}: " + ", ".join(f"{len(ids)} {cls}s" for cls, ids in reached.items())
+    """A loss and how many distinct ids of each class its trace reaches:
+    down the chain, the ids of the elements that refer to an id reached one
+    level up."""
+    ids = {loss_id}
+    counts = []
+    for referrers, cls in zip(
+        _chain_children(model).values(), ("hazard", "uca", "scenario", "requirement")
+    ):
+        ids = {element.id for i in ids for element in referrers.get(i, ())}
+        counts.append(f"{len(ids)} {cls}s")
+    return f"- {loss_id}: " + ", ".join(counts)
 
 
 def report_markdown(model: Model, analyses: AnalysisBundle) -> str:

@@ -1,0 +1,97 @@
+"""The dict builders that ``phasekit.export.report_json`` and
+``coverage_json`` ran before they learned to write the model and coverage
+sections column by column from ``SCHEMA``, kept verbatim as an oracle.
+
+``_model_json`` builds a dict per element and ``_coverage_json`` one per
+row and per cell; ``oracle_report_document`` and ``oracle_coverage_document``
+assemble the documents ``report_json`` and ``coverage_json`` wrote through
+``_json_text``. For any model and analysis bundle, ``_json_text`` of the
+document, or the error it raises, is what the current writers must give.
+"""
+
+from __future__ import annotations
+
+from phasekit.analysis import AnalysisBundle, CellState, CoverageMatrix, Metrics
+from phasekit.export import _diagnostic_json, _hint_json
+from phasekit.model import ENUM, GUIDE_TYPES, IDLIST, SCHEMA, ElementClass, Model
+
+
+def json_value(value):
+    """A field value as JSON: an id list as a list, an enum member as its
+    value text, anything else (text, None) as it is."""
+    if isinstance(value, tuple):
+        return list(value)
+    if hasattr(value, "value"):
+        return value.value
+    return value
+
+
+def _element_json_steps(element_class: ElementClass) -> tuple:
+    """(JSON key, field, whether to convert) per field, ``id`` first, slots
+    in order. Identifiers and text are written as they are."""
+    steps = [("id", "id", False)] if element_class.identity else []
+    for slot in element_class.slots:
+        key = "class" if slot.field == "scenario_class" else slot.field
+        steps.append((key, slot.field, slot.kind in (ENUM, IDLIST)))
+    return tuple(steps)
+
+
+_MODEL_JSON_STEPS = tuple((c, _element_json_steps(c)) for c in SCHEMA)
+
+
+def _model_json(model: Model) -> dict:
+    document: dict = {"name": model.name}
+    for element_class, steps in _MODEL_JSON_STEPS:
+        document[element_class.collection] = [
+            {
+                key: json_value(getattr(element, name))
+                if convert
+                else getattr(element, name)
+                for key, name, convert in steps
+            }
+            for element in model.elements_of(element_class.name)
+        ]
+    return document
+
+
+def _coverage_json(matrix: CoverageMatrix) -> dict:
+    rows = []
+    for row in matrix.rows:
+        cells = {}
+        for guide, cell in zip(GUIDE_TYPES, row.cells):
+            entry: dict = {"state": cell.state.value}
+            if cell.state is CellState.COVERED:
+                entry["ucas"] = list(cell.uca_ids)
+            if cell.assessment is not None:
+                entry["rationale"] = cell.assessment.rationale
+            cells[guide.value] = entry
+        rows.append({"controller": row.controller, "action": row.action, "cells": cells})
+    covered, waived, gap = matrix.counts()
+    return {
+        "guide_types": [g.value for g in GUIDE_TYPES],
+        "rows": rows,
+        "counts": {"covered": covered, "waived": waived, "gap": gap},
+        "ratio": matrix.ratio(),
+        "warnings": [_diagnostic_json(d) for d in matrix.warnings],
+    }
+
+
+def oracle_coverage_document(matrix: CoverageMatrix) -> dict:
+    """The document ``coverage_json`` wrote."""
+    return _coverage_json(matrix)
+
+
+def oracle_report_document(model: Model, analyses: AnalysisBundle) -> dict:
+    """The document ``report_json`` wrote."""
+    # The counts, then every ratio in Metrics field order.
+    metrics = dict(analyses.metrics.counts)
+    for field in Metrics.__record_fields__[1:]:
+        metrics[field.name] = getattr(analyses.metrics, field.name)
+    return {
+        "model": _model_json(model),
+        "diagnostics": [_diagnostic_json(d) for d in analyses.diagnostics],
+        "coverage": _coverage_json(analyses.coverage),
+        "hints": [_hint_json(h) for h in analyses.hints],
+        "metrics": metrics,
+        "schema_version": "1",
+    }

@@ -26,10 +26,10 @@ from phasekit import (
     validate,
 )
 from phasekit.cli import run
-from phasekit.diff import element_map
 from phasekit.model import Ref, assessment_key
 
 from .conftest import fixture_path, load_fixture
+from .diff_oracle import element_map
 from .strategies import (
     breakable_models,
     documents,

@@ -1,9 +1,21 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import random
+import sys
+from enum import Enum
+from pathlib import Path
 
-from phasekit import Ref, diff, impact, parse
-from phasekit.diff import ChangeSet
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
+
+from phasekit import Ref, diff, impact, lookup, parse
+from phasekit.diff import ChangeSet, FieldChange
+from phasekit.model import ELEMENT_CLASSES, SCHEMA, STRING
+
+from .diff_oracle import diff as oracle_diff
+from .strategies import model_pairs, valid_models
 
 _BASE = (
     'model "pump"\n'
@@ -163,3 +175,138 @@ def test_free_text_changes_count(c1):
     changes = diff(c1, new)
     (entry,) = changes.modified
     assert entry.changes[0].field == "description"
+
+
+def test_diff_compares_the_first_declaration_of_a_repeated_id():
+    # Only a programmatic model can declare an id twice (V008 stops a
+    # document); the first declaration is the one lookup finds.
+    old = model_of(_BASE)
+    first = dataclasses.replace(old.nodes[0], name="first copy")
+    second = dataclasses.replace(old.nodes[0], name="second copy")
+    new = dataclasses.replace(old, nodes=(first, *old.nodes[1:], second))
+    assert lookup(new, "node", first.id) is first
+    (entry,) = diff(old, new).modified
+    assert entry.ref == Ref("node", first.id)
+    assert entry.changes == (FieldChange("name", old.nodes[0].name, "first copy"),)
+    unchanged = dataclasses.replace(old, nodes=(*old.nodes, second))
+    assert diff(old, unchanged).is_empty()
+
+
+# ---------------------------------------------------------------------------
+# diff against the element-walk oracle
+# ---------------------------------------------------------------------------
+
+
+def _shuffled_lists(element, rnd):
+    """The element with every id list in another order, equal as a set."""
+    lists = {
+        name: tuple(rnd.sample(value, len(value)))
+        for name, value in vars(element).items()
+        if isinstance(value, tuple)
+    }
+    return dataclasses.replace(element, **lists)
+
+
+def _enum_as_text(element):
+    """The element with every enum field given as its value text."""
+    return dataclasses.replace(
+        element,
+        **{
+            name: value.value
+            for name, value in vars(element).items()
+            if isinstance(value, Enum)
+        },
+    )
+
+
+@st.composite
+def diff_pairs(draw):
+    """Two versions of one model with unique ids: elements added, removed
+    and modified (text edits, enums changed and given as text, id lists
+    reordered and changed, assessments reworded under their cell)."""
+    a, b = draw(model_pairs())
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    collections = {}
+    for element_class in SCHEMA:
+        elements = []
+        for element in b.elements_of(element_class.name):
+            roll = rnd.random()
+            if roll < 0.2:
+                element = _shuffled_lists(element, rnd)
+            elif roll < 0.3:
+                element = _enum_as_text(element)
+            if rnd.random() < 0.1:
+                continue  # removed
+            elements.append(element)
+        collections[element_class.collection] = tuple(elements)
+    return a, dataclasses.replace(b, **collections)
+
+
+def assert_diff_matches_oracle(old, new):
+    assert diff(old, new) == oracle_diff(old, new)
+    assert diff(new, old) == oracle_diff(new, old)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(diff_pairs())
+def test_diff_matches_oracle(pair):
+    assert_diff_matches_oracle(*pair)
+
+
+def _large_pair():
+    """A derandomized valid model of at least a thousand elements and a
+    revision of it."""
+    found = []
+
+    @settings(max_examples=1, derandomize=True, deadline=None, database=None,
+              phases=[Phase.generate])
+    @given(valid_models(max_per_class=300), st.integers(0, 2**32))
+    def pick(model, seed):
+        assume(sum(len(model.elements_of(c)) for c in ELEMENT_CLASSES) >= 1000)
+        rnd = random.Random(seed)
+        collections = {}
+        for element_class in SCHEMA:
+            elements = []
+            for element in model.elements_of(element_class.name):
+                roll = rnd.random()
+                if roll < 0.05:
+                    continue
+                if roll < 0.1:
+                    element = _shuffled_lists(element, rnd)
+                elif roll < 0.15 and element_class.slots[-1].kind == STRING:
+                    element = dataclasses.replace(
+                        element, **{element_class.slots[-1].field: "revised"}
+                    )
+                elements.append(element)
+            collections[element_class.collection] = tuple(elements)
+        found.append((model, dataclasses.replace(model, **collections)))
+
+    pick()
+    return found[-1]
+
+
+def test_diff_matches_oracle_on_a_large_pair():
+    old, new = _large_pair()
+    changes = diff(old, new)
+    assert changes.added == () and changes.removed and changes.modified
+    assert_diff_matches_oracle(old, new)
+
+
+def _synth():
+    """bench/synth.py, the benchmark's generator, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "synth.py"
+    spec = importlib.util.spec_from_file_location("phasekit_bench_synth", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_diff_matches_oracle_on_the_benchmark_revision():
+    synth = _synth()
+    document = synth.generate(1000, 5)
+    old = model_of(synth.authored(document, 5))
+    new = model_of(synth.authored(synth.revise(document, 5, 10), "5/new"))
+    changes = diff(old, new)
+    assert changes.added and changes.removed and changes.modified
+    assert_diff_matches_oracle(old, new)

@@ -233,7 +233,7 @@ def test_round_trip_property(doc):
 def test_messy_render_parses_clean(model, seed):
     # Statement order is shuffled, so compare element content, not
     # declaration order.
-    from phasekit.diff import element_map
+    from .diff_oracle import element_map
 
     doc = messy_render(model, random.Random(seed))
     result = parse(doc)

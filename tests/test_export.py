@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phasekit import (
+    Assessment,
     Hazard,
     Loss,
     LossCategory,
@@ -24,8 +26,12 @@ from phasekit import (
     report_markdown,
     to_dot,
 )
-from phasekit.export import _json_text
-from phasekit.model import EdgeKind, GuideType
+from phasekit.analysis import CellState, trace_loss
+from phasekit.export import _json_text, _trace_line, coverage_json
+from phasekit.model import IDLIST, SCHEMA, STRING, EdgeKind, GuideType
+
+from .json_oracle import oracle_coverage_document, oracle_report_document
+from .strategies import valid_models
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
@@ -311,3 +317,229 @@ def test_json_text_takes_only_text_keys():
     # json would write the key as "1"; no phasekit document has such a key.
     with pytest.raises(TypeError):
         _json_text({1: "one"})
+
+
+# ---------------------------------------------------------------------------
+# The report writers against the dict oracle
+# ---------------------------------------------------------------------------
+
+
+def _outcome(write, *args):
+    """The text a writer returns, or the type and message of what it raises."""
+    try:
+        return write(*args)
+    except (TypeError, AttributeError) as error:
+        return type(error), str(error)
+
+
+def _oracle_report(model, analyses):
+    return _json_text(oracle_report_document(model, analyses)) + "\n"
+
+
+def _oracle_coverage(matrix):
+    return _json_text(oracle_coverage_document(matrix)) + "\n"
+
+
+def assert_writers_match_oracle(model, analyses):
+    report = _outcome(report_json, model, analyses)
+    assert report == _outcome(_oracle_report, model, analyses)
+    grid = _outcome(coverage_json, analyses.coverage)
+    assert grid == _outcome(_oracle_coverage, analyses.coverage)
+    if isinstance(report, str):
+        document = oracle_report_document(model, analyses)
+        assert report == reference_json(document) + "\n"
+    if isinstance(grid, str):
+        assert grid == reference_json(oracle_coverage_document(analyses.coverage)) + "\n"
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+def test_report_writers_match_oracle_on_case_studies(name, request):
+    model = request.getfixturevalue(name)
+    assert_writers_match_oracle(model, analyze(model))
+
+
+_WILD_TEXT = st.lists(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from([*_SPECIAL_CHARACTERS, "%", "%s", "%%", "%(a)s"]),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@st.composite
+def wild_models(draw) -> Model:
+    """Valid models whose name and text fields draw every character category,
+    optional text left unset at times, and id lists that sometimes hold an id
+    json must escape."""
+    model = draw(valid_models())
+    collections = {"name": draw(_WILD_TEXT)}
+    for element_class in SCHEMA:
+        elements = []
+        for element in model.elements_of(element_class.name):
+            changes = {}
+            for slot in element_class.slots:
+                if slot.kind == STRING:
+                    unset = not slot.required and draw(st.booleans())
+                    changes[slot.field] = None if unset else draw(_WILD_TEXT)
+                elif slot.kind == IDLIST and draw(st.integers(0, 4)) == 0:
+                    changes[slot.field] = (*getattr(element, slot.field), draw(_WILD_TEXT))
+            elements.append(dataclasses.replace(element, **changes))
+        collections[element_class.collection] = tuple(elements)
+    return dataclasses.replace(model, **collections)
+
+
+@settings(max_examples=150, deadline=None)
+@given(wild_models())
+def test_report_writers_match_oracle_on_any_text(model):
+    assert_writers_match_oracle(model, analyze(model))
+
+
+class _Tagged(str):
+    """Text of a str subclass, which json writes as its text."""
+
+
+class _Valued(str):
+    """Text whose ``value`` is other text, as an enum member made by a custom
+    ``__new__`` can be: json writes it as its text, the report an enum field
+    as its value."""
+
+    value = "its value"
+
+
+_WRONG_VALUES = [
+    None, 7, 2.5, True, "", "text", "safety-critical", (), ["N1", "N2"], ("N1", 7),
+    ('say "hi"',), GuideType.PROVIDED, _Valued("its text"), {"k": ["v"]}, _Tagged("tagged"),
+    object(), 3 + 4j,
+]
+
+
+def _every_field():
+    for element_class in SCHEMA:
+        for name in element_class.identity + tuple(s.field for s in element_class.slots):
+            yield element_class, name
+
+
+@pytest.mark.parametrize(
+    "element_class, name", list(_every_field()), ids=lambda v: getattr(v, "name", v)
+)
+def test_report_writers_match_oracle_on_wrong_types(element_class, name, c1):
+    """Every slot kind, given a wrong-typed value in a programmatic model,
+    writes today's text or raises today's error."""
+    analyses = analyze(c1)
+    elements = c1.elements_of(element_class.name)
+    assert elements
+    for value in _WRONG_VALUES:
+        wrong = dataclasses.replace(elements[-1], **{name: value})
+        model = dataclasses.replace(
+            c1, **{element_class.collection: (*elements[:-1], wrong)}
+        )
+        assert_writers_match_oracle(model, analyses)
+
+
+def test_report_writers_raise_for_the_first_bad_value_in_document_order(c1):
+    # The first loss is bad in a later column than the second: a column
+    # writer meets the second's first, the document the first's.
+    first, second = c1.losses[:2]
+    model = dataclasses.replace(
+        c1,
+        losses=(
+            dataclasses.replace(first, category=object()),
+            dataclasses.replace(second, description=3 + 4j),
+            *c1.losses[2:],
+        ),
+    )
+    outcome = _outcome(report_json, model, analyze(c1))
+    assert outcome == (TypeError, "Object of type object is not JSON serializable")
+    assert outcome == _outcome(_oracle_report, model, analyze(c1))
+
+
+# Coverage grids as coverage() builds them, four cells a row and uca ids in a
+# tuple, holding what a wrong-typed model puts there, and states and
+# assessments of the wrong type.
+_ROW_CHANGES = [("controller", None), ("controller", 7), ("action", object())]
+_CELL_CHANGES = [
+    ("state", "gap"), ("state", None), ("state", GuideType.PROVIDED),
+    ("uca_ids", ()), ("uca_ids", ("U1", 7)), ("uca_ids", ('a"b',)),
+    ("assessment", "not an assessment"),
+    ("assessment", Assessment("CA1", GuideType.PROVIDED, None)),
+    ("assessment", Assessment("CA1", GuideType.PROVIDED, 3 + 4j)),
+]
+
+
+@pytest.mark.parametrize("row_change", _ROW_CHANGES)
+def test_coverage_writer_matches_oracle_on_wrong_rows(row_change, c1):
+    name, value = row_change
+    analyses = analyze(c1)
+    rows = analyses.coverage.rows
+    matrix = dataclasses.replace(
+        analyses.coverage, rows=(*rows[:-1], dataclasses.replace(rows[-1], **{name: value}))
+    )
+    assert_writers_match_oracle(c1, dataclasses.replace(analyses, coverage=matrix))
+
+
+@pytest.mark.parametrize("cell_change", _CELL_CHANGES)
+def test_coverage_writer_matches_oracle_on_wrong_cells(cell_change, c1):
+    name, value = cell_change
+    analyses = analyze(c1)
+    rows = analyses.coverage.rows
+    for state in CellState:
+        position, row = next(
+            (i, r) for i, r in enumerate(rows) if any(c.state is state for c in r.cells)
+        )
+        at = next(i for i, c in enumerate(row.cells) if c.state is state)
+        cells = list(row.cells)
+        cells[at] = dataclasses.replace(cells[at], **{name: value})
+        changed = list(rows)
+        changed[position] = dataclasses.replace(row, cells=tuple(cells))
+        matrix = dataclasses.replace(analyses.coverage, rows=tuple(changed))
+        assert_writers_match_oracle(c1, dataclasses.replace(analyses, coverage=matrix))
+
+
+# ---------------------------------------------------------------------------
+# Traceability counts against a walk of the trace tree
+# ---------------------------------------------------------------------------
+
+
+def tree_walk_trace_line(model: Model, loss_id: str) -> str:
+    """How the traceability line was counted before: every node of the
+    loss's trace tree, by class."""
+    reached: dict[str, set[str]] = {
+        cls: set() for cls in ("hazard", "uca", "scenario", "requirement")
+    }
+    below = list(trace_loss(model, loss_id).children)
+    while below:
+        node = below.pop()
+        reached[node.element_class].add(node.element_id)
+        below.extend(node.children)
+    return f"- {loss_id}: " + ", ".join(f"{len(ids)} {cls}s" for cls, ids in reached.items())
+
+
+def assert_trace_lines_match_tree_walk(model: Model) -> None:
+    for loss in model.losses:
+        assert _trace_line(model, loss.id) == tree_walk_trace_line(model, loss.id)
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+def test_trace_lines_match_tree_walk_on_case_studies(name, request):
+    assert_trace_lines_match_tree_walk(request.getfixturevalue(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_models(max_per_class=6))
+def test_trace_lines_match_tree_walk(model):
+    # Hazards lead to several losses and ucas name several hazards, so
+    # subtrees are shared between losses and within one.
+    assert_trace_lines_match_tree_walk(model)
+
+
+def test_trace_lines_count_shared_ids_once():
+    model = model_of(
+        'boundary SB "s"\nloss L1 "l" category=sociotechnical\n'
+        'hazard H1 "h" boundary=SB leads_to=[L1]\nhazard H2 "h" boundary=SB leads_to=[L1]\n'
+        'node A "a" kind=human\nnode B "b" kind=human\naction CA1 from=A to=B "act"\n'
+        'uca U1 action=CA1 type=provided category=functional context="c" hazards=[H1,H2]\n'
+        'scenario S1 uca=U1 class=technical "s"\nrequirement R1 scenarios=[S1] "r"\n'
+    )
+    assert _trace_line(model, "L1") == "- L1: 2 hazards, 1 ucas, 1 scenarios, 1 requirements"
+    assert _trace_line(model, "L1") == tree_walk_trace_line(model, "L1")
