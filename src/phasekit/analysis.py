@@ -126,10 +126,7 @@ class CoverageMatrix:
     def ratio(self) -> float:
         """Examined share of the grid; 1.0 for an empty grid."""
         covered, waived, gap = self.counts()
-        total = covered + waived + gap
-        if total == 0:
-            return 1.0
-        return (covered + waived) / total
+        return _ratio(covered + waived, covered + waived + gap)
 
 
 @record

@@ -12,10 +12,10 @@ diagnostics and keeps going. Duplicate ids are parse errors (fail fast);
 dangling references are deferred to semantic validation so a partially
 written model can still be explored.
 
-:func:`parse` reads the document once, statement by statement, against one
-statement table, ``_STATEMENTS``, which is derived from the schema table
-:data:`phasekit.model.SCHEMA` like the element constructors and the
-serializer:
+:func:`parse` reads the document in one loop, statement by statement. One
+table derived from :data:`phasekit.model.SCHEMA`, ``_STATEMENTS``, says per
+keyword which keys a statement takes and requires and at which field position
+each value goes; both readers below consult it and fill a list of values:
 
 * The fast match reads a whole logical statement with one match of one
   compiled pattern (``_STATEMENT_RE``), whose groups hold the keyword, the
@@ -26,13 +26,13 @@ serializer:
   (no match, an unknown keyword or attribute, a repeated item, a value of the
   wrong kind, a missing required attribute) is declined.
 * The token fallback reads a declined statement alone: ``_TOKEN_RE`` splits
-  it into tokens (``_tokenize``) and ``_parse_statement`` parses them. It is
+  it into tokens (``_tokenize``) and ``_parse_statement`` walks them. It is
   the only code that reports lexical and statement errors (P001, P002,
   P004), with their spans. The fast match resumes at the next statement.
 
-Both feed the one loop of ``_assemble``, which builds the elements, reports
-duplicate ids (P003) and a repeated ``model`` header (P002), and sorts every
-diagnostic into source order.
+The loop builds each element from its values, reports duplicate ids (P003)
+and a repeated ``model`` header (P002), and sorts every diagnostic into
+source order.
 
 Diagnostic codes:
 
@@ -47,7 +47,7 @@ P004   invalid enumeration value
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -89,29 +89,8 @@ def _error(code: str, message: str, span: Span, related: Span | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Statement grammar table
+# Statement table
 # ---------------------------------------------------------------------------
-
-class _Shape(NamedTuple):
-    """What a statement keyword takes, derived from the schema table."""
-
-    has_id: bool
-    description: str | None  # field of the quoted description
-    keys: dict[str, Slot]
-
-
-def _shape(element_class: ElementClass) -> _Shape:
-    return _Shape(
-        bool(element_class.identity),
-        next((s.field for s in element_class.slots if s.key == DESCRIPTION), None),
-        {s.key: s for s in element_class.slots if s.key not in (None, DESCRIPTION)},
-    )
-
-
-_STATEMENTS: dict[str, _Shape] = {
-    "model": _Shape(False, "name", {}),
-    **{kw: _shape(c) for c in SCHEMA for kw in c.keywords},
-}
 
 _EDGE_KINDS = {
     "action": EdgeKind.CONTROL_ACTION,
@@ -119,6 +98,42 @@ _EDGE_KINDS = {
     "iolink": EdgeKind.IO_LINK,
 }
 _EDGE_KEYWORDS = {kind: kw for kw, kind in _EDGE_KINDS.items()}
+
+
+class _Statement(NamedTuple):
+    """What a statement keyword takes and builds, derived from the schema
+    table. A statement fills ``[id, *defaults]`` by field position."""
+
+    cls: str | None  # element class name; None for the model header
+    type: type | None  # record class
+    has_id: bool
+    keys: dict[str | None, tuple[int, Slot]]  # field position, slot; None: the description
+    required: tuple[str | None, ...]  # reported missing in order: the description, then slots
+    defaults: tuple  # of the fields after the first; an edge's kind is its keyword's
+
+
+def _statement(element_class: ElementClass, keyword: str) -> _Statement:
+    defaults = {f.name: f.default for f in element_class.type.__record_fields__}
+    if keyword in _EDGE_KINDS:
+        defaults["kind"] = _EDGE_KINDS[keyword]
+    position = [*defaults].index
+    # The description first; the sort is stable, so the rest keep slot order.
+    slots = sorted((s for s in element_class.slots if s.key), key=lambda s: s.key != DESCRIPTION)
+    keys = {None if s.key == DESCRIPTION else s.key: (position(s.field), s) for s in slots}
+    required = tuple(key for key, (_, slot) in keys.items() if slot.required)
+    return _Statement(
+        element_class.name, element_class.type, bool(element_class.identity), keys, required,
+        (*defaults.values(),)[1:],
+    )
+
+
+#: Per statement keyword, read by the plans and the token fallback alike.
+_STATEMENTS: dict[str, _Statement] = {
+    "model": _Statement(
+        None, None, False, {None: (0, Slot("name", DESCRIPTION, STRING))}, (None,), ()
+    ),
+    **{kw: _statement(c, kw) for c in SCHEMA for kw in c.keywords},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +254,7 @@ class _StatementError(Exception):
 def _parse_statement(
     tokens: list[_Token], filename: str, diags: list[Diagnostic]
 ) -> tuple | None:
-    """One statement as (keyword, id, attributes keyed by field, span), or
+    """One statement as (class name, record class, id, field values, span), or
     None when it has an error, which is recorded in ``diags``."""
     rest = iter(tokens)
 
@@ -304,12 +319,12 @@ def _parse_statement(
         keyword = head.value
         if head.kind != "word":
             fail("P002", "expected a statement keyword", head)
-        shape = _STATEMENTS.get(keyword)
-        if shape is None:
+        statement = _STATEMENTS.get(keyword)
+        if statement is None:
             fail("P002", f"unknown statement '{keyword}'", head)
 
         stmt_id: str | None = None
-        if shape.has_id:
+        if statement.has_id:
             tok = next(rest, None)
             if tok is None or tok.kind != "word":
                 fail("P002", f"'{keyword}' needs an identifier", tok)
@@ -319,32 +334,34 @@ def _parse_statement(
                 )
             stmt_id = tok.value
 
-        attrs: dict[str, object] = {}
+        values = [stmt_id, *statement.defaults]
+        written: set[str | None] = set()
         for tok in rest:
             if tok.kind == "string":
-                if shape.description is None or shape.description in attrs:
+                key = None
+                if key not in statement.keys or key in written:
                     fail("P002", "unexpected string", tok)
-                attrs[shape.description] = tok.value
-                continue
-            if tok.kind != "word":
+            elif tok.kind != "word":
                 fail("P002", f"unexpected '{tok.value}'", tok)
-            key = tok.value
-            if next(rest, (None, None))[:2] != ("punct", "="):
-                fail("P002", f"expected '=' after '{key}'", tok)
-            spec = shape.keys.get(key)
-            if spec is None:
-                fail("P002", f"unknown attribute '{key}' for '{keyword}'", tok)
-            if spec.field in attrs:
-                fail("P002", f"duplicate attribute '{key}'", tok)
-            attrs[spec.field] = value(key, spec)
+            else:
+                key = tok.value
+                if next(rest, (None, None))[:2] != ("punct", "="):
+                    fail("P002", f"expected '=' after '{key}'", tok)
+                if key not in statement.keys:
+                    fail("P002", f"unknown attribute '{key}' for '{keyword}'", tok)
+                if key in written:
+                    fail("P002", f"duplicate attribute '{key}'", tok)
+            written.add(key)
+            position, slot = statement.keys[key]
+            values[position] = tok.value if key is None else value(key, slot)
 
-        if shape.description is not None and shape.description not in attrs:
-            fail("P002", f"'{keyword}' needs a quoted description", head)
-        for key, spec in shape.keys.items():
-            if spec.required and spec.field not in attrs:
-                fail("P002", f"missing attribute '{key}=' on '{keyword}'", head)
+        for key in statement.required:
+            if key not in written:
+                message = f"missing attribute '{key}=' on '{keyword}'"
+                fail("P002", message if key else f"'{keyword}' needs a quoted description", head)
 
-        return keyword, stmt_id, attrs, Span(filename, head.line, head.column)
+        span = Span(filename, head.line, head.column)
+        return statement.cls, statement.type, stmt_id, values, span
     except _StatementError:
         return None
 
@@ -359,21 +376,6 @@ class _Decline(Exception):
     fallback."""
 
 
-def _fields(element_class: ElementClass, keyword: str) -> tuple[dict, Callable]:
-    """The defaults of the element's fields, in order, and a function from
-    attributes holding every field to their values in that order. An edge's
-    kind is its keyword's; :func:`_assemble` adds the id and a uca's source."""
-    defaults = {f.name: f.default for f in element_class.type.__record_fields__}
-    if keyword in _EDGE_KINDS:
-        defaults["kind"] = _EDGE_KINDS[keyword]
-    return defaults, itemgetter(*defaults)  # a tuple: every class has two fields
-
-
-#: Per keyword: class name, record class, _fields; the model header has none.
-_CONSTRUCTORS: dict[str, tuple] = {
-    "model": (None, None, {"name": ""}, lambda attrs: (attrs["name"],)),
-    **{kw: (c.name, c.type, *_fields(c, kw)) for c in SCHEMA for kw in c.keywords},
-}
 #: :func:`_plan` per statement shape; threads may build one at once, either is kept.
 _PLANS: dict[tuple, tuple] = {}
 
@@ -381,37 +383,34 @@ _PLANS: dict[tuple, tuple] = {}
 def _plan(shape: tuple) -> tuple:
     """The plan of a shape (keyword and keys, and whether the id is absent):
     class name, record class, (group, field position, kind, enum members,
-    nonempty) per value, and the defaults of the fields after the first. The
-    key checks run here, once per shape; one never well formed is not kept."""
+    nonempty) per value, and the defaults of the fields after the first; kept
+    once every key is known, none repeated and every required key present."""
     (keyword, *keys), no_id = shape
     statement = _STATEMENTS.get(keyword)
-    if statement is None or statement.has_id == no_id:
+    written = set(keys)  # a keyless value, the description, has the key None
+    if (
+        statement is None
+        or statement.has_id == no_id
+        or len(written) < len(keys)
+        or not set(statement.required) <= written <= statement.keys.keys()
+    ):
         raise _Decline
-    cls, record_cls, defaults, _ = _CONSTRUCTORS[keyword]
-    fields = [*defaults]
-    items = []
-    written = set() if no_id else {"id"}
-    for group, key in enumerate(keys, 2):  # a keyless value is the description
-        slot = statement.keys.get(key) if key else Slot(statement.description, DESCRIPTION, STRING)
-        if slot is None or slot.field is None or slot.field in written:
-            raise _Decline
-        written.add(slot.field)
-        items.append((2 * group, fields.index(slot.field), slot.kind, slot.members, slot.nonempty))
-    # The first value is the id, or a field an item sets in a class without ids.
-    required = {s.field for s in statement.keys.values() if s.required}
-    if not required | {statement.description, fields[0]} <= written | {None}:
-        raise _Decline
-    _PLANS[shape] = plan = (cls, record_cls, tuple(items), tuple(defaults.values())[1:])
+    items = tuple(
+        (2 * group, position, slot.kind, slot.members, slot.nonempty)
+        for group, (position, slot) in enumerate(map(statement.keys.get, keys), 2)
+    )
+    _PLANS[shape] = plan = (statement.cls, statement.type, items, statement.defaults)
     return plan
 
 
-def _assemble(
-    statements: Iterator[tuple | None], diags: list[Diagnostic], text: str = "", filename: str = ""
-) -> ParseResult:
-    """Build the model of ``text``, then of ``statements`` as
-    :func:`_parse_statement` gives them, recording lexical and statement
-    errors, duplicate ids (P003) and a repeated ``model`` header (P002) in
-    ``diags``. :func:`parse` passes only text."""
+def parse(text: str, filename: str = "<input>") -> ParseResult:
+    """Parse a PHASE document.
+
+    Never raises on malformed input: every problem becomes a diagnostic with
+    a span into ``text``. The model is returned only when there are no
+    error-severity diagnostics.
+    """
+    diags: list[Diagnostic] = []
     name, name_span = "", None
     collections: dict[str, list] = {c.name: [] for c in SCHEMA}
     spans: dict[Ref, Span] = {}
@@ -425,70 +424,62 @@ def _assemble(
     end = len(text)
     # ``line`` is the number of the line that starts at ``line_start``.
     pos, line, line_start = 0, 1, 0
-    while True:
-        if pos < end:
-            m = match_statement(text, pos)
-            try:
-                if m is None:
-                    raise _Decline
-                groups = m.groups()
-                stmt_id = groups[2]
-                shape = (groups[1 : m.lastindex : 2], stmt_id is None)
-                cls, record_cls, items, defaults = plan_of(shape) or _plan(shape)
-                values = [stmt_id, *defaults]
-                for group, position, kind, members, nonempty in items:
-                    value = groups[group]
-                    # The first character tells the value's kind: '"' a
-                    # string, '[' a list, a letter an identifier or enum word.
-                    first = value[0]
-                    if kind == STRING:
-                        if first != '"':
-                            raise _Decline
-                        value = value[1:-1]
-                        if "\\" in value:
-                            value = _unescape(value)
-                    elif kind == IDLIST:
-                        if first != "[" or _LIST_RE.fullmatch(value) is None:
-                            raise _Decline
-                        value = tuple(_LIST_ITEM_RE.findall(value))
-                        if nonempty and not value:
-                            raise _Decline
-                    elif not first.isalpha():
+    while pos < end:
+        m = match_statement(text, pos)
+        try:
+            if m is None:
+                raise _Decline
+            groups = m.groups()
+            stmt_id = groups[2]
+            shape = (groups[1 : m.lastindex : 2], stmt_id is None)
+            cls, record_cls, items, defaults = plan_of(shape) or _plan(shape)
+            values = [stmt_id, *defaults]
+            for group, position, kind, members, nonempty in items:
+                value = groups[group]
+                # The first character tells the value's kind: '"' a string,
+                # '[' a list, a letter an identifier or enum word.
+                first = value[0]
+                if kind == STRING:
+                    if first != '"':
                         raise _Decline
-                    elif members is not None:
-                        value = members.get(value)
-                        if value is None:
-                            raise _Decline
-                    values[position] = value
-            except _Decline:
-                m = None
-            # Line breaks from the previous statement's line to this one's.
-            start = pos if m is None else m.end(1)
-            line += count("\n", line_start, start)
-            if crlf:
-                line += count("\r", line_start, start) - count("\r\n", line_start, start)
-            line_start = start
-            if m is not None:
-                # Three calls in the loop cost less than new_record's one.
-                span = new_object(Span)
-                set_field(span, "file", filename)
-                set_field(span, "line", line)
-                set_field(span, "column", m.start(2) - start + 1)
-                pos = m.end()
-            else:
-                tokens, pos, line = _tokenize(text, pos, line, filename, diags)
-                line_start = pos
-                statement = tokens and _parse_statement(tokens, filename, diags)
+                    value = value[1:-1]
+                    if "\\" in value:
+                        value = _unescape(value)
+                elif kind == IDLIST:
+                    if first != "[" or _LIST_RE.fullmatch(value) is None:
+                        raise _Decline
+                    value = tuple(_LIST_ITEM_RE.findall(value))
+                    if nonempty and not value:
+                        raise _Decline
+                elif not first.isalpha():
+                    raise _Decline
+                elif members is not None:
+                    value = members.get(value)
+                    if value is None:
+                        raise _Decline
+                values[position] = value
+        except _Decline:
+            m = None
+        # Line breaks from the previous statement's line to this one's.
+        start = pos if m is None else m.end(1)
+        line += count("\n", line_start, start)
+        if crlf:
+            line += count("\r", line_start, start) - count("\r\n", line_start, start)
+        line_start = start
+        if m is not None:
+            # Three calls in the loop cost less than new_record's one.
+            span = new_object(Span)
+            set_field(span, "file", filename)
+            set_field(span, "line", line)
+            set_field(span, "column", m.start(2) - start + 1)
+            pos = m.end()
         else:
-            m, statement = None, next(statements, False)
-            if statement is False:
-                break
-        if m is None:
+            tokens, pos, line = _tokenize(text, pos, line, filename, diags)
+            line_start = pos
+            statement = tokens and _parse_statement(tokens, filename, diags)
             if not statement:
                 continue
-            kw, stmt_id, attrs, span = statement
-            cls, record_cls, defaults, fields = _CONSTRUCTORS[kw]
-            values = [*fields({**defaults, **attrs, "id": stmt_id})]
+            cls, record_cls, stmt_id, values, span = statement
         if cls is None:
             if name_span is not None:
                 diags.append(_error("P002", "model name already declared", span, name_span))
@@ -520,8 +511,8 @@ def _assemble(
 
     # A uca's source is the source of its action edge, empty without one.
     sources = {e.id: e.source for e in collections["edge"]}
-    _, uca_cls, defaults, _ = _CONSTRUCTORS["uca"]
-    source, action = map([*defaults].index, ("source", "action"))
+    uca_cls = _STATEMENTS["uca"].type
+    source, action = map(uca_cls.__match_args__.index, ("source", "action"))
     ucas = collections["uca"]
     for index, values in enumerate(ucas):
         values[source] = sources.get(values[action], "")
@@ -529,16 +520,6 @@ def _assemble(
     # Model's fields: the name, the collections in schema order, the spans.
     model = Model(name, *(tuple(collections[c.name]) for c in SCHEMA), spans)
     return ParseResult(model, tuple(diags))
-
-
-def parse(text: str, filename: str = "<input>") -> ParseResult:
-    """Parse a PHASE document.
-
-    Never raises on malformed input: every problem becomes a diagnostic with
-    a span into ``text``. The model is returned only when there are no
-    error-severity diagnostics.
-    """
-    return _assemble(iter(()), [], text, filename)
 
 
 def parse_file(path: str) -> ParseResult:

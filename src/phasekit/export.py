@@ -36,6 +36,7 @@ from .analysis import (
     Metrics,
     TraceTree,
     _chain_children,
+    _ratio,
     control_hierarchy,
 )
 from .diagnostics import Diagnostic, record
@@ -297,7 +298,7 @@ def _coverage_text(matrix: CoverageMatrix, newline: str) -> str:
         ("guide_types", _json_text([g.value for g in GUIDE_TYPES], inner)),
         ("rows", _list_text(_objects_text(matrix.rows, ids, row_line, extra), inner)),
         ("counts", _json_text({"covered": covered, "waived": waived, "gap": gap}, inner)),
-        ("ratio", _json_text(matrix.ratio(), inner)),
+        ("ratio", _json_text(_ratio(covered + waived, covered + waived + gap), inner)),
         ("warnings", _json_text([_diagnostic_json(d) for d in matrix.warnings], inner)),
     ], newline)
 
@@ -396,7 +397,8 @@ def _coverage_rows(matrix: CoverageMatrix, cell_text=coverage_cell_text) -> list
 
 def _coverage_totals(matrix: CoverageMatrix) -> str:
     covered, waived, gap = matrix.counts()
-    return f"{covered} covered, {waived} waived, {gap} gaps; ratio {matrix.ratio()!r}"
+    ratio = _ratio(covered + waived, covered + waived + gap)
+    return f"{covered} covered, {waived} waived, {gap} gaps; ratio {ratio!r}"
 
 
 def coverage_table(matrix: CoverageMatrix) -> str:

@@ -1,21 +1,42 @@
 """The token parser that ``phasekit.dsl.parse`` ran on any document holding an
 error before it learned to fall back one statement at a time, kept verbatim
-as an oracle.
+as an oracle, with the statement tables and the assembly step ``parse`` used
+then.
 
 It lexes the whole document into statements of tokens with a character loop
-(``_lex``), parses each statement through a cursor (``_parse_statement``) and
-hands them to the same assembly step as ``parse``, so for every text its
-result, diagnostics in order, message and span included, and the model with
-its ``source_spans``, is what ``parse`` must return.
+(``_lex``), parses each statement through a cursor (``_parse_statement``)
+into attributes keyed by field, and builds the model from them
+(``_assemble``): defaults merged with the attributes, duplicate ids (P003)
+and a repeated ``model`` header (P002) with the prior span, assessment cells
+counted by occurrence, diagnostics sorted into source order, and each uca's
+source taken from its action. It shares no parsing or assembly code with
+``parse``, so for every text its result, diagnostics in order, message, span
+and related span included, and the model with its ``source_spans``, is what
+``parse`` must return.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
+from operator import itemgetter
 from typing import NamedTuple
 
-from phasekit.diagnostics import Diagnostic, Severity, Span
-from phasekit.dsl import _STATEMENTS, ParseResult, _assemble
-from phasekit.model import ID, IDLIST, STRING, Slot, is_valid_identifier
+from phasekit.diagnostics import Diagnostic, Severity, Span, has_errors, new_record
+from phasekit.dsl import ParseResult
+from phasekit.model import (
+    DESCRIPTION,
+    ID,
+    IDLIST,
+    SCHEMA,
+    STRING,
+    EdgeKind,
+    ElementClass,
+    Model,
+    Ref,
+    Slot,
+    assessment_ref,
+    is_valid_identifier,
+)
 
 _WORD_CHARS = frozenset(
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
@@ -31,6 +52,51 @@ class _Token(NamedTuple):
 
 def _error(code: str, message: str, span: Span, related: Span | None = None) -> Diagnostic:
     return Diagnostic(Severity.ERROR, code, message, span, related)
+
+
+class _Shape(NamedTuple):
+    """What a statement keyword takes, derived from the schema table."""
+
+    has_id: bool
+    description: str | None  # field of the quoted description
+    keys: dict[str, Slot]
+
+
+def _shape(element_class: ElementClass) -> _Shape:
+    return _Shape(
+        bool(element_class.identity),
+        next((s.field for s in element_class.slots if s.key == DESCRIPTION), None),
+        {s.key: s for s in element_class.slots if s.key not in (None, DESCRIPTION)},
+    )
+
+
+_STATEMENTS: dict[str, _Shape] = {
+    "model": _Shape(False, "name", {}),
+    **{kw: _shape(c) for c in SCHEMA for kw in c.keywords},
+}
+
+_EDGE_KINDS = {
+    "action": EdgeKind.CONTROL_ACTION,
+    "feedback": EdgeKind.FEEDBACK,
+    "iolink": EdgeKind.IO_LINK,
+}
+
+
+def _fields(element_class: ElementClass, keyword: str) -> tuple[dict, Callable]:
+    """The defaults of the element's fields, in order, and a function from
+    attributes holding every field to their values in that order. An edge's
+    kind is its keyword's; :func:`_assemble` adds the id and a uca's source."""
+    defaults = {f.name: f.default for f in element_class.type.__record_fields__}
+    if keyword in _EDGE_KINDS:
+        defaults["kind"] = _EDGE_KINDS[keyword]
+    return defaults, itemgetter(*defaults)  # a tuple: every class has two fields
+
+
+#: Per keyword: class name, record class, _fields; the model header has none.
+_CONSTRUCTORS: dict[str, tuple] = {
+    "model": (None, None, {"name": ""}, lambda attrs: (attrs["name"],)),
+    **{kw: (c.name, c.type, *_fields(c, kw)) for c in SCHEMA for kw in c.keywords},
+}
 
 
 def _lex(text: str, filename: str, diags: list[Diagnostic]) -> list[list[_Token]]:
@@ -315,6 +381,62 @@ def _parse_statement(
         return head.value, stmt_id, attrs, Span(filename, head.line, head.column)
     except _StatementError:
         return None
+
+
+def _assemble(statements: Iterator[tuple | None], diags: list[Diagnostic]) -> ParseResult:
+    """Build the model of ``statements`` as :func:`_parse_statement` gives
+    them, recording duplicate ids (P003) and a repeated ``model`` header
+    (P002) in ``diags``."""
+    name, name_span = "", None
+    collections: dict[str, list] = {c.name: [] for c in SCHEMA}
+    spans: dict[Ref, Span] = {}
+    occurrences: dict[tuple, int] = {}
+    for statement in statements:
+        if not statement:
+            continue
+        kw, stmt_id, attrs, span = statement
+        cls, record_cls, defaults, fields = _CONSTRUCTORS[kw]
+        values = [*fields({**defaults, **attrs, "id": stmt_id})]
+        if cls is None:
+            if name_span is not None:
+                diags.append(_error("P002", "model name already declared", span, name_span))
+            else:
+                name, name_span = values[0], span
+        elif stmt_id is not None:
+            ref = Ref(cls, stmt_id)
+            prior = spans.setdefault(ref, span)
+            if prior is not span:
+                diags.append(_error("P003", f"duplicate {cls} id '{stmt_id}'", span, prior))
+            else:
+                # A uca stays a value list until its action's source is known.
+                collections[cls].append(values if cls == "uca" else new_record(record_cls, values))
+        else:
+            element = new_record(record_cls, values)
+            # Duplicate assessment cells are a semantic error, not a parse
+            # error; keep every declaration, each with its own span.
+            cell = (element.action, element.guide_type)
+            occurrences[cell] = occurrences.get(cell, 0) + 1
+            spans[assessment_ref(*cell, occurrences[cell])] = span
+            collections[cls].append(element)
+
+    # A statement's lexical errors come before its syntax error and assembly
+    # reports after both; present everything in source order.
+    diags.sort(key=lambda d: (d.span.line, d.span.column) if d.span else (0, 0))
+
+    if has_errors(diags):
+        return ParseResult(None, tuple(diags))
+
+    # A uca's source is the source of its action edge, empty without one.
+    sources = {e.id: e.source for e in collections["edge"]}
+    _, uca_cls, defaults, _ = _CONSTRUCTORS["uca"]
+    source, action = map([*defaults].index, ("source", "action"))
+    ucas = collections["uca"]
+    for index, values in enumerate(ucas):
+        values[source] = sources.get(values[action], "")
+        ucas[index] = new_record(uca_cls, values)
+    # Model's fields: the name, the collections in schema order, the spans.
+    model = Model(name, *(tuple(collections[c.name]) for c in SCHEMA), spans)
+    return ParseResult(model, tuple(diags))
 
 
 def _parse_exact(text: str, filename: str) -> ParseResult:

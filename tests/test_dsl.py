@@ -13,7 +13,7 @@ import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from phasekit import LossCategory, Severity, parse, serialize
+from phasekit import LossCategory, Severity, Span, parse, serialize
 from phasekit import dsl
 from phasekit.dsl import _MAX_ITEMS
 from phasekit.model import (
@@ -74,7 +74,7 @@ def test_duplicate_id_reports_both_spans():
     (diag,) = result.diagnostics
     assert diag.code == "P003"
     assert diag.span.line == 2
-    assert diag.related_span.line == 1
+    assert diag.related_span == Span("<input>", 1, 1)
 
 
 def test_same_id_in_two_classes_is_fine():
@@ -96,16 +96,59 @@ def test_lexical_errors():
     assert codes(parse("loss \\ L1")) == ["P002", "P001"]
 
 
-def test_syntax_errors():
-    assert codes(parse("wibble L1")) == ["P002"]
-    assert codes(parse('loss 9x "a" category=sociotechnical')) == ["P002"]
-    assert codes(parse('loss L1 "a"')) == ["P002"]  # missing category
-    assert codes(parse('loss L1 "a" "b" category=sociotechnical')) == ["P002"]
-    assert codes(parse('loss L1 "a" category=sociotechnical category=sociotechnical')) == ["P002"]
-    assert codes(parse('loss L1 "a" flavour=sweet category=sociotechnical')) == ["P002"]
-    assert codes(parse('hazard H1 "h" boundary=SB leads_to=[]')) == ["P002"]
-    assert codes(parse('uca U1 action=CA1 type=provided category=functional context="c" hazards=[H1')) == ["P002"]
-    assert codes(parse("model")) == ["P002"]
+_CATEGORIES = "safety-critical, performance-related, sociotechnical"
+
+
+@pytest.mark.parametrize(
+    "text, code, message, column",
+    [
+        ('"x" loss', "P002", "expected a statement keyword", 1),
+        ("wibble L1", "P002", "unknown statement 'wibble'", 1),
+        ('loss "a"', "P002", "'loss' needs an identifier", 6),
+        ('loss 9x "a" category=sociotechnical', "P002",
+         "invalid identifier '9x' (must start with a letter)", 6),
+        ('loss L1 "a" "b" category=sociotechnical', "P002", "unexpected string", 13),
+        ('loss L1 "a" , category=sociotechnical', "P002", "unexpected ','", 13),
+        ('loss L1 "a" category sociotechnical', "P002", "expected '=' after 'category'", 13),
+        ('loss L1 "a" flavour=sweet category=sociotechnical', "P002",
+         "unknown attribute 'flavour' for 'loss'", 13),
+        ('loss L1 "a" category=sociotechnical category=sociotechnical', "P002",
+         "duplicate attribute 'category'", 37),
+        ('loss L1 "a" category=', "P002", "missing value for 'category='", 21),
+        ('hazard H1 "h" boundary=SB leads_to=]', "P002",
+         "unexpected token after 'leads_to='", 36),
+        ('hazard H1 "h" boundary=SB leads_to=[L1 L2]', "P002",
+         "expected ',' or ']' in 'leads_to=' list", 40),
+        ('hazard H1 "h" boundary=SB leads_to=[9x]', "P002",
+         "expected an identifier in 'leads_to=' list", 37),
+        ('uca U1 action=CA1 type=provided category=functional context="c" hazards=[H1', "P002",
+         "unclosed '[' in 'hazards=' list", 73),
+        ('node N1 "n" kind=human process_model=pm', "P002",
+         "'process_model=' expects a quoted string", 38),
+        ('hazard H1 "h" boundary="SB" leads_to=[L1]', "P002",
+         "'boundary=' expects an identifier", 24),
+        ('hazard H1 "h" boundary=SB leads_to=L1', "P002",
+         "'leads_to=' expects a list like [a,b]", 36),
+        ('hazard H1 "h" boundary=SB leads_to=[]', "P002",
+         "'leads_to=' must list at least one id", 36),
+        ('loss L1 "a" category="x"', "P002", f"'category=' expects one of: {_CATEGORIES}", 22),
+        ('loss L1 "a" category=bogus', "P004",
+         f"invalid value 'bogus' for 'category=' (expected one of: {_CATEGORIES})", 22),
+        ("loss L1 category=sociotechnical", "P002", "'loss' needs a quoted description", 1),
+        ('loss L1 "a"', "P002", "missing attribute 'category=' on 'loss'", 1),
+        ("model", "P002", "'model' needs a quoted description", 1),
+        # Missing keys are reported one at a time: the description first,
+        # then the required keys in slot order.
+        ("hazard H1 leads_to=[L1]", "P002", "'hazard' needs a quoted description", 1),
+        ("requirement R1", "P002", "'requirement' needs a quoted description", 1),
+        ('hazard H1 "h"', "P002", "missing attribute 'boundary=' on 'hazard'", 1),
+    ],
+)
+def test_syntax_errors(text, code, message, column):
+    result = assert_matches_exact(text)
+    assert [(d.code, d.message, d.span.line, d.span.column) for d in result.diagnostics] == [
+        (code, message, 1, column)
+    ]
 
 
 def test_errors_accumulate_across_statements():
@@ -175,7 +218,10 @@ def test_assessment_statement():
 
 
 def test_duplicate_model_header():
-    assert codes(parse('model "a"\nmodel "b"')) == ["P002"]
+    (diag,) = parse('model "a"\nmodel "b"').diagnostics
+    assert (diag.code, diag.message) == ("P002", "model name already declared")
+    assert diag.span == Span("<input>", 2, 1)
+    assert diag.related_span == Span("<input>", 1, 1)
 
 
 def test_serialize_empty_and_named_models():
