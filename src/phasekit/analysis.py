@@ -28,7 +28,7 @@ from __future__ import annotations
 import re
 from enum import Enum
 from itertools import chain, repeat
-from operator import attrgetter, eq
+from operator import attrgetter, eq, is_
 
 from .diagnostics import Diagnostic, Severity, Span, record
 from .model import (
@@ -111,22 +111,16 @@ class CoverageMatrix:
     warnings: tuple[Diagnostic, ...] = ()
 
     def counts(self) -> tuple[int, int, int]:
-        """(covered, waived, gap) cell totals."""
-        covered = waived = gap = 0
-        for row in self.rows:
-            for cell in row.cells:
-                if cell.state is CellState.COVERED:
-                    covered += 1
-                elif cell.state is CellState.WAIVED:
-                    waived += 1
-                else:
-                    gap += 1
-        return covered, waived, gap
+        """(covered, waived, gap) cell totals. States are compared by
+        identity, so any other state, even the text ``"covered"``, is a gap."""
+        states = [cell.state for row in self.rows for cell in row.cells]
+        covered = sum(map(is_, states, repeat(CellState.COVERED)))
+        waived = sum(map(is_, states, repeat(CellState.WAIVED)))
+        return covered, waived, len(states) - covered - waived
 
     def ratio(self) -> float:
         """Examined share of the grid; 1.0 for an empty grid."""
-        covered, waived, gap = self.counts()
-        return _ratio(covered + waived, covered + waived + gap)
+        return _coverage_ratio(*self.counts())
 
 
 @record
@@ -794,37 +788,35 @@ def hints(model: Model) -> list[Hint]:
 # ---------------------------------------------------------------------------
 
 
+def _chain_levels(model: Model, loss_id: str) -> list[tuple[str, set[str]]]:
+    """The accountability chain below a loss, one level per class: the class
+    and the distinct ids reached there, the loss alone at the first level
+    and at each later one the ids of the elements that refer to an id
+    reached one level up."""
+    levels = [("loss", {loss_id})]
+    for cls, referrers in _chain_children(model).items():
+        ids = levels[-1][1]
+        levels.append((_CHAIN[cls][0], {e.id for i in ids for e in referrers.get(i, ())}))
+    return levels
+
+
 def trace_loss(model: Model, loss_id: str) -> TraceTree:
     """The chain rooted at a loss: its hazards, their ucas, the scenarios per
-    uca, and the requirements per scenario. Raises
+    uca, and the requirements per scenario. Built up from the last level of
+    :func:`_chain_levels`, so an element reached by several paths has one
+    subtree, shared by every path within this trace. Raises
     :class:`UnknownReferenceError` for an unknown loss id."""
     if lookup(model, "loss", loss_id) is None:
         raise UnknownReferenceError("loss", loss_id)
     children = _chain_children(model)
-    # Subtrees are immutable, so every trace of the model shares them.
-    built = model.index.trace_trees
-    # Down the chain, the ids of each class whose subtree is not built yet;
-    # then back up, each subtree from the ones below it.
-    levels: list[tuple[str, list[str]]] = []
-    cls: str | None = "loss"
-    pending = [loss_id]
-    while cls is not None:
-        pending = [i for i in dict.fromkeys(pending) if (cls, i) not in built]
-        levels.append((cls, pending))
+    below: dict[str, TraceTree] = {}
+    for cls, ids in reversed(_chain_levels(model, loss_id)):
         referrers = children.get(cls, {})
-        pending = [child.id for i in pending for child in referrers.get(i, ())]
-        cls = _CHAIN[cls][0] if cls in _CHAIN else None
-    below = None
-    for cls, pending in reversed(levels):
-        referrers = children.get(cls, {})
-        for element_id in pending:
-            built[(cls, element_id)] = TraceTree(
-                cls,
-                element_id,
-                tuple(built[(below, child.id)] for child in referrers.get(element_id, ())),
-            )
-        below = cls
-    return built[("loss", loss_id)]
+        below = {
+            i: TraceTree(cls, i, tuple(below[e.id] for e in referrers.get(i, ())))
+            for i in ids
+        }
+    return below[loss_id]
 
 
 def trace_node(model: Model, node_id: str) -> AccountabilityReport:
@@ -864,6 +856,11 @@ def _ratio(numerator: int, denominator: int) -> float:
     if denominator == 0:
         return 1.0
     return numerator / denominator
+
+
+def _coverage_ratio(covered: int, waived: int, gap: int) -> float:
+    """The examined share of a grid with these cell counts."""
+    return _ratio(covered + waived, covered + waived + gap)
 
 
 def metrics(model: Model) -> Metrics:

@@ -227,6 +227,9 @@ def _cmd_report(args: argparse.Namespace, streams: _Streams) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace, streams: _Streams) -> int:
+    # Checked before either is read: stdin can be read only once.
+    if args.old == args.new == "-":
+        raise _UsageError("OLD and NEW cannot both be stdin")
     old_model, _ = _load(args.old, streams)
     new_model, _ = _load(args.new, streams)
     changes = diff(old_model, new_model)

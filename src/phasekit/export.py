@@ -35,8 +35,8 @@ from .analysis import (
     Hint,
     Metrics,
     TraceTree,
-    _chain_children,
-    _ratio,
+    _chain_levels,
+    _coverage_ratio,
     control_hierarchy,
 )
 from .diagnostics import Diagnostic, record
@@ -298,7 +298,7 @@ def _coverage_text(matrix: CoverageMatrix, newline: str) -> str:
         ("guide_types", _json_text([g.value for g in GUIDE_TYPES], inner)),
         ("rows", _list_text(_objects_text(matrix.rows, ids, row_line, extra), inner)),
         ("counts", _json_text({"covered": covered, "waived": waived, "gap": gap}, inner)),
-        ("ratio", _json_text(_ratio(covered + waived, covered + waived + gap), inner)),
+        ("ratio", _json_text(_coverage_ratio(covered, waived, gap), inner)),
         ("warnings", _json_text([_diagnostic_json(d) for d in matrix.warnings], inner)),
     ], newline)
 
@@ -397,7 +397,7 @@ def _coverage_rows(matrix: CoverageMatrix, cell_text=coverage_cell_text) -> list
 
 def _coverage_totals(matrix: CoverageMatrix) -> str:
     covered, waived, gap = matrix.counts()
-    ratio = _ratio(covered + waived, covered + waived + gap)
+    ratio = _coverage_ratio(covered, waived, gap)
     return f"{covered} covered, {waived} waived, {gap} gaps; ratio {ratio!r}"
 
 
@@ -550,17 +550,10 @@ def _markdown_cell_text(cell: CoverageCell) -> str:
 
 
 def _trace_line(model: Model, loss_id: str) -> str:
-    """A loss and how many distinct ids of each class its trace reaches:
-    down the chain, the ids of the elements that refer to an id reached one
-    level up."""
-    ids = {loss_id}
-    counts = []
-    for referrers, cls in zip(
-        _chain_children(model).values(), ("hazard", "uca", "scenario", "requirement")
-    ):
-        ids = {element.id for i in ids for element in referrers.get(i, ())}
-        counts.append(f"{len(ids)} {cls}s")
-    return f"- {loss_id}: " + ", ".join(counts)
+    """A loss and how many distinct ids its trace reaches at each level of
+    the chain below it (see :func:`phasekit.analysis._chain_levels`)."""
+    levels = _chain_levels(model, loss_id)[1:]
+    return f"- {loss_id}: " + ", ".join(f"{len(ids)} {cls}s" for cls, ids in levels)
 
 
 def report_markdown(model: Model, analyses: AnalysisBundle) -> str:

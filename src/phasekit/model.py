@@ -405,8 +405,7 @@ _SLOTS: dict[tuple[str, str], Slot] = {
 
 class ModelIndex:
     """By-id and referred-by maps over one model, each built on first use and
-    then kept, and the trace subtrees built so far. Callers must not mutate
-    the maps it returns."""
+    then kept. Callers must not mutate the maps it returns."""
 
     def __init__(self, model: Model) -> None:
         # The collections rather than the model, so the model and its index
@@ -414,9 +413,6 @@ class ModelIndex:
         self._elements = {c.name: getattr(model, c.collection) for c in SCHEMA}
         self._positions: dict[str, dict[str, int]] = {}
         self._referrers: dict[tuple[str, str], dict[str, list[Element]]] = {}
-        #: Trace subtrees by (class, id), filled by
-        #: :func:`phasekit.analysis.trace_loss`.
-        self.trace_trees: dict[tuple[str, str], object] = {}
 
     def positions(self, element_class: str) -> dict[str, int]:
         """Each id of a class mapped to the position of its first declaration

@@ -191,6 +191,41 @@ def valid_models(
     )
 
 
+def tangle(model: Model, rnd: random.Random) -> Model:
+    """Ids declared again with another element's contents (a node's process
+    model set, empty or left out at random), edges turned into self-loops,
+    and waivers on cells that ucas cover: what validate reports (V008,
+    V100, C001) and the analyses must still answer for."""
+    collections = {}
+    for name in ("losses", "boundaries", "hazards", "nodes", "edges", "ucas",
+                 "scenarios", "requirements"):
+        elements = list(getattr(model, name))
+        for _ in range(rnd.randint(1, 2) if elements else 0):
+            victim, donor = rnd.choice(elements), rnd.choice(elements)
+            repeat = dataclasses.replace(donor, id=victim.id)
+            if name == "nodes":
+                repeat = dataclasses.replace(repeat, process_model=rnd.choice([None, "", "pm"]))
+            elements.insert(rnd.randint(0, len(elements)), repeat)
+        collections[name] = tuple(elements)
+    collections["edges"] = tuple(
+        dataclasses.replace(e, target=e.source) if rnd.random() < 0.2 else e
+        for e in collections["edges"]
+    )
+    waivers = [
+        Assessment(u.action, u.guide_type, "waived and covered")
+        for u in model.ucas
+        if rnd.random() < 0.3
+    ]
+    return dataclasses.replace(model, assessments=(*model.assessments, *waivers), **collections)
+
+
+@st.composite
+def tangled_models(draw) -> Model:
+    """A valid model, tangled (see :func:`tangle`)."""
+    model = draw(valid_models(max_per_class=4))
+    return tangle(model, random.Random(draw(st.integers(0, 2**32))))
+
+
 # ---------------------------------------------------------------------------
 # Messy document rendering (round-trip input)
 # ---------------------------------------------------------------------------

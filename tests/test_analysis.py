@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from phasekit import (
     CellState,
+    CoverageCell,
+    CoverageMatrix,
+    CoverageRow,
     GuideType,
     HintCode,
     Model,
@@ -772,6 +775,15 @@ def test_coverage_conflicting_waiver_warning():
     assert warning.severity is Severity.WARNING
 
 
+def test_coverage_counts_a_state_that_is_no_member_as_a_gap():
+    # Text equal to a member's value is not the member.
+    states = (CellState.COVERED, "covered", CellState.WAIVED, "waived", None)
+    row = CoverageRow("A", "CA1", tuple(CoverageCell(state) for state in states))
+    matrix = CoverageMatrix((row, row))
+    assert matrix.counts() == (2, 2, 6)
+    assert matrix.ratio() == 0.4
+
+
 def test_coverage_c2_pump_not_provided_cell(c2):
     matrix = coverage(c2, "SB2")
     row = next(r for r in matrix.rows if r.action == "CA4")
@@ -918,6 +930,25 @@ def test_trace_loss_two_hazards_one_uca_each():
     assert len(tree.children) == 2
     leaves = [u.element_id for h in tree.children for u in h.children]
     assert leaves == ["U1", "U2"]
+
+
+def test_trace_loss_shares_a_subtree_reached_by_two_paths():
+    text = (
+        'loss L1 "l" category=sociotechnical\n'
+        'boundary SB "s"\n'
+        'hazard H1 "h1" boundary=SB leads_to=[L1]\n'
+        'hazard H2 "h2" boundary=SB leads_to=[L1]\n'
+        'node A "a" kind=human\nnode B "b" kind=human\n'
+        'action CA1 from=A to=B "x"\n'
+        'uca U1 action=CA1 type=provided category=functional context="c" hazards=[H1,H2]\n'
+        'scenario S1 uca=U1 class=technical "d"\n'
+        'requirement R1 scenarios=[S1] "t"\n'
+    )
+    tree = trace_loss(model_of(text), "L1")
+    (first,), (second,) = (hazard.children for hazard in tree.children)
+    assert first.element_id == "U1"
+    assert first is second
+    assert first.children[0].children[0].element_id == "R1"
 
 
 def test_trace_loss_unknown_id(c1):

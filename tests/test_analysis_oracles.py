@@ -1,0 +1,261 @@
+"""hints, metrics and the coverage grid against plain scans.
+
+Each oracle below reads the model's collections directly, one scan per
+question, with no index, no referred-by maps and no table per cell; the
+analyses must give the same answers, in the same order, on the bundled
+fixtures, on a derandomized model of more than a thousand elements, on that
+model tangled, and on tangled hypothesis models (see
+:func:`tests.strategies.tangle`: repeated ids, self-loops, cells both
+waived and covered).
+
+The rules the oracles follow where ids repeat:
+
+- A node's process model is read from the *last* node declared with its id,
+  and a node id gets at most one no-process-model hint. This is what
+  ``hints`` does; ``lookup`` returns the *first* declaration instead.
+- Every other hint is per declaration: two orphan nodes under one id, or two
+  control actions under one id without feedback, give two hints.
+- An element counts as referred to when any element of the next class in
+  the chain names its id, so a repeated id is referred to (or not) in every
+  declaration at once; the metrics count declarations.
+- A coverage row is one control-action declaration; a cell lists every uca
+  declaration on it, and its assessment is the first declared for the cell.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+
+from phasekit import (
+    CellState,
+    CoverageCell,
+    CoverageMatrix,
+    CoverageRow,
+    Diagnostic,
+    Edge,
+    EdgeKind,
+    GuideType,
+    Hint,
+    HintCode,
+    Metrics,
+    Model,
+    Node,
+    NodeKind,
+    Ref,
+    Severity,
+    Uca,
+    UcaCategory,
+    coverage,
+    hints,
+    metrics,
+)
+
+from .conftest import load_fixture
+from .strategies import tangle, tangled_models
+from .test_index import _large_model
+
+# ---------------------------------------------------------------------------
+# Oracles: plain scans over the collections
+# ---------------------------------------------------------------------------
+
+#: Each link of the accountability chain: a class, the class and field that
+#: refer to it, and the hint for an element nothing refers to.
+_CHAIN_LINKS = (
+    ("loss", "hazard", "leads_to", HintCode.LOSS_WITHOUT_HAZARD,
+     "is not linked to any hazard"),
+    ("hazard", "uca", "hazards", HintCode.HAZARD_WITHOUT_UCA,
+     "is not referenced by any uca"),
+    ("uca", "scenario", "uca", HintCode.UCA_WITHOUT_SCENARIO,
+     "has no loss scenario"),
+    ("scenario", "requirement", "scenarios", HintCode.SCENARIO_WITHOUT_REQUIREMENT,
+     "is not addressed by any safety requirement"),
+)
+
+
+def _referred(model, element_id, referrer, field):
+    for other in model.elements_of(referrer):
+        named = getattr(other, field)
+        if element_id in (named if isinstance(named, tuple) else (named,)):
+            return True
+    return False
+
+
+def oracle_hints(model):
+    found = []
+    for edge in model.edges:
+        feedback = any(
+            back.kind is EdgeKind.FEEDBACK
+            and (back.source, back.target) == (edge.target, edge.source)
+            for back in model.edges
+        )
+        if edge.kind is EdgeKind.CONTROL_ACTION and not feedback:
+            found.append(Hint(
+                HintCode.MISSING_FEEDBACK,
+                (Ref("edge", edge.id),),
+                f"control action '{edge.id}' from '{edge.source}' to '{edge.target}' "
+                f"has no feedback edge from '{edge.target}' back to '{edge.source}'",
+            ))
+        if edge.source == edge.target:
+            found.append(Hint(
+                HintCode.SELF_LOOP,
+                (Ref("edge", edge.id),),
+                f"edge '{edge.id}' loops from '{edge.source}' to itself",
+            ))
+    for node_id in dict.fromkeys(node.id for node in model.nodes):
+        last = [node for node in model.nodes if node.id == node_id][-1]
+        issues_uca_actions = any(
+            edge.kind is EdgeKind.CONTROL_ACTION
+            and edge.source == node_id
+            and any(uca.action == edge.id for uca in model.ucas)
+            for edge in model.edges
+        )
+        if issues_uca_actions and not last.process_model:
+            found.append(Hint(
+                HintCode.NO_PROCESS_MODEL,
+                (Ref("node", node_id),),
+                f"node '{node_id}' issues control actions with identified ucas "
+                "but documents no process model",
+            ))
+    for node in model.nodes:
+        if not any(node.id in (edge.source, edge.target) for edge in model.edges):
+            found.append(Hint(
+                HintCode.ORPHAN_NODE,
+                (Ref("node", node.id),),
+                f"node '{node.id}' is not connected to any edge",
+            ))
+    for cls, referrer, field, code, complaint in _CHAIN_LINKS:
+        for element in model.elements_of(cls):
+            if not _referred(model, element.id, referrer, field):
+                found.append(Hint(code, (Ref(cls, element.id),), f"{cls} '{element.id}' {complaint}"))
+    found.sort(key=lambda hint: (hint.code.value, [ref.id for ref in hint.subjects]))
+    return found
+
+
+def oracle_coverage(model):
+    actions = [edge for edge in model.edges if edge.kind is EdgeKind.CONTROL_ACTION]
+    actions.sort(key=lambda edge: (edge.source, edge.id))
+    rows, warnings = [], []
+    for action in actions:
+        cells = []
+        for guide in GuideType:
+            cell = (action.id, guide)
+            ucas = sorted(u.id for u in model.ucas if (u.action, u.guide_type) == cell)
+            waivers = [a for a in model.assessments if (a.action, a.guide_type) == cell]
+            waiver = waivers[0] if waivers else None
+            if ucas:
+                state = CellState.COVERED
+            elif waiver is not None:
+                state = CellState.WAIVED
+            else:
+                state = CellState.GAP
+            cells.append(CoverageCell(state, tuple(ucas), waiver))
+            if ucas and waiver is not None:
+                warnings.append(Diagnostic(
+                    Severity.WARNING,
+                    "C001",
+                    f"action '{action.id}' guide type '{guide.value}' is "
+                    f"waived but covered by uca(s) {', '.join(ucas)}",
+                    model.source_spans.get(Ref("assessment", f"{action.id}/{guide.value}")),
+                ))
+        rows.append(CoverageRow(action.source, action.id, tuple(cells)))
+    return CoverageMatrix(tuple(rows), tuple(warnings))
+
+
+def _share(count, total):
+    return 1.0 if total == 0 else count / total
+
+
+def oracle_metrics(model):
+    cells = [cell for row in oracle_coverage(model).rows for cell in row.cells]
+    examined = [cell for cell in cells if cell.state is not CellState.GAP]
+    linked = [
+        _share(
+            sum(_referred(model, e.id, referrer, field) for e in model.elements_of(cls)),
+            len(model.elements_of(cls)),
+        )
+        for cls, referrer, field, _, _ in _CHAIN_LINKS
+    ]
+    counts = {
+        name: len(getattr(model, name))
+        for name in ("losses", "boundaries", "hazards", "nodes", "edges", "ucas",
+                     "scenarios", "requirements", "assessments")
+    }
+    return Metrics(counts, _share(len(examined), len(cells)), *linked)
+
+
+# ---------------------------------------------------------------------------
+# Models under test
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def large():
+    return _large_model()
+
+
+def _models(large):
+    fixtures = [load_fixture(name) for name in ("c1", "c2", "c3")]
+    return [*fixtures, large, tangle(large, random.Random(5))]
+
+
+def test_models_hold_every_hint_and_every_tangle(large):
+    models = _models(large)
+    found = {hint.code for model in models for hint in hints(model)}
+    # hierarchy-cycle comes from hierarchy_ranks, not from hints.
+    assert found == set(HintCode) - {HintCode.HIERARCHY_CYCLE}
+    tangled = models[-1]
+    for name in ("losses", "hazards", "nodes", "edges", "ucas", "scenarios"):
+        ids = [element.id for element in getattr(tangled, name)]
+        assert len(set(ids)) < len(ids), name
+    assert any(edge.source == edge.target for edge in tangled.edges)
+    assert any(
+        cell.state is CellState.COVERED and cell.assessment is not None
+        for row in coverage(tangled).rows
+        for cell in row.cells
+    )
+
+
+@pytest.mark.parametrize("process_models,hinted", [(("pm", None), True), ((None, "pm"), False)])
+def test_last_node_declared_decides_the_process_model_hint(process_models, hinted):
+    first, last = (Node("A", "a", NodeKind.HUMAN, pm) for pm in process_models)
+    model = Model(
+        nodes=(first, Node("B", "b", NodeKind.HUMAN), last),
+        edges=(Edge("CA1", EdgeKind.CONTROL_ACTION, "A", "B", "x"),),
+        ucas=(Uca("U1", "A", "CA1", GuideType.PROVIDED, UcaCategory.FUNCTIONAL, "c", ()),),
+    )
+    found = [hint for hint in hints(model) if hint.code is HintCode.NO_PROCESS_MODEL]
+    assert bool(found) is hinted
+    assert hints(model) == oracle_hints(model)
+
+
+# ---------------------------------------------------------------------------
+# Analyses against the oracles
+# ---------------------------------------------------------------------------
+
+
+def test_hints_match_scan(large):
+    for model in _models(large):
+        assert hints(model) == oracle_hints(model)
+
+
+def test_coverage_matches_scan(large):
+    for model in _models(large):
+        assert coverage(model) == oracle_coverage(model)
+
+
+def test_metrics_match_scan(large):
+    for model in _models(large):
+        found, expected = metrics(model), oracle_metrics(model)
+        assert found == expected
+        assert list(found.counts) == list(expected.counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tangled_models())
+def test_analyses_match_scans_on_tangled_models(model):
+    assert hints(model) == oracle_hints(model)
+    assert coverage(model) == oracle_coverage(model)
+    assert metrics(model) == oracle_metrics(model)

@@ -407,6 +407,19 @@ def test_closed_stdin_stream_exit_3():
     assert err.getvalue().startswith("cannot read <stdin>: I/O operation on closed file")
 
 
+@pytest.mark.parametrize("flags", [[], ["--fail-on-change"], ["--impact", "--format", "json"]])
+def test_diff_of_stdin_with_itself_exit_3_before_reading(flags):
+    # A second read of stdin would give an empty model, and every element of
+    # the first would be listed as removed.
+    stdin = io.StringIO(C1_TEXT)
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["diff", "-", "-", *flags], stdin=stdin, stdout=out, stderr=err) == 3
+    assert (out.getvalue(), stdin.tell()) == ("", 0)
+    message, usage = err.getvalue().splitlines()
+    assert message == "OLD and NEW cannot both be stdin"
+    assert usage.startswith("usage: phasekit")
+
+
 # Placeholders the totality property draws; the test maps them to paths
 # under tmp_path, so every file the runs read or write lives there.
 _INPUTS = (

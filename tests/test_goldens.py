@@ -83,6 +83,8 @@ def _cases() -> dict[str, list[str]]:
     cycle = f"{INPUTS}/control_cycle.phase"
     cases["control_cycle_render"] = ["render", cycle]
     cases["control_cycle_render_boundary"] = ["render", cycle, "--boundary", "Scope"]
+    # Refused before stdin is read, so the case needs no input.
+    cases["diff_stdin_twice"] = ["diff", "-", "-"]
     return cases
 
 
