@@ -742,12 +742,12 @@ def hints(model: Model) -> list[Hint]:
             )
 
     uca_actions = {u.action for u in model.ucas}
-    node_by_id = {n.id: n for n in model.nodes}
     flagged: set[str] = set()
     for edge in model.edges:
         if edge.kind != EdgeKind.CONTROL_ACTION or edge.id not in uca_actions:
             continue
-        node = node_by_id.get(edge.source)
+        # The first node declared with the id, as lookup and the views read it.
+        node = lookup(model, "node", edge.source)
         if node is None or node.id in flagged or node.process_model:
             continue
         flagged.add(node.id)

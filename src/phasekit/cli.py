@@ -242,6 +242,9 @@ def _cmd_diff(args: argparse.Namespace, streams: _Streams) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace, streams: _Streams) -> int:
+    # Checked before stdin is read, as diff checks its two sources.
+    if args.write and args.file == "-":
+        raise _UsageError("--write cannot be used with stdin")
     text, name = _read_source(args.file, streams)
     result = parse(text, name)
     if result.model is None:
@@ -253,8 +256,6 @@ def _cmd_fmt(args: argparse.Namespace, streams: _Streams) -> int:
             print(f"{name}: not in canonical form", file=streams.stderr)
             return EXIT_FINDINGS
         return EXIT_OK
-    if args.write and args.file == "-":
-        raise _UsageError("--write cannot be used with stdin")
     _write(canonical, args.file if args.write else None, streams)
     return EXIT_OK
 

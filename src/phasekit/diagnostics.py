@@ -24,10 +24,15 @@ class Field(NamedTuple):
     default_factory: object = MISSING
     repr: bool = True
     compare: bool = True
+    metadata: object = None
 
 
-def field(*, default_factory=MISSING, repr=True, compare=True) -> Field:
-    return Field("", None, MISSING, default_factory, repr, compare)
+def field(*, default=MISSING, default_factory=MISSING, repr=True, compare=True,
+          metadata=None) -> Field:
+    """What ``dataclasses.field(default=, default_factory=, repr=, compare=,
+    metadata=)`` declares. ``metadata`` is kept in the record's field table
+    alone: the dataclass fields and signature of a record do not show it."""
+    return Field("", None, default, default_factory, repr, compare, metadata)
 
 
 def new_record(cls: type, values: Sequence) -> object:
@@ -57,7 +62,9 @@ def _twin(cls: type) -> type:
 
     spec = []
     for f in cls.__record_fields__:
-        flags = {key: value for key, value in zip(Field._fields[2:], f[2:]) if value is not MISSING}
+        # Metadata, the last column, stays with the record.
+        flags = {key: value for key, value in zip(Field._fields[2:-1], f[2:-1])
+                 if value is not MISSING}
         spec.append((f.name, f.type, dataclasses.field(**flags)))
     twin = dataclasses.make_dataclass(cls.__name__, spec, frozen=True, eq=False, repr=False,
                                       namespace={"__qualname__": cls.__qualname__})
@@ -88,8 +95,11 @@ def record(cls):
     table = []
     for name, annotation in vars(cls).get("__annotations__", {}).items():
         spec = vars(cls).get(name, MISSING)
-        if isinstance(spec, Field):  # as with dataclasses, a field() leaves the class
-            delattr(cls, name)
+        if isinstance(spec, Field):  # as with dataclasses, the default takes its place
+            if spec.default is MISSING:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, spec.default)
         else:
             spec = Field(name, annotation, spec)
         table.append(spec._replace(name=name, type=annotation))

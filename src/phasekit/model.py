@@ -13,13 +13,15 @@ dataclasses. Cross-references are plain id strings and are checked by
 :func:`phasekit.analysis.validate`, not at construction time, so a partially
 written document can still be parsed and explored.
 
-:data:`SCHEMA` is the one description of the nine element classes: per class
-its statement keywords, record class and ``Model`` collection, and per field its
-DSL key, value kind, whether it is required and which class it refers to.
-The grammar and serializer in :mod:`phasekit.dsl`, the fields diff compares,
-the reference checks of validation, the JSON export and the reference
-topology (:data:`REFERENCES`) are all derived from it; the few cases that do
-not fit a table row are written out where they are used.
+The element records are the schema. Each is declared with :func:`element`,
+which names its class, statement keywords and ``Model`` collection, and each
+field other than its id with :func:`slot`, which gives its DSL key, value
+kind, whether it is required and which class it refers to. :data:`SCHEMA`
+is read off the records as they are declared. The grammar and serializer in
+:mod:`phasekit.dsl`, the fields diff compares, the reference checks of
+validation, the JSON export and the reference topology (:data:`REFERENCES`)
+are all derived from it; the few cases that do not fit a slot are written
+out where they are used.
 
 :attr:`Model.index` is a :class:`ModelIndex`: by-id and referred-by maps,
 each built on first use and then kept with the model, through which lookups,
@@ -34,7 +36,7 @@ from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple, Union
 
-from .diagnostics import Span, field, record
+from .diagnostics import MISSING, Field, Span, field, record
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
@@ -105,120 +107,10 @@ class ScenarioClass(str, Enum):
 NOT_HAZARDOUS = "not-hazardous"
 
 
-@record
-class Loss:
-    """Something of value the stakeholders must not lose."""
-    id: str
-    description: str
-    category: LossCategory
-
-
-@record
-class SystemBoundary:
-    """A named scope of the system, optionally at one lifecycle stage."""
-    id: str
-    name: str
-    stage: BoundaryStage | None = None
-    includes: tuple[str, ...] = ()
-
-
-@record
-class Hazard:
-    """A system state within a boundary that leads to losses."""
-    id: str
-    description: str
-    boundary: str
-    leads_to: tuple[str, ...]
-
-
-@record
-class Node:
-    """A participant in the control structure, human or technical."""
-    id: str
-    name: str
-    kind: NodeKind
-    process_model: str | None = None
-    control_algorithm: str | None = None
-
-
-@record
-class Edge:
-    """A control action, feedback or io link from one node to another."""
-    id: str
-    kind: EdgeKind
-    source: str
-    target: str
-    label: str
-
-
-@record
-class Uca:
-    """A five-part unsafe control action.
-
-    ``source`` always names the node that issues the referenced action; the
-    parser derives it from the action edge, so it only diverges on models
-    assembled programmatically (validate reports the mismatch).
-    """
-
-    id: str
-    source: str
-    action: str
-    guide_type: GuideType
-    category: UcaCategory
-    context: str
-    hazards: tuple[str, ...]
-
-
-@record
-class LossScenario:
-    """A causal account of how an unsafe control action comes about."""
-    id: str
-    uca: str
-    scenario_class: ScenarioClass
-    description: str
-    elements: tuple[str, ...] = ()
-
-
-@record
-class SafetyRequirement:
-    """A requirement that prevents or mitigates loss scenarios."""
-    id: str
-    scenarios: tuple[str, ...]
-    text: str
-
-
-@record
-class Assessment:
-    """A deliberate "examined and not hazardous" waiver for one coverage cell.
-
-    Assessments carry no declared id; they are identified by the
-    (action, guide_type) pair, which must be unique across the model.
-    """
-
-    action: str
-    guide_type: GuideType
-    rationale: str
-    verdict: str = NOT_HAZARDOUS
-
-
-Element = Union[
-    Loss,
-    SystemBoundary,
-    Hazard,
-    Node,
-    Edge,
-    Uca,
-    LossScenario,
-    SafetyRequirement,
-    Assessment,
-]
-
-
-class Ref(NamedTuple):
-    """A (element class, id) pair naming one element of a model."""
-
-    cls: str
-    id: str
+def enum_text(value: object) -> object:
+    """The text an enum field is written as: a member's value, or the value
+    itself (the assessment verdict is plain text)."""
+    return getattr(value, "value", value)
 
 
 # ---------------------------------------------------------------------------
@@ -262,70 +154,168 @@ class ElementClass(NamedTuple):
     slots: tuple[Slot, ...]
 
 
-def _enum(field_name: str, key: str, enum_cls: type, required: bool = True) -> Slot:
-    members = {member.value: member for member in enum_cls}  # type: ignore[attr-defined]
-    return Slot(field_name, key, ENUM, members, required)
+def slot(key: str | None, kind, *, target: str | None = None, nonempty: str | None = None,
+         required: bool | None = None, default: object = MISSING) -> Field:
+    """A field of an element record, declared as its :class:`Slot`.
+
+    ``kind`` is a value kind, or for an enum field the members it takes: an
+    enum class, or a tuple of plain text values. The field is required unless
+    it has a default or ``required`` says otherwise."""
+    members = None
+    if not isinstance(kind, str):
+        members = {enum_text(member): member for member in kind}
+        kind = ENUM
+    required = default is MISSING if required is None else required
+    return field(default=default,
+                 metadata=Slot("", key, kind, members, required, target, nonempty))
 
 
-#: The one description of the nine element classes, in canonical order. Each
-#: class lists its slots in record field order (an assessment writes its
-#: verdict before its rationale); the DSL keys, the serializer, diff and the
-#: JSON export all follow that order. The grammar, the element constructors,
-#: the serializer, diff fields, the reference topology, the reference checks
-#: of validation and the JSON export are derived from this table.
-SCHEMA: tuple[ElementClass, ...] = (
-    ElementClass("loss", ("loss",), Loss, "losses", ("id",), (
-        Slot("description", DESCRIPTION, STRING),
-        _enum("category", "category", LossCategory),
-    )),
-    ElementClass("boundary", ("boundary",), SystemBoundary, "boundaries", ("id",), (
-        Slot("name", DESCRIPTION, STRING),
-        _enum("stage", "stage", BoundaryStage, required=False),
-        Slot("includes", "includes", IDLIST, required=False, target="node"),
-    )),
-    ElementClass("hazard", ("hazard",), Hazard, "hazards", ("id",), (
-        Slot("description", DESCRIPTION, STRING),
-        Slot("boundary", "boundary", ID, target="boundary"),
-        Slot("leads_to", "leads_to", IDLIST, target="loss", nonempty="lead to"),
-    )),
-    ElementClass("node", ("node",), Node, "nodes", ("id",), (
-        Slot("name", DESCRIPTION, STRING),
-        _enum("kind", "kind", NodeKind),
-        Slot("process_model", "process_model", STRING, required=False),
-        Slot("control_algorithm", "control_algorithm", STRING, required=False),
-    )),
-    ElementClass("edge", ("action", "feedback", "iolink"), Edge, "edges", ("id",), (
-        _enum("kind", None, EdgeKind),
-        Slot("source", "from", ID, target="node"),
-        Slot("target", "to", ID, target="node"),
-        Slot("label", DESCRIPTION, STRING),
-    )),
-    ElementClass("uca", ("uca",), Uca, "ucas", ("id",), (
-        Slot("source", None, ID, target="node"),
-        Slot("action", "action", ID, target="edge"),
-        _enum("guide_type", "type", GuideType),
-        _enum("category", "category", UcaCategory),
-        Slot("context", "context", STRING),
-        Slot("hazards", "hazards", IDLIST, target="hazard", nonempty="link to"),
-    )),
-    # Scenario elements name nodes or edges; see REFERENCES.
-    ElementClass("scenario", ("scenario",), LossScenario, "scenarios", ("id",), (
-        Slot("uca", "uca", ID, target="uca"),
-        _enum("scenario_class", "class", ScenarioClass),
-        Slot("description", DESCRIPTION, STRING),
-        Slot("elements", "elements", IDLIST, required=False),
-    )),
-    ElementClass("requirement", ("requirement",), SafetyRequirement, "requirements", ("id",), (
-        Slot("scenarios", "scenarios", IDLIST, target="scenario", nonempty="cover"),
-        Slot("text", DESCRIPTION, STRING),
-    )),
-    ElementClass("assessment", ("assess",), Assessment, "assessments", (), (
-        Slot("action", "action", ID, target="edge"),
-        _enum("guide_type", "type", GuideType),
-        Slot("verdict", "verdict", ENUM, {NOT_HAZARDOUS: NOT_HAZARDOUS}),
-        Slot("rationale", "rationale", STRING),
-    )),
-)
+_DECLARED: list[ElementClass] = []
+
+
+def element(name: str, keywords: tuple[str, ...], collection: str,
+            order: tuple[str, ...] | None = None):
+    """Make a class a :func:`record` and declare it the element class
+    ``name`` of :data:`SCHEMA`, read from statements ``keywords`` and held in
+    the ``Model`` attribute ``collection``. Its :func:`slot` fields are its
+    slots, in field order unless ``order`` names another; its other fields
+    are its identity."""
+    def declare(cls: type) -> type:
+        fields = record(cls).__record_fields__
+        slots = {f.name: f.metadata._replace(field=f.name) for f in fields if f.metadata}
+        identity = tuple(f.name for f in fields if not f.metadata)
+        slots = tuple(slots[name] for name in order or slots)
+        _DECLARED.append(ElementClass(name, keywords, cls, collection, identity, slots))
+        return cls
+    return declare
+
+
+@element("loss", ("loss",), "losses")
+class Loss:
+    """Something of value the stakeholders must not lose."""
+    id: str
+    description: str = slot(DESCRIPTION, STRING)
+    category: LossCategory = slot("category", LossCategory)
+
+
+@element("boundary", ("boundary",), "boundaries")
+class SystemBoundary:
+    """A named scope of the system, optionally at one lifecycle stage."""
+    id: str
+    name: str = slot(DESCRIPTION, STRING)
+    stage: BoundaryStage | None = slot("stage", BoundaryStage, default=None)
+    includes: tuple[str, ...] = slot("includes", IDLIST, target="node", default=())
+
+
+@element("hazard", ("hazard",), "hazards")
+class Hazard:
+    """A system state within a boundary that leads to losses."""
+    id: str
+    description: str = slot(DESCRIPTION, STRING)
+    boundary: str = slot("boundary", ID, target="boundary")
+    leads_to: tuple[str, ...] = slot("leads_to", IDLIST, target="loss", nonempty="lead to")
+
+
+@element("node", ("node",), "nodes")
+class Node:
+    """A participant in the control structure, human or technical."""
+    id: str
+    name: str = slot(DESCRIPTION, STRING)
+    kind: NodeKind = slot("kind", NodeKind)
+    process_model: str | None = slot("process_model", STRING, default=None)
+    control_algorithm: str | None = slot("control_algorithm", STRING, default=None)
+
+
+@element("edge", ("action", "feedback", "iolink"), "edges")
+class Edge:
+    """A control action, feedback or io link from one node to another."""
+    id: str
+    kind: EdgeKind = slot(None, EdgeKind)
+    source: str = slot("from", ID, target="node")
+    target: str = slot("to", ID, target="node")
+    label: str = slot(DESCRIPTION, STRING)
+
+
+@element("uca", ("uca",), "ucas")
+class Uca:
+    """A five-part unsafe control action.
+
+    ``source`` always names the node that issues the referenced action; the
+    parser derives it from the action edge, so it only diverges on models
+    assembled programmatically (validate reports the mismatch).
+    """
+
+    id: str
+    source: str = slot(None, ID, target="node")
+    action: str = slot("action", ID, target="edge")
+    guide_type: GuideType = slot("type", GuideType)
+    category: UcaCategory = slot("category", UcaCategory)
+    context: str = slot("context", STRING)
+    hazards: tuple[str, ...] = slot("hazards", IDLIST, target="hazard", nonempty="link to")
+
+
+@element("scenario", ("scenario",), "scenarios")
+class LossScenario:
+    """A causal account of how an unsafe control action comes about."""
+    id: str
+    uca: str = slot("uca", ID, target="uca")
+    scenario_class: ScenarioClass = slot("class", ScenarioClass)
+    description: str = slot(DESCRIPTION, STRING)
+    # Elements name nodes or edges; see REFERENCES.
+    elements: tuple[str, ...] = slot("elements", IDLIST, default=())
+
+
+@element("requirement", ("requirement",), "requirements")
+class SafetyRequirement:
+    """A requirement that prevents or mitigates loss scenarios."""
+    id: str
+    scenarios: tuple[str, ...] = slot("scenarios", IDLIST, target="scenario", nonempty="cover")
+    text: str = slot(DESCRIPTION, STRING)
+
+
+# A statement writes the verdict before the rationale.
+@element("assessment", ("assess",), "assessments",
+         order=("action", "guide_type", "verdict", "rationale"))
+class Assessment:
+    """A deliberate "examined and not hazardous" waiver for one coverage cell.
+
+    Assessments carry no declared id; they are identified by the
+    (action, guide_type) pair, which must be unique across the model.
+    """
+
+    action: str = slot("action", ID, target="edge")
+    guide_type: GuideType = slot("type", GuideType)
+    rationale: str = slot("rationale", STRING)
+    # Written in every statement, though a record built in code may leave it out.
+    verdict: str = slot("verdict", (NOT_HAZARDOUS,), default=NOT_HAZARDOUS, required=True)
+
+
+Element = Union[
+    Loss,
+    SystemBoundary,
+    Hazard,
+    Node,
+    Edge,
+    Uca,
+    LossScenario,
+    SafetyRequirement,
+    Assessment,
+]
+
+
+class Ref(NamedTuple):
+    """A (element class, id) pair naming one element of a model."""
+
+    cls: str
+    id: str
+
+
+#: The nine element classes in canonical order, read off the records as they
+#: are declared: the records are the schema, and this is its one table. The
+#: grammar, the element constructors, the serializer, diff fields, the
+#: reference topology, the reference checks of validation and the JSON export
+#: are derived from it, and follow slot order.
+SCHEMA: tuple[ElementClass, ...] = tuple(_DECLARED)
 
 #: Element classes in canonical declaration order.
 ELEMENT_CLASSES: tuple[str, ...] = tuple(c.name for c in SCHEMA)
@@ -458,12 +448,6 @@ class UnknownReferenceError(ValueError):
         super().__init__(f"unknown {element_class} '{element_id}'")
         self.element_class = element_class
         self.element_id = element_id
-
-
-def enum_text(value: object) -> object:
-    """The text an enum field is written as: a member's value, or the value
-    itself (the assessment verdict is plain text)."""
-    return getattr(value, "value", value)
 
 
 def assessment_ref(action: str, guide_type: GuideType, occurrence: int = 1) -> Ref:

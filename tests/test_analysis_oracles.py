@@ -10,9 +10,9 @@ waived and covered).
 
 The rules the oracles follow where ids repeat:
 
-- A node's process model is read from the *last* node declared with its id,
-  and a node id gets at most one no-process-model hint. This is what
-  ``hints`` does; ``lookup`` returns the *first* declaration instead.
+- A node's process model is read from the *first* node declared with its
+  id, the one ``lookup`` returns, and a node id gets at most one
+  no-process-model hint.
 - Every other hint is per declaration: two orphan nodes under one id, or two
   control actions under one id without feedback, give two hints.
 - An element counts as referred to when any element of the next class in
@@ -105,14 +105,14 @@ def oracle_hints(model):
                 f"edge '{edge.id}' loops from '{edge.source}' to itself",
             ))
     for node_id in dict.fromkeys(node.id for node in model.nodes):
-        last = [node for node in model.nodes if node.id == node_id][-1]
+        first = next(node for node in model.nodes if node.id == node_id)
         issues_uca_actions = any(
             edge.kind is EdgeKind.CONTROL_ACTION
             and edge.source == node_id
             and any(uca.action == edge.id for uca in model.ucas)
             for edge in model.edges
         )
-        if issues_uca_actions and not last.process_model:
+        if issues_uca_actions and not first.process_model:
             found.append(Hint(
                 HintCode.NO_PROCESS_MODEL,
                 (Ref("node", node_id),),
@@ -218,7 +218,7 @@ def test_models_hold_every_hint_and_every_tangle(large):
     )
 
 
-@pytest.mark.parametrize("process_models,hinted", [(("pm", None), True), ((None, "pm"), False)])
+@pytest.mark.parametrize("process_models,hinted", [(("pm", None), False), ((None, "pm"), True)])
 def test_last_node_declared_decides_the_process_model_hint(process_models, hinted):
     first, last = (Node("A", "a", NodeKind.HUMAN, pm) for pm in process_models)
     model = Model(

@@ -420,6 +420,21 @@ def test_diff_of_stdin_with_itself_exit_3_before_reading(flags):
     assert usage.startswith("usage: phasekit")
 
 
+def test_fmt_write_of_stdin_exit_3_before_reading():
+    # A valid and an invalid document give the same refusal: neither is read.
+    outcomes = set()
+    for text in ('loss L1 "x" category=sociotechnical\n', 'loss L1 "x" category=zzz\n'):
+        stdin = io.StringIO(text)
+        out, err = io.StringIO(), io.StringIO()
+        code = run(["fmt", "--write", "-"], stdin=stdin, stdout=out, stderr=err)
+        assert (code, out.getvalue(), stdin.tell()) == (3, "", 0)
+        outcomes.add(err.getvalue())
+    (stderr,) = outcomes
+    message, usage = stderr.splitlines()
+    assert message == "--write cannot be used with stdin"
+    assert usage.startswith("usage: phasekit")
+
+
 # Placeholders the totality property draws; the test maps them to paths
 # under tmp_path, so every file the runs read or write lives there.
 _INPUTS = (
