@@ -367,6 +367,41 @@ def test_single_id_and_text_fields_of_the_wrong_type(model, messages):
     assert {d.code for d in diagnostics} <= {"V007", "V005"}
 
 
+@pytest.mark.parametrize(
+    "model,findings",
+    [
+        (
+            Model(hazards=(Hazard("H1", None, "NOPE", ("L9",)),)),
+            [
+                ("V001", "unknown boundary 'NOPE' referenced by hazard 'H1'"),
+                ("V001", "unknown loss 'L9' referenced by hazard 'H1'"),
+                ("V007", "hazard 'H1' has invalid description None (expected a string)"),
+            ],
+        ),
+        (
+            Model(nodes=(Node("A", "a", "robot", process_model=5),)),
+            [
+                ("V007", "node 'A' has invalid process_model 5 (expected a string)"),
+                ("V006", "node 'A' has invalid kind 'robot' (expected one of: human, team, "
+                 "organization, technical-artifact, ai-model, automated-system)"),
+            ],
+        ),
+        (
+            Model(losses=(Loss("L1", "a\nb", "nope"),)),
+            [
+                ("V007", "loss 'L1' has invalid description 'a\\nb' (expected a string "
+                 "without line breaks)"),
+                ("V006", "loss 'L1' has invalid category 'nope' (expected one of: "
+                 "safety-critical, performance-related, sociotechnical)"),
+            ],
+        ),
+    ],
+    ids=["references-before-text", "text-before-enums", "text-then-enum"],
+)
+def test_findings_within_an_element_are_references_then_text_then_enums(model, findings):
+    assert [(d.code, d.message) for d in validate(model)] == findings
+
+
 def test_an_edge_with_a_bad_id_leaves_the_others_checked():
     model = Model(
         **_ACTION_AND_HAZARD,
