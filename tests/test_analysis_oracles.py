@@ -219,7 +219,7 @@ def test_models_hold_every_hint_and_every_tangle(large):
 
 
 @pytest.mark.parametrize("process_models,hinted", [(("pm", None), False), ((None, "pm"), True)])
-def test_last_node_declared_decides_the_process_model_hint(process_models, hinted):
+def test_first_node_declared_decides_the_process_model_hint(process_models, hinted):
     first, last = (Node("A", "a", NodeKind.HUMAN, pm) for pm in process_models)
     model = Model(
         nodes=(first, Node("B", "b", NodeKind.HUMAN), last),
