@@ -29,6 +29,7 @@ import re
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter, eq, is_
+from typing import Iterator
 
 from .diagnostics import Diagnostic, Severity, Span, record
 from .model import (
@@ -43,7 +44,6 @@ from .model import (
     Edge,
     EdgeKind,
     Element,
-    ElementClass,
     GuideType,
     Model,
     Node,
@@ -57,7 +57,6 @@ from .model import (
     elements_in_boundary,
     enum_text,
     lookup,
-    referenced_ids,
 )
 
 
@@ -312,30 +311,70 @@ def _suspect_links(
     )
 
 
-def _suspect_references(slot: Slot, known: set[str], values: list) -> bool:
-    """Whether a well-typed reference slot names an unknown id or leaves a
-    required list empty."""
-    if slot.kind != IDLIST:
-        return not known.issuperset(values)
-    return not known.issuperset(chain.from_iterable(values)) or bool(
-        slot.nonempty and not all(values)
+#: Per class, the slots validate checks value by value, each with the classes
+#: its ids may name, in the order of their findings: references, then text,
+#: then enums. A uca's source and action are left to _check_uca_action.
+_CHECKED = {
+    c.name: (
+        *((slot, targets) for slot, targets in REFERENCES[c.name]
+          if c.name != "uca" or slot not in _UCA_LINKS),
+        *((slot, ()) for slot in c.slots if slot.kind == STRING),
+        *((slot, ()) for slot in c.slots if slot.kind == ENUM),
     )
+    for c in SCHEMA
+}
 
 
-def _suspect_enum_slots(element_class: ElementClass, columns: dict[str, list]) -> list[Slot]:
-    """The enum slots of a class whose values are not all members (or None
-    where the field is optional). Values are compared by identity, in one
-    pass per slot, so only these slots need checking element by element."""
-    suspect = []
-    for slot in element_class.slots:
-        if slot.kind != ENUM:
-            continue
+def _suspect(slot: Slot, values: list, known: set[str]) -> bool:
+    """Whether any of a slot's values can be reported: one of the wrong type,
+    an enum value that is not a member (or None where the field is
+    optional), an id not in ``known`` or an empty required id list. Enum
+    values are compared by identity, and each question is one pass over the
+    column, so only such a slot needs checking element by element."""
+    if slot.kind == ENUM:
         allowed = {id(member) for member in slot.members.values()}
         if not slot.required:
             allowed.add(id(None))
-        if not set(map(id, columns[slot.field])) <= allowed:
-            suspect.append(slot)
-    return suspect
+        return not set(map(id, values)) <= allowed
+    if _mistyped(slot, values):
+        return True
+    if slot.kind == IDLIST:
+        return not known.issuperset(chain.from_iterable(values)) or bool(
+            slot.nonempty and not all(values)
+        )
+    return slot.kind == ID and not known.issuperset(values)
+
+
+def _findings(model: Model, ref: Ref, slot: Slot, value: object, known: set[str],
+              targets: tuple[str, ...]) -> Iterator[Diagnostic]:
+    """The findings on one value of a checked slot of the element ``ref``. A
+    value of the wrong type is reported instead of anything else."""
+    if slot.kind == ENUM:
+        # The text serialize would write must be one parse accepts.
+        text = enum_text(value)
+        optional = value is None and not slot.required
+        if not (optional or isinstance(text, str) and text in slot.members):
+            yield Diagnostic(
+                Severity.ERROR,
+                "V006",
+                f"{ref.cls} '{ref.id}' has invalid {slot.field} '{text}' "
+                f"(expected one of: {', '.join(slot.members)})",
+                _span(model, ref),
+            )
+    elif _mistyped(slot, [value]):
+        yield _wrong_type(model, ref, slot, value)
+    elif slot.kind != STRING:
+        values = value if slot.kind == IDLIST else (value,)
+        if slot.nonempty and not values:
+            yield Diagnostic(
+                Severity.ERROR,
+                "V004",
+                f"{ref.cls} '{ref.id}' must {slot.nonempty} at least one {slot.target}",
+                _span(model, ref),
+            )
+        for target_id in values:
+            if target_id not in known:
+                yield _dangling(model, ref, " or ".join(targets), target_id)
 
 
 def validate(model: Model) -> list[Diagnostic]:
@@ -343,7 +382,13 @@ def validate(model: Model) -> list[Diagnostic]:
 
     An empty result means the model is semantically valid. Diagnostics
     carry the span of the referencing declaration when the model was parsed
-    from text.
+    from text. The model's name comes first, then each class in ``SCHEMA``
+    order, each element in declaration order. An element's findings come in
+    this order: its id (V007, which holds back all the others, then V008),
+    a uca's source and action, its references, its text, its enums, a
+    self-loop, a repeated assessment cell. Where an id is declared more than
+    once (V008), references resolve to its first declaration, as ``lookup``
+    does.
     """
     diags: list[Diagnostic] = []
     if _mistyped(_MODEL_NAME, [model.name]):
@@ -366,7 +411,8 @@ def validate(model: Model) -> list[Diagnostic]:
     edges = model.edges
     if "edge" in bad_ids:
         edges = [e for e in edges if isinstance(e.id, str)]
-    edge_by_id = {e.id: e for e in edges}
+    # Built in reverse, so an id declared twice keeps its first edge.
+    edge_by_id = {e.id: e for e in reversed(edges)}
 
     for element_class in SCHEMA:
         cls = element_class.name
@@ -377,26 +423,11 @@ def validate(model: Model) -> list[Diagnostic]:
         }
         # One set pass per check decides which checks can find anything in
         # this class; the walk below builds the diagnostics of those only.
-        # Each reference slot comes with the ids it may name and whether it
-        # holds a value of the wrong type.
-        refs = []
-        for slot, targets in REFERENCES[cls]:
-            if cls == "uca" and slot.field in ("source", "action"):
-                continue
-            if len(targets) == 1:
-                known = ids[targets[0]]
-            else:
-                known = set().union(*(ids[t] for t in targets))
-            values = columns[slot.field]
-            mistyped = _mistyped(slot, values)
-            if mistyped or _suspect_references(slot, known, values):
-                refs.append((slot, known, " or ".join(targets), mistyped))
-        texts = [
-            slot
-            for slot in element_class.slots
-            if slot.kind == STRING and _mistyped(slot, columns[slot.field])
-        ]
-        enums = _suspect_enum_slots(element_class, columns)
+        suspects = []
+        for slot, targets in _CHECKED[cls]:
+            known = ids[targets[0]] if len(targets) == 1 else set().union(*map(ids.get, targets))
+            if _suspect(slot, columns[slot.field], known):
+                suspects.append((slot, known, targets))
         links = cls == "uca" and _suspect_links(columns, ids["node"], edge_by_id)
         loops = cls == "edge" and any(map(eq, columns["source"], columns["target"]))
         duplicates = False
@@ -406,11 +437,10 @@ def validate(model: Model) -> list[Diagnostic]:
         # An id set smaller than its column: an id repeats, or a bad id is out.
         repeated = cls in ids and len(ids[cls]) < len(id_columns[cls])
         bad_id = cls in bad_ids
-        if not (bad_id or refs or texts or enums or links or loops or duplicates or repeated):
+        if not (bad_id or suspects or links or loops or duplicates or repeated):
             continue
 
         occurrences: dict[str, int] = {}
-        seen_cells: dict[str, Span | None] = {}
         seen_ids: set[str] = set()
         for element in elements:
             if bad_id and _bad_ids([element.id]):
@@ -439,45 +469,9 @@ def validate(model: Model) -> list[Diagnostic]:
                 diags.extend(
                     _check_uca_action(model, element, ref, ids["node"], edge_by_id)
                 )
-            for slot, known, target_text, mistyped in refs:
+            for slot, known, targets in suspects:
                 value = getattr(element, slot.field)
-                if mistyped and _mistyped(slot, [value]):
-                    diags.append(_wrong_type(model, ref, slot, value))
-                    continue
-                values = referenced_ids(element, slot)
-                if slot.nonempty and not values:
-                    diags.append(
-                        Diagnostic(
-                            Severity.ERROR,
-                            "V004",
-                            f"{cls} '{ref.id}' must {slot.nonempty} at least one "
-                            f"{slot.target}",
-                            _span(model, ref),
-                        )
-                    )
-                for value in values:
-                    if value not in known:
-                        diags.append(_dangling(model, ref, target_text, value))
-            for slot in texts:
-                value = getattr(element, slot.field)
-                if _mistyped(slot, [value]):
-                    diags.append(_wrong_type(model, ref, slot, value))
-            for slot in enums:
-                value = getattr(element, slot.field)
-                if value is None and not slot.required:
-                    continue
-                # The text serialize would write must be one parse accepts.
-                text = enum_text(value)
-                if not (isinstance(text, str) and text in slot.members):
-                    diags.append(
-                        Diagnostic(
-                            Severity.ERROR,
-                            "V006",
-                            f"{cls} '{ref.id}' has invalid {slot.field} '{text}' "
-                            f"(expected one of: {', '.join(slot.members)})",
-                            _span(model, ref),
-                        )
-                    )
+                diags.extend(_findings(model, ref, slot, value, known, targets))
             if loops and element.source == element.target:
                 diags.append(
                     Diagnostic(
@@ -487,9 +481,7 @@ def validate(model: Model) -> list[Diagnostic]:
                         _span(model, ref),
                     )
                 )
-            if duplicates and occurrences[key] == 1:
-                seen_cells[key] = _span(model, ref)
-            elif duplicates:
+            if duplicates and occurrences[key] > 1:
                 diags.append(
                     Diagnostic(
                         Severity.ERROR,
@@ -497,7 +489,7 @@ def validate(model: Model) -> list[Diagnostic]:
                         f"duplicate assessment for action '{element.action}' and "
                         f"guide type '{enum_text(element.guide_type)}'",
                         _span(model, ref),
-                        seen_cells[key],
+                        _span(model, assessment_ref(element.action, element.guide_type)),
                     )
                 )
 

@@ -239,7 +239,8 @@ def _oracle_validate(model):
         cls: {e.id for e in model.elements_of(cls)}
         for cls in ("loss", "boundary", "hazard", "node", "edge", "uca", "scenario")
     }
-    edge_by_id = {e.id: e for e in model.edges}
+    # An id declared twice names its first edge.
+    edge_by_id = {e.id: e for e in reversed(model.edges)}
     findings = []
 
     def span_of(ref):

@@ -49,6 +49,7 @@ from phasekit.model import (
     SystemBoundary,
     Uca,
     is_valid_identifier,
+    lookup,
 )
 
 from .hierarchy_oracle import oracle_hierarchy_ranks, oracle_scope_ranks
@@ -431,6 +432,22 @@ def test_an_id_declared_again_in_a_model_built_in_code_is_v008(c1):
     # Classes are namespaced: a loss may share a node's id.
     loss = dataclasses.replace(c1.losses[0], id=node.id)
     assert validate(dataclasses.replace(c1, losses=(*c1.losses, loss))) == []
+
+
+def test_a_uca_on_a_repeated_edge_id_resolves_to_the_first_edge_declared():
+    control = Edge("CA1", EdgeKind.CONTROL_ACTION, "A", "B", "act")
+    model = Model(
+        **_ACTION_AND_HAZARD,
+        ucas=(Uca("U1", "A", "CA1", GuideType.PROVIDED, "functional", "c", ("H1",)),),
+    )
+    model = dataclasses.replace(
+        model, edges=(control, Edge("CA1", EdgeKind.FEEDBACK, "B", "A", "fb"))
+    )
+    assert lookup(model, "edge", "CA1") == control
+    assert [(d.code, d.message) for d in validate(model)] == [
+        ("V008", "duplicate edge id 'CA1'")
+    ]
+    assert oracle_validate(model) == []
 
 
 def test_edge_kinds_given_as_text_behave_like_their_members():

@@ -135,7 +135,8 @@ def oracle_validate(model: Model) -> list[Diagnostic]:
     ids = {
         c.name: {e.id for e in model.elements_of(c.name)} for c in SCHEMA if c.identity
     }
-    edge_by_id = {e.id: e for e in model.edges}
+    # An id declared twice names its first edge.
+    edge_by_id = {e.id: e for e in reversed(model.edges)}
     seen_cells: dict[tuple, Span | None] = {}
     occurrences: dict[tuple, int] = {}
 
