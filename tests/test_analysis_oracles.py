@@ -20,11 +20,17 @@ The rules the oracles follow where ids repeat:
   declaration at once; the metrics count declarations.
 - A coverage row is one control-action declaration; a cell lists every uca
   declaration on it, and its assessment is the first declared for the cell.
+- A boundary id declared more than once means its first declaration. Its
+  scope is every node declaration whose id it includes, and every edge
+  declaration whose source and target are both ids of nodes in that scope;
+  ``coverage`` and ``to_dot`` scoped to it draw on those alone.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -45,12 +51,16 @@ from phasekit import (
     Node,
     NodeKind,
     Ref,
+    RenderOptions,
     Severity,
     Uca,
     UcaCategory,
+    UnknownReferenceError,
     coverage,
+    elements_in_boundary,
     hints,
     metrics,
+    to_dot,
 )
 
 from .conftest import load_fixture
@@ -134,8 +144,23 @@ def oracle_hints(model):
     return found
 
 
-def oracle_coverage(model):
-    actions = [edge for edge in model.edges if edge.kind is EdgeKind.CONTROL_ACTION]
+def oracle_scope(model, boundary_id):
+    declared = [b for b in model.boundaries if b.id == boundary_id]
+    if not declared:
+        raise UnknownReferenceError("boundary", boundary_id)
+    nodes = tuple(node for node in model.nodes if node.id in declared[0].includes)
+    edges = tuple(
+        edge
+        for edge in model.edges
+        if any(node.id == edge.source for node in nodes)
+        and any(node.id == edge.target for node in nodes)
+    )
+    return nodes, edges
+
+
+def oracle_coverage(model, boundary_id=None):
+    edges = model.edges if boundary_id is None else oracle_scope(model, boundary_id)[1]
+    actions = [edge for edge in edges if edge.kind is EdgeKind.CONTROL_ACTION]
     actions.sort(key=lambda edge: (edge.source, edge.id))
     rows, warnings = [], []
     for action in actions:
@@ -184,6 +209,24 @@ def oracle_metrics(model):
                      "scenarios", "requirements", "assessments")
     }
     return Metrics(counts, _share(len(examined), len(cells)), *linked)
+
+
+def oracle_dot_elements(model, boundary_id):
+    """The node ids and the (source, target) pairs of the edges that
+    ``to_dot`` scoped to a boundary draws, in order."""
+    nodes, edges = oracle_scope(model, boundary_id)
+    return [node.id for node in nodes], [(edge.source, edge.target) for edge in edges]
+
+
+_DOT_NODE = re.compile(r'  "([^"]*)" \[label=')
+_DOT_EDGE = re.compile(r'  "([^"]*)" -> "([^"]*)" \[label=')
+
+
+def dot_elements(dot):
+    lines = dot.splitlines()
+    nodes = [m.group(1) for m in map(_DOT_NODE.match, lines) if m]
+    edges = [m.groups() for m in map(_DOT_EDGE.match, lines) if m]
+    return nodes, edges
 
 
 # ---------------------------------------------------------------------------
@@ -259,3 +302,53 @@ def test_analyses_match_scans_on_tangled_models(model):
     assert hints(model) == oracle_hints(model)
     assert coverage(model) == oracle_coverage(model)
     assert metrics(model) == oracle_metrics(model)
+
+
+# ---------------------------------------------------------------------------
+# Boundary scoping against the scans
+# ---------------------------------------------------------------------------
+
+
+def assert_scopes_match_scans(model):
+    for boundary_id in dict.fromkeys(boundary.id for boundary in model.boundaries):
+        scope = oracle_scope(model, boundary_id)
+        assert elements_in_boundary(model, boundary_id) == scope
+        assert coverage(model, boundary_id) == oracle_coverage(model, boundary_id)
+        dot = to_dot(model, RenderOptions(boundary_id))
+        assert dot_elements(dot) == oracle_dot_elements(model, boundary_id)
+
+
+def test_boundary_scopes_match_scans(large):
+    fixtures = [load_fixture(name) for name in ("c1", "c2", "c3")]
+    assert sum(len(model.boundaries) for model in fixtures) == 9
+    # Some scope holds control actions whose grid the scoping decides.
+    assert any(
+        oracle_coverage(model, boundary.id).rows
+        and oracle_coverage(model, boundary.id) != oracle_coverage(model)
+        for model in fixtures
+        for boundary in model.boundaries
+    )
+    for model in _models(large):
+        assert_scopes_match_scans(model)
+
+
+def test_a_repeated_boundary_id_scopes_by_its_first_declaration(c1):
+    first, *rest = c1.boundaries
+    again = dataclasses.replace(rest[-1], id=first.id)
+    model = dataclasses.replace(c1, boundaries=(*c1.boundaries, again))
+    alone = dataclasses.replace(c1, boundaries=(again,))
+    assert elements_in_boundary(alone, first.id) != elements_in_boundary(c1, first.id)
+    assert elements_in_boundary(model, first.id) == elements_in_boundary(c1, first.id)
+    assert_scopes_match_scans(model)
+
+
+def test_an_unknown_boundary_is_refused_alike(c1):
+    for scope in (elements_in_boundary, oracle_scope):
+        with pytest.raises(UnknownReferenceError):
+            scope(c1, "NOPE")
+
+
+@settings(max_examples=200, deadline=None)
+@given(tangled_models())
+def test_boundary_scopes_match_scans_on_tangled_models(model):
+    assert_scopes_match_scans(model)
