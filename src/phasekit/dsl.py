@@ -30,9 +30,12 @@ each value goes; both readers below consult it and fill a list of values:
   the only code that reports lexical and statement errors (P001, P002,
   P004), with their spans. The fast match resumes at the next statement.
 
-The loop builds each element from its values, reports duplicate ids (P003)
-and a repeated ``model`` header (P002), and sorts every diagnostic into
-source order.
+The loop builds each element from its values and keeps only its keyword's
+offset, in a list per class parallel to the collection; duplicate ids (P003)
+and a repeated ``model`` header (P002) are found after it. One resolver,
+``_Spans.at``, gives every span, the token fallback's too, from an offset and
+a table of line starts built on first need, so a parsed model's
+``source_spans`` resolves a span only when it is read.
 
 Diagnostic codes:
 
@@ -47,7 +50,8 @@ P004   invalid enumeration value
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from bisect import bisect_right
+from collections.abc import Callable, Mapping
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -80,8 +84,7 @@ class ParseResult:
 class _Token(NamedTuple):
     kind: str  # "word" | "string" | "punct"
     value: str
-    line: int
-    column: int
+    offset: int
 
 
 def _error(code: str, message: str, span: Span, related: Span | None = None) -> Diagnostic:
@@ -140,22 +143,23 @@ _STATEMENTS: dict[str, _Statement] = {
 # Patterns
 # ---------------------------------------------------------------------------
 
-# Every word subpattern ends in a negative lookahead, so a word only ever
-# matches whole, as the tokenizer reads it. Without it, items written with no
-# space between them (``a=b=c=...``) can be split in exponentially many ways
-# before the pattern gives up.
+# The repeats are possessive (``++``, ``*+``, Python 3.11 and later): what one
+# has matched is never given back. So a word only ever matches whole, as the
+# tokenizer reads it, with no lookahead after each, and items written with no
+# space between them (``a=b=c=...``) cannot be split in exponentially many
+# ways before the pattern gives up.
 _W = "[A-Za-z0-9_-]"
-_WORD = rf"{_W}+(?!{_W})"
-_IDENT = rf"[A-Za-z]{_W}*(?!{_W})"
-_QUOTED = r'"[^"\\\r\n]*(?:\\["\\][^"\\\r\n]*)*"'
-# A lone \r must not match the first half of \r\n, or line counts would
-# depend on where a match happened to split it.
+_WORD = rf"{_W}++"
+_IDENT = rf"[A-Za-z]{_W}*+"
+_QUOTED = r'"[^"\\\r\n]*+(?:\\["\\][^"\\\r\n]*+)*+"'
+# A lone \r must not match the first half of \r\n, or a statement could end
+# between the two and the next one begin inside a line break.
 _BREAK = r"\r\n|\r(?!\n)|\n"
 _END = rf"(?:{_BREAK}|\Z)"
 # Blanks and continuations. A backslash at the very end of the input counts
 # as a continuation.
-_GAP = rf"[ \t]*(?:\\{_END}[ \t]*)*"
-_BLANK_LINES = rf"(?:[ \t]*(?:#[^\r\n]*|\\)?(?:{_BREAK}))*"
+_GAP = rf"[ \t]*+(?:\\{_END}[ \t]*+)*+"
+_BLANK_LINES = rf"(?:[ \t]*+(?:#[^\r\n]*+|\\)?(?:{_BREAK}))*+"
 
 #: Most items one statement holds: the most written slots of any class.
 _MAX_ITEMS = max(sum(s.key is not None for s in c.slots) for c in SCHEMA)
@@ -174,6 +178,7 @@ _STATEMENT_RE = re.compile(
 #: An id list as the token parser reads it: ids, commas, blanks, continuations.
 _LIST_RE = re.compile(rf"\[{_GAP}(?:{_IDENT}{_GAP}(?:,{_GAP}{_IDENT}{_GAP})*)?\]")
 _LIST_ITEM_RE = re.compile(_WORD)
+_BREAK_RE = re.compile(_BREAK)
 #: A backslash in a string and the character it escapes, none when that is
 #: not '"' or '\'.
 _ESCAPE_RE = re.compile(r'\\(["\\]?)')
@@ -198,28 +203,23 @@ def _unescape(body: str) -> str:
 
 
 def _tokenize(
-    text: str, pos: int, line: int, filename: str, diags: list[Diagnostic]
-) -> tuple[list[_Token], int, int]:
-    """The tokens of the logical statement at ``pos``, the start of line
-    ``line``, then the position and line number after it.
+    text: str, pos: int, at: Callable[[int], Span], diags: list[Diagnostic]
+) -> tuple[list[_Token], int]:
+    """The tokens of the logical statement at ``pos``, the start of a line,
+    then the position after it; ``at`` gives the span of an offset.
 
     Lexical errors are recorded and the offending character skipped, so one
     bad byte never hides the rest of the statement. Lines that hold no token
     end no statement.
     """
     tokens: list[_Token] = []
-    line_start = pos
     for m in _TOKEN_RE.finditer(text, pos):
         kind = m.lastgroup
-        if kind == "newline" or kind == "continuation":
-            line += 1
-            line_start = m.end()
-            if kind == "newline" and tokens:
-                return tokens, line_start, line
+        if kind == "newline" and tokens:
+            return tokens, m.end()
+        if kind == "newline" or kind == "continuation" or kind == "blank":
             continue
-        if kind == "blank":
-            continue
-        column = m.start() - line_start + 1
+        offset = m.start()
         if kind == "string":
             body = m["body"]
             for escape in _ESCAPE_RE.finditer(body):
@@ -228,12 +228,12 @@ def _tokenize(
                         _error(
                             "P001",
                             "unsupported escape (only \\\" and \\\\ are allowed)",
-                            Span(filename, line, column + 1 + escape.start()),
+                            at(offset + 1 + escape.start()),
                         )
                     )
             if not m["close"]:
-                diags.append(_error("P001", "unterminated string", Span(filename, line, column)))
-            tokens.append(_Token(kind, _unescape(body), line, column))
+                diags.append(_error("P001", "unterminated string", at(offset)))
+            tokens.append(_Token(kind, _unescape(body), offset))
         elif kind == "other":
             ch = m[kind]
             message = (
@@ -241,10 +241,10 @@ def _tokenize(
                 if ch == "\\"
                 else f"unknown character {ch!r}"
             )
-            diags.append(_error("P001", message, Span(filename, line, column)))
+            diags.append(_error("P001", message, at(offset)))
         else:
-            tokens.append(_Token(kind, m[kind], line, column))
-    return tokens, len(text), line
+            tokens.append(_Token(kind, m[kind], offset))
+    return tokens, len(text)
 
 
 class _StatementError(Exception):
@@ -252,16 +252,16 @@ class _StatementError(Exception):
 
 
 def _parse_statement(
-    tokens: list[_Token], filename: str, diags: list[Diagnostic]
+    tokens: list[_Token], at: Callable[[int], Span], diags: list[Diagnostic]
 ) -> tuple | None:
-    """One statement as (class name, record class, id, field values, span), or
-    None when it has an error, which is recorded in ``diags``."""
+    """One statement as (class name, record class, id, field values, keyword
+    offset), or None when it has an error, which is recorded in ``diags``."""
     rest = iter(tokens)
 
     def fail(code: str, message: str, token: _Token | None = None) -> None:
         """Record an error at ``token``, else at the last token, and abort."""
         token = token or tokens[-1]
-        diags.append(_error(code, message, Span(filename, token.line, token.column)))
+        diags.append(_error(code, message, at(token.offset)))
         raise _StatementError
 
     def list_item(key: str, open_tok: _Token) -> _Token:
@@ -360,8 +360,7 @@ def _parse_statement(
                 message = f"missing attribute '{key}=' on '{keyword}'"
                 fail("P002", message if key else f"'{keyword}' needs a quoted description", head)
 
-        span = Span(filename, head.line, head.column)
-        return statement.cls, statement.type, stmt_id, values, span
+        return statement.cls, statement.type, stmt_id, values, head.offset
     except _StatementError:
         return None
 
@@ -403,6 +402,70 @@ def _plan(shape: tuple) -> tuple:
     return plan
 
 
+class _Spans(Mapping):
+    """``Model.source_spans`` of a parsed model, resolved from keyword offsets
+    on read. A read builds its class's id-to-offset map alone, the first
+    declaration winning; ``len``, iteration and ``==`` build the whole dict,
+    which a pickle or copy gives. Tables are kept once complete, as in ModelIndex."""
+
+    def __init__(self, text: str, filename: str, collections: dict, offsets: dict) -> None:
+        self._text, self._filename, self._collections = text, filename, collections
+        self._offsets, self._starts, self._maps, self._whole = offsets, None, {}, None
+
+    def _line_starts(self) -> list[int]:
+        """The offset at which each line of the text starts, kept once built."""
+        self._starts = starts = [0, *(m.end() for m in _BREAK_RE.finditer(self._text))]
+        return starts
+
+    def at(self, offset: int) -> Span:
+        """The span of an offset into the text; every span of a parse."""
+        starts = self._starts or self._line_starts()
+        line = bisect_right(starts, offset)
+        return Span(self._filename, line, offset - starts[line - 1] + 1)
+
+    def _map(self, cls: str) -> dict[str, int]:
+        found = self._maps.get(cls)
+        if found is None:
+            if cls == "assessment":
+                ids, seen = [], {}
+                for cell in map(attrgetter("action", "guide_type"), self._collections[cls]):
+                    seen[cell] = seen.get(cell, 0) + 1
+                    ids.append(assessment_ref(*cell, seen[cell]).id)
+            else:
+                ids = [element.id for element in self._collections[cls]]
+            # Filled from the last declaration back, so the first one wins.
+            found = dict(zip(reversed(ids), reversed(self._offsets[cls])))
+            self._maps[cls] = found
+        return found
+
+    def _all(self) -> dict[Ref, Span]:
+        whole = self._whole
+        if whole is None:
+            refs = sorted((offset, Ref(cls, key)) for cls in self._offsets
+                          for key, offset in self._map(cls).items())
+            self._whole = whole = {ref: self.at(offset) for offset, ref in refs}
+        return whole
+
+    def __getitem__(self, ref: Ref) -> Span:
+        if isinstance(ref, tuple) and len(ref) == 2 and ref[0] in self._offsets:
+            offset = self._map(ref[0]).get(ref[1])
+            if offset is not None:
+                return self.at(offset)
+        raise KeyError(ref)
+
+    def __len__(self) -> int:
+        return len(self._all())
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __repr__(self) -> str:
+        return repr(self._all())
+
+    def __reduce__(self) -> tuple:
+        return dict, (self._all(),)
+
+
 def parse(text: str, filename: str = "<input>") -> ParseResult:
     """Parse a PHASE document.
 
@@ -411,19 +474,14 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
     error-severity diagnostics.
     """
     diags: list[Diagnostic] = []
-    name, name_span = "", None
+    headers: list[tuple[int, str]] = []  # offset and name of each model header
     collections: dict[str, list] = {c.name: [] for c in SCHEMA}
-    spans: dict[Ref, Span] = {}
-    occurrences: dict[tuple, int] = {}
-    new_ref = tuple.__new__  # Ref's own __new__ only packs its arguments
-    new_object, set_field = object.__new__, object.__setattr__  # past Span's frozen one
+    offsets: dict[str, list[int]] = {c.name: [] for c in SCHEMA}
+    spans = _Spans(text, filename, collections, offsets)
+    at = spans.at
     plan_of = _PLANS.get
-    count = text.count
-    crlf = "\r" in text
     match_statement = _STATEMENT_RE.match
-    end = len(text)
-    # ``line`` is the number of the line that starts at ``line_start``.
-    pos, line, line_start = 0, 1, 0
+    pos, end = 0, len(text)
     while pos < end:
         m = match_statement(text, pos)
         try:
@@ -458,52 +516,34 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
                     if value is None:
                         raise _Decline
                 values[position] = value
-        except _Decline:
-            m = None
-        # Line breaks from the previous statement's line to this one's.
-        start = pos if m is None else m.end(1)
-        line += count("\n", line_start, start)
-        if crlf:
-            line += count("\r", line_start, start) - count("\r\n", line_start, start)
-        line_start = start
-        if m is not None:
-            # Three calls in the loop cost less than new_record's one.
-            span = new_object(Span)
-            set_field(span, "file", filename)
-            set_field(span, "line", line)
-            set_field(span, "column", m.start(2) - start + 1)
+            offset = m.start(2)
             pos = m.end()
-        else:
-            tokens, pos, line = _tokenize(text, pos, line, filename, diags)
-            line_start = pos
-            statement = tokens and _parse_statement(tokens, filename, diags)
+        except _Decline:
+            tokens, pos = _tokenize(text, pos, at, diags)
+            statement = tokens and _parse_statement(tokens, at, diags)
             if not statement:
                 continue
-            cls, record_cls, stmt_id, values, span = statement
+            cls, record_cls, stmt_id, values, offset = statement
         if cls is None:
-            if name_span is not None:
-                diags.append(_error("P002", "model name already declared", span, name_span))
-            else:
-                name, name_span = values[0], span
-        elif stmt_id is not None:
-            ref = new_ref(Ref, (cls, stmt_id))
-            prior = spans.setdefault(ref, span)
-            if prior is not span:
-                diags.append(_error("P003", f"duplicate {cls} id '{stmt_id}'", span, prior))
-            else:
-                # A uca stays a value list until its action's source is known.
-                collections[cls].append(values if cls == "uca" else new_record(record_cls, values))
+            headers.append((offset, values[0]))
         else:
-            element = new_record(record_cls, values)
-            # Duplicate assessment cells are a semantic error, not a parse
-            # error; keep every declaration, each with its own span.
-            cell = (element.action, element.guide_type)
-            occurrences[cell] = occurrences.get(cell, 0) + 1
-            spans[assessment_ref(*cell, occurrences[cell])] = span
-            collections[cls].append(element)
+            # A uca stays a value list until its action's source is known.
+            collections[cls].append(values if cls == "uca" else new_record(record_cls, values))
+            offsets[cls].append(offset)
 
-    # A statement's lexical errors come before its syntax error and assembly
-    # reports after both; present everything in source order.
+    # Repeated headers and ids, each reported with the first declaration.
+    for offset, _ in headers[1:]:
+        diags.append(_error("P002", "model name already declared", at(offset), at(headers[0][0])))
+    # Duplicate assessment cells are a semantic error, not a parse error.
+    for cls in (c.name for c in SCHEMA if c.identity):
+        ids = [*map(itemgetter(0) if cls == "uca" else attrgetter("id"), collections[cls])]
+        if len(set(ids)) < len(ids):
+            declared: dict[str, int] = {}
+            for stmt_id, offset in zip(ids, offsets[cls]):
+                if (prior := declared.setdefault(stmt_id, offset)) != offset:
+                    message = f"duplicate {cls} id '{stmt_id}'"
+                    diags.append(_error("P003", message, at(offset), at(prior)))
+    # Present every diagnostic, the duplicates found last too, in source order.
     diags.sort(key=lambda d: (d.span.line, d.span.column) if d.span else (0, 0))
 
     if has_errors(diags):
@@ -518,8 +558,8 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
         values[source] = sources.get(values[action], "")
         ucas[index] = new_record(uca_cls, values)
     # Model's fields: the name, the collections in schema order, the spans.
-    model = Model(name, *(tuple(collections[c.name]) for c in SCHEMA), spans)
-    return ParseResult(model, tuple(diags))
+    name = headers[0][1] if headers else ""
+    return ParseResult(Model(name, *map(tuple, collections.values()), spans), tuple(diags))
 
 
 def parse_file(path: str) -> ParseResult:

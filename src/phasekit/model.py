@@ -342,19 +342,14 @@ REFERENCES: dict[str, tuple[tuple[Slot, tuple[str, ...]], ...]] = {
 }
 
 
-def referenced_ids(element: Element, slot: Slot) -> tuple[str, ...]:
-    """The ids one reference slot of an element names."""
-    value = getattr(element, slot.field)
-    return value if slot.kind == IDLIST else (value,)
-
-
 @record
 class Model:
     """A complete analysis document.
 
     Collections preserve declaration order; equality is structural and
     ignores ``source_spans``, so two documents differing only in whitespace
-    and comments parse to equal models.
+    and comments parse to equal models. A parsed model's ``source_spans`` is a
+    read-only mapping, resolved on read, that pickles and copies to a dict.
     """
 
     name: str = ""

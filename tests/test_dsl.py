@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import io
 import itertools
 import math
+import pickle
 import random
 import re
 import sys
@@ -14,7 +18,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from phasekit import LossCategory, Severity, Span, parse, serialize
-from phasekit import dsl
+from phasekit import cli, dsl
 from phasekit.dsl import _MAX_ITEMS
 from phasekit.model import (
     CLASS_FIELDS,
@@ -25,6 +29,7 @@ from phasekit.model import (
     STRING,
     EdgeKind,
     GuideType,
+    assessment_ref,
 )
 
 from .parse_oracle import _parse_exact
@@ -577,6 +582,59 @@ def test_parse_from_threads_matches_serial_parse(model, seed):
             assert result.model.source_spans == expected.model.source_spans
     assert len(got) == 4
 
+    # Four threads reading the spans of one fresh model for the first time,
+    # two a ref at a time from different ends and two the whole mapping, get
+    # what one thread gets.
+    for doc, expected in zip(docs, serial):
+        spans = parse(doc, "doc.phase").model.source_spans
+        refs = list(expected.model.source_spans)
+        reads = {
+            0: lambda: {ref: spans[ref] for ref in refs},
+            1: lambda: {ref: spans.get(ref) for ref in reversed(refs)},
+            2: lambda: dict(spans),
+            3: lambda: dict(spans.items()),
+        }
+        read: dict[int, dict] = {}
+        start = threading.Barrier(4)
+
+        def work_spans(index: int) -> None:
+            start.wait()
+            read[index] = reads[index]()
+
+        threads = [threading.Thread(target=work_spans, args=(index,)) for index in reads]
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(read) == 4
+        for result in read.values():
+            assert result == expected.model.source_spans
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "loss L1 " + "a=" * 20000,
+        "loss L1 " + "a=b" * 20000,
+        'loss L1 "x"' + " \\\n" * 20000 + " category=sociotechnical",
+        "loss L1 " + "a" * 120 + " $",
+    ],
+    ids=["keys", "items", "continuations", "long-word"],
+)
+def test_statement_pattern_never_backtracks_exponentially(text):
+    """Possessive repeats leave the statement pattern no way to split a run
+    of items or continuations differently once it has read them. A word that
+    could be split would give the last text millions of ways to fail."""
+    start = time.perf_counter()
+    parse(text, "doc.phase")
+    assert time.perf_counter() - start < 5.0
+    assert_matches_exact(text)
+
 
 def test_one_item_too_many_declines():
     items = 'action=CA1 type=provided category=functional context="c" hazards=[H1]'.split()
@@ -633,3 +691,99 @@ def test_items_without_blanks_parse_in_linear_time(text):
     start = time.perf_counter()
     assert_matches_exact(text)
     assert time.perf_counter() - start < 2.0
+
+
+# ---------------------------------------------------------------------------
+# source_spans of a parsed model: offsets resolved on read
+# ---------------------------------------------------------------------------
+
+
+def _spy(name: str):
+    """Record every call of one ``_Spans`` method, which still runs."""
+    return mock.patch.object(
+        dsl._Spans, name, autospec=True, side_effect=getattr(dsl._Spans, name)
+    )
+
+
+def _run(argv: list) -> int:
+    return cli.run([str(arg) for arg in argv], stdout=io.StringIO(), stderr=io.StringIO())
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+def test_clean_model_never_resolves_a_span(name, tmp_path):
+    """No subcommand builds the line table for a case study, so a clean model
+    costs no span; one self-loop edge (V100) makes ``check`` build it once and
+    map the edge class alone."""
+    from .conftest import fixture_path, load_fixture
+
+    path = fixture_path(name)
+    revision = path.parent.parent / "tests" / "goldens" / "inputs" / f"{name}_rev.phase"
+    model = load_fixture(name)
+    node = model.nodes[0].id
+    calls = [
+        ["check", path, "--strict"],
+        *(["coverage", path, "--format", fmt] for fmt in ("table", "csv", "json")),
+        ["hints", path],
+        ["render", path],
+        *(["report", path, "--format", fmt] for fmt in ("md", "json")),
+        ["fmt", path],
+        ["trace", path, "--loss", model.losses[0].id],
+        ["trace", path, "--node", node],
+        ["diff", path, revision, "--impact"],
+    ]
+    with _spy("_line_starts") as built:
+        for argv in calls:
+            assert _run(argv) == 0, argv
+    assert built.call_count == 0
+
+    looped = tmp_path / "looped.phase"
+    text = path.read_text(encoding="utf-8")
+    looped.write_text(f"{text}\naction Loop \"loop\" from={node} to={node}\n", encoding="utf-8")
+    with _spy("_line_starts") as built, _spy("_map") as mapped:
+        assert _run(["check", looped]) == 0
+    assert built.call_count == 1
+    assert {call.args[1] for call in mapped.call_args_list} == {"edge"}
+
+
+_REPEATED_CELLS = (
+    'model "m"\r\n'
+    'assess action=CA1 type=provided verdict=not-hazardous rationale="a"\r\n'
+    "\n"
+    "  loss L1 \\\r  \"l\" category=sociotechnical\r"
+    'assess action=CA1 type=provided verdict=not-hazardous rationale="b"\n'
+    'assess action=CA1 type=not-provided verdict=not-hazardous rationale="c"\n'
+    'assess type=provided action=CA1 verdict=not-hazardous rationale="d"\n'
+)
+
+
+@pytest.mark.parametrize("name", ["c1", "repeated-cells"])
+def test_parsed_source_spans_contract(name):
+    """A parsed model's source_spans equals the oracle's dict, in source
+    order, whether read a ref at a time or whole; it is read only, answers
+    ``get`` as a dict does, and a pickle or copy of it is a plain dict."""
+    from .conftest import fixture_path
+
+    text = _REPEATED_CELLS if name != "c1" else fixture_path(name).read_text(encoding="utf-8")
+    want = _parse_exact(text, "doc.phase").model.source_spans
+    fresh = parse(text, "doc.phase").model.source_spans
+    assert {ref: fresh[ref] for ref in want} == want
+    model = parse(text, "doc.phase").model
+    spans = model.source_spans
+    assert spans == want and list(spans) == list(want) and len(spans) == len(want)
+    copies = (
+        pickle.loads(pickle.dumps(model)).source_spans,
+        copy.deepcopy(model).source_spans,
+        dataclasses.asdict(model)["source_spans"],
+    )
+    for copied in copies:
+        assert type(copied) is dict
+        assert copied == spans
+    assert dataclasses.replace(model, source_spans={}).source_spans == {}
+    for key in ("x", ("loss",), ("loss", "L9"), ("nothing", "L1"), ("loss", "L1", "x")):
+        assert spans.get(key) is None
+        assert key not in spans
+    with pytest.raises(TypeError):
+        spans[("loss", "L1")] = None  # type: ignore[index]
+    if name != "c1":
+        cell = ("CA1", GuideType.PROVIDED)
+        assert [spans[assessment_ref(*cell, n)].line for n in (1, 2, 3)] == [2, 6, 8]

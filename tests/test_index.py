@@ -39,11 +39,11 @@ from phasekit.model import (
     Node,
     NodeKind,
     element_id,
-    referenced_ids,
 )
 
 from .conftest import load_fixture
 from .strategies import model_pairs, valid_models
+from .validate_oracle import referenced_ids
 
 # ---------------------------------------------------------------------------
 # Oracles: one linear scan per query

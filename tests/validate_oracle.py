@@ -29,8 +29,13 @@ from phasekit.model import (
     Uca,
     assessment_ref,
     enum_text,
-    referenced_ids,
 )
+
+
+def referenced_ids(element, slot: Slot) -> tuple[str, ...]:
+    """The ids one reference slot of an element names."""
+    value = getattr(element, slot.field)
+    return value if slot.kind == IDLIST else (value,)
 
 
 def _span(model: Model, ref: Ref) -> Span | None:
