@@ -78,11 +78,17 @@ def _cases() -> dict[str, list[str]]:
     cases["parse_errors_check"] = ["check", f"{INPUTS}/parse_errors.phase"]
     cases["semantic_errors_check"] = ["check", f"{INPUTS}/semantic_errors.phase"]
     cases["coverage_c001"] = ["coverage", f"{INPUTS}/coverage_c001.phase"]
+    # The only CLI document with a non-empty warnings list.
+    cases["coverage_c001_json"] = [
+        "coverage", f"{INPUTS}/coverage_c001.phase", "--format", "json",
+    ]
     # A control cycle with a tail, a self-loop and a parallel edge, drawn
     # whole and inside a boundary that cuts the cycle open.
     cycle = f"{INPUTS}/control_cycle.phase"
     cases["control_cycle_render"] = ["render", cycle]
     cases["control_cycle_render_boundary"] = ["render", cycle, "--boundary", "Scope"]
+    # Its diagnostics list holds one V100 warning.
+    cases["control_cycle_report_json"] = ["report", cycle, "--format", "json"]
     # Refused before stdin is read, so the case needs no input.
     cases["diff_stdin_twice"] = ["diff", "-", "-"]
     return cases
