@@ -12,10 +12,11 @@ leakage. A fragment two artifacts share, such as the coverage header row,
 the totals line or the line of a hint, is written by one function.
 
 Every JSON document is the text of ``json.dumps(..., indent=2,
-ensure_ascii=False)``. The model and coverage sections, nearly all of a
-report, are written a field at a time over whole collections, with the
-fields of each element class taken from ``SCHEMA``; the other sections and
-the diff document are written through ``_json_text``.
+ensure_ascii=False)``. The model, coverage and hints sections, nearly all
+of a report, are written a field at a time over whole collections, with the
+fields of each element class taken from ``SCHEMA``, and filled into one
+template per kind of object. The other sections and the diff document are
+json's own text, re-indented to the depth they sit at (``_json_text``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from operator import attrgetter, not_
 
 from .analysis import (
@@ -130,7 +131,6 @@ def to_dot(model: Model, options: RenderOptions | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 _encode_text = json.encoder.encode_basestring
-_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def _object_text(pairs, newline: str) -> str:
@@ -149,36 +149,10 @@ def _list_text(texts: list[str], newline: str) -> str:
 
 
 def _json_text(value, newline: str = "\n") -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False)``, written directly.
-
-    It writes the report's small sections (diagnostics, hints, metrics), the
-    diff document, and each value the column writers below leave to it.
-    json's indented encoder is pure Python and yields every token through a
-    chain of generators; this writes the same text with one call per
-    container. ``newline`` is the line break and indentation of the depth
-    ``value`` sits at. Text goes through the C function json itself uses,
-    other leaves through json's own encoder. Dict keys must be text, and the
-    value must be a tree: json would also write number, bool and None keys
-    and would detect a cycle, where this raises ``TypeError`` and
-    ``RecursionError``.
-    """
-    if type(value) is str:  # most leaves are text
-        return _encode_text(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        return _object_text([
-            (key, _encode_text(item) if type(item) is str else _json_text(item, inner))
-            for key, item in value.items()
-        ], newline)
-    if isinstance(value, (list, tuple)):
-        return _list_text([
-            _encode_text(item) if type(item) is str else _json_text(item, inner) for item in value
-        ], newline)
-    if value is None:
-        return "null"
-    # Numbers, booleans and str subclasses as json writes them; TypeError for
-    # what json cannot write.
-    return _encode_scalar(value)
+    """``json.dumps(value, indent=2, ensure_ascii=False)``, re-indented to the
+    depth ``newline`` gives. json escapes every line break inside text, so
+    each one left in its text is between tokens."""
+    return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
 
 
 def _span_json(diagnostic: Diagnostic) -> dict | None:
@@ -204,28 +178,24 @@ def _ref_json(ref: Ref) -> dict:
     return {"class": ref.cls, "id": ref.id}
 
 
-def _hint_json(hint: Hint) -> dict:
-    return {
-        "code": hint.code.value,
-        "subjects": [_ref_json(ref) for ref in hint.subjects],
-        "message": hint.message,
-    }
-
-
 #: What json's C text encoder writes as its JSON value: text, and the enums
 #: of SCHEMA, which mix in str with their value.
 _TEXT_TYPES = {str, *(type(m) for c in SCHEMA for s in c.slots if s.members
                       for m in s.members.values())}
 
 
-def _column_text(values: list, kind: str, newline: str) -> list[str]:
+def _column_text(values: list, kind, newline: str) -> list[str]:
     """The JSON text of each value of one field of ``kind`` at ``newline``.
 
     Text, ids and enum members go through json's C encoder in one map, and a
     tuple of ids none of which needs escaping is joined whole. A column with
     any other value (None, a list, an enum given as text, a wrong type) is
-    written value by value through :func:`_json_text`, so the text is the same.
+    written value by value: text through the same encoder, None as ``null``,
+    and anything else through :func:`_json_text`, so the text is the same.
+    A kind that is a function writes the column itself.
     """
+    if callable(kind):
+        return kind(values, newline)
     try:
         if kind == IDLIST and set(map(type, values)) == {tuple}:
             ids = "".join(chain.from_iterable(values))
@@ -242,14 +212,18 @@ def _column_text(values: list, kind: str, newline: str) -> list[str]:
         pass
     if kind in (ENUM, IDLIST):
         values = list(map(enum_text, values))
-    return [_json_text(value, newline) for value in values]
+    return [
+        _encode_text(value) if type(value) is str
+        else "null" if value is None
+        else _json_text(value, newline)
+        for value in values
+    ]
 
 
-def _objects_text(records, fields, newline: str, extra=()) -> list[str]:
+def _objects_text(records, fields, newline: str) -> list[str]:
     """The JSON object of each record at ``newline``: a column per (key,
-    getter, kind) of ``fields`` and per (key, texts) of ``extra``, filled
-    into one %-template."""
-    template = _object_text([(field[0], "%s") for field in (*fields, *extra)], newline)
+    getter, kind) of ``fields``, filled into one %-template."""
+    template = _object_text([(key, "%s") for key, _, _ in fields], newline)
     inner = newline + "  "
     try:
         columns = [_column_text(list(map(get, records)), kind, inner) for _, get, kind in fields]
@@ -258,7 +232,16 @@ def _objects_text(records, fields, newline: str, extra=()) -> list[str]:
             for _, get, kind in fields:
                 _column_text([get(record_)], kind, inner)
         raise
-    return list(map(template.__mod__, zip(*columns, *(texts for _, texts in extra))))
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _ref_lists(ref_lists: list, newline: str) -> list[str]:
+    """Each tuple of refs as a JSON list at ``newline``: the refs of all of
+    them written as one column of objects, then regrouped per tuple."""
+    fields = [(key, attrgetter(name), ID) for key, name in (("class", "cls"), ("id", "id"))]
+    refs = _objects_text(list(chain.from_iterable(ref_lists)), fields, newline + "  ")
+    ends = list(accumulate(map(len, ref_lists)))
+    return [_list_text(refs[start:end], newline) for start, end in zip([0, *ends], ends)]
 
 
 def _model_text(model: Model, newline: str) -> str:
@@ -274,10 +257,11 @@ def _model_text(model: Model, newline: str) -> str:
     return _object_text(pairs, newline)
 
 
-def _coverage_text(matrix: CoverageMatrix, newline: str) -> str:
-    inner, row_line = newline + "  ", newline + "    "
-    # The cells of every row, grouped by shape: covered or not, assessed or not.
-    cells = list(chain.from_iterable(map(attrgetter("cells"), matrix.rows)))
+def _row_cells(row_cells: list, newline: str) -> list[str]:
+    """Each row's cells as a JSON object of guide types at ``newline``, the
+    cells of all rows written a shape (covered or not, assessed or not) at a
+    time."""
+    cells = list(chain.from_iterable(row_cells))
     shapes: dict[tuple[bool, bool], list[int]] = {}
     for at, cell in enumerate(cells):
         shape = (cell.state is CellState.COVERED, cell.assessment is not None)
@@ -287,16 +271,21 @@ def _coverage_text(matrix: CoverageMatrix, newline: str) -> str:
         fields = [("state", attrgetter("state.value"), STRING)]
         fields += [("ucas", attrgetter("uca_ids"), IDLIST)] * covered
         fields += [("rationale", attrgetter("assessment.rationale"), STRING)] * assessed
-        shaped = _objects_text([cells[at] for at in positions], fields, row_line + "    ")
+        shaped = _objects_text([cells[at] for at in positions], fields, newline + "  ")
         texts.update(zip(positions, shaped))
-    guides = _object_text([(g.value, "%s") for g in GUIDE_TYPES], row_line + "  ")
+    guides = _object_text([(g.value, "%s") for g in GUIDE_TYPES], newline)
     by_row = zip(*[map(texts.__getitem__, range(len(cells)))] * len(GUIDE_TYPES))
-    extra = (("cells", list(map(guides.__mod__, by_row))),)
-    ids = [(key, attrgetter(key), ID) for key in ("controller", "action")]
+    return list(map(guides.__mod__, by_row))
+
+
+def _coverage_text(matrix: CoverageMatrix, newline: str) -> str:
+    inner = newline + "  "
+    fields = [(key, attrgetter(key), ID) for key in ("controller", "action")]
+    fields.append(("cells", attrgetter("cells"), _row_cells))
     covered, waived, gap = matrix.counts()
     return _object_text([
         ("guide_types", _json_text([g.value for g in GUIDE_TYPES], inner)),
-        ("rows", _list_text(_objects_text(matrix.rows, ids, row_line, extra), inner)),
+        ("rows", _list_text(_objects_text(matrix.rows, fields, inner + "  "), inner)),
         ("counts", _json_text({"covered": covered, "waived": waived, "gap": gap}, inner)),
         ("ratio", _json_text(_coverage_ratio(covered, waived, gap), inner)),
         ("warnings", _json_text([_diagnostic_json(d) for d in matrix.warnings], inner)),
@@ -315,12 +304,17 @@ def report_json(model: Model, analyses: AnalysisBundle) -> str:
     metrics = dict(analyses.metrics.counts)
     for field in Metrics.__record_fields__[1:]:
         metrics[field.name] = getattr(analyses.metrics, field.name)
+    hint_fields = [
+        ("code", attrgetter("code.value"), STRING),
+        ("subjects", attrgetter("subjects"), _ref_lists),
+        ("message", attrgetter("message"), STRING),
+    ]
     inner = "\n  "
     return _object_text([
         ("model", _model_text(model, inner)),
         ("diagnostics", _json_text([_diagnostic_json(d) for d in analyses.diagnostics], inner)),
         ("coverage", _coverage_text(analyses.coverage, inner)),
-        ("hints", _json_text([_hint_json(h) for h in analyses.hints], inner)),
+        ("hints", _list_text(_objects_text(analyses.hints, hint_fields, "\n    "), inner)),
         ("metrics", _json_text(metrics, inner)),
         ("schema_version", '"1"'),
     ], "\n") + "\n"

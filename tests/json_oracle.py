@@ -1,19 +1,53 @@
 """The dict builders that ``phasekit.export.report_json`` and
-``coverage_json`` ran before they learned to write the model and coverage
-sections column by column from ``SCHEMA``, kept verbatim as an oracle.
+``coverage_json`` ran before they learned to write the model, coverage and
+hints sections column by column, kept verbatim as an oracle.
 
-``_model_json`` builds a dict per element and ``_coverage_json`` one per
-row and per cell; ``oracle_report_document`` and ``oracle_coverage_document``
-assemble the documents ``report_json`` and ``coverage_json`` wrote through
-``_json_text``. For any model and analysis bundle, ``_json_text`` of the
-document, or the error it raises, is what the current writers must give.
+``_model_json`` builds a dict per element, ``_coverage_json`` one per row
+and per cell, and ``_hint_json`` one per hint and per subject;
+``oracle_report_document`` and ``oracle_coverage_document`` assemble the
+documents ``report_json`` and ``coverage_json`` wrote through
+``json.dumps(..., indent=2, ensure_ascii=False)``. For any model and
+analysis bundle, the text of the document, or the error it raises, is what
+the current writers must give. Nothing here is imported from
+``phasekit.export``, so no writer is checked against itself.
 """
 
 from __future__ import annotations
 
-from phasekit.analysis import AnalysisBundle, CellState, CoverageMatrix, Metrics
-from phasekit.export import _diagnostic_json, _hint_json
-from phasekit.model import ENUM, GUIDE_TYPES, IDLIST, SCHEMA, ElementClass, Model
+from phasekit.analysis import AnalysisBundle, CellState, CoverageMatrix, Hint, Metrics
+from phasekit.diagnostics import Diagnostic
+from phasekit.model import ENUM, GUIDE_TYPES, IDLIST, SCHEMA, ElementClass, Model, Ref
+
+
+def _span_json(diagnostic: Diagnostic) -> dict | None:
+    if diagnostic.span is None:
+        return None
+    return {
+        "file": diagnostic.span.file,
+        "line": diagnostic.span.line,
+        "column": diagnostic.span.column,
+    }
+
+
+def _diagnostic_json(diagnostic: Diagnostic) -> dict:
+    return {
+        "severity": diagnostic.severity.value,
+        "code": diagnostic.code,
+        "message": diagnostic.message,
+        "span": _span_json(diagnostic),
+    }
+
+
+def _ref_json(ref: Ref) -> dict:
+    return {"class": ref.cls, "id": ref.id}
+
+
+def _hint_json(hint: Hint) -> dict:
+    return {
+        "code": hint.code.value,
+        "subjects": [_ref_json(ref) for ref in hint.subjects],
+        "message": hint.message,
+    }
 
 
 def json_value(value):

@@ -26,9 +26,9 @@ from phasekit import (
     report_markdown,
     to_dot,
 )
-from phasekit.analysis import CellState, trace_loss
+from phasekit.analysis import CellState, Hint, HintCode, control_hierarchy, trace_loss
 from phasekit.export import _json_text, _trace_line, coverage_json
-from phasekit.model import IDLIST, SCHEMA, STRING, EdgeKind, GuideType
+from phasekit.model import IDLIST, SCHEMA, STRING, EdgeKind, GuideType, Ref
 
 from .json_oracle import oracle_coverage_document, oracle_report_document
 from .strategies import valid_models
@@ -301,8 +301,10 @@ _TREES = st.recursive(
 @example([True, 1, False, 0, 1.0, -0.0, None])
 @example({"\u2028\ud800\x00": ["\udfff", "\x1f\x7f"]})
 @example({GuideType.PROVIDED: GuideType.NOT_PROVIDED, "n": [1, 1.5, True, None]})
+@example({1: "one"})  # json writes the key as "1"
 def test_json_text_matches_json_dumps(value):
-    assert _json_text(value) == reference_json(value)
+    for newline in ("\n", "\n  ", "\n      "):
+        assert _json_text(value, newline) == reference_json(value).replace("\n", newline)
 
 
 @pytest.mark.parametrize("value", [{1, 2}, [1, {2}], {"a": object()}, {(1, 2): "tuple key"}])
@@ -311,12 +313,6 @@ def test_json_text_rejects_what_json_rejects(value):
         reference_json(value)
     with pytest.raises(TypeError):
         _json_text(value)
-
-
-def test_json_text_takes_only_text_keys():
-    # json would write the key as "1"; no phasekit document has such a key.
-    with pytest.raises(TypeError):
-        _json_text({1: "one"})
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +448,55 @@ def test_report_writers_raise_for_the_first_bad_value_in_document_order(c1):
     outcome = _outcome(report_json, model, analyze(c1))
     assert outcome == (TypeError, "Object of type object is not JSON serializable")
     assert outcome == _outcome(_oracle_report, model, analyze(c1))
+
+
+def _control_cycle_bundle():
+    model = model_of((GOLDENS / "inputs" / "control_cycle.phase").read_text(encoding="utf-8"))
+    return model, analyze(model)
+
+
+def test_report_writers_match_oracle_on_hints_of_every_subject_count():
+    # analyze gives every hint one subject; add one of three and one of none.
+    model, analyses = _control_cycle_bundle()
+    _, cycles = control_hierarchy(model, model.nodes)
+    assert cycles == [["Director", "Engineer", "Lead"]]
+    cycle = Hint(
+        HintCode.HIERARCHY_CYCLE,
+        tuple(Ref("node", nid) for nid in cycles[0]),
+        "control actions form a cycle among nodes 'Director', 'Engineer', 'Lead'",
+    )
+    bare = Hint(HintCode.ORPHAN_NODE, (), 'no subject: 100% "odd"\u2028 %s')
+    hints = (*analyses.hints, cycle, bare)
+    assert {len(hint.subjects) for hint in hints} == {0, 1, 3}
+    assert_writers_match_oracle(model, dataclasses.replace(analyses, hints=hints))
+
+
+@pytest.mark.parametrize(
+    "first, second, raised",
+    [
+        # A subject that is not a Ref fails before any text is written.
+        (
+            {"message": object()},
+            {"subjects": ("not a ref",)},
+            (AttributeError, "'str' object has no attribute 'cls'"),
+        ),
+        # Of two values json cannot write, the first in document order.
+        (
+            {"message": object()},
+            {"subjects": (Ref("node", 3 + 4j),)},
+            (TypeError, "Object of type object is not JSON serializable"),
+        ),
+    ],
+)
+def test_report_writers_raise_for_wrong_typed_hints(first, second, raised):
+    model, analyses = _control_cycle_bundle()
+    hints = list(analyses.hints)
+    hints[0] = dataclasses.replace(hints[0], **first)
+    hints[1] = dataclasses.replace(hints[1], **second)
+    analyses = dataclasses.replace(analyses, hints=tuple(hints))
+    outcome = _outcome(report_json, model, analyses)
+    assert outcome == raised
+    assert outcome == _outcome(_oracle_report, model, analyses)
 
 
 # Coverage grids as coverage() builds them, four cells a row and uca ids in a
