@@ -1,22 +1,30 @@
-"""The dict builders that ``phasekit.export.report_json`` and
-``coverage_json`` ran before they learned to write the model, coverage and
-hints sections column by column, kept verbatim as an oracle.
+"""The dict builders that ``phasekit.export`` ran before it learned to write
+every record column by column, kept verbatim as an oracle.
 
 ``_model_json`` builds a dict per element, ``_coverage_json`` one per row
-and per cell, and ``_hint_json`` one per hint and per subject;
-``oracle_report_document`` and ``oracle_coverage_document`` assemble the
-documents ``report_json`` and ``coverage_json`` wrote through
-``json.dumps(..., indent=2, ensure_ascii=False)``. For any model and
-analysis bundle, the text of the document, or the error it raises, is what
-the current writers must give. Nothing here is imported from
+and per cell, ``_hint_json`` one per hint and per subject, and
+``_diagnostic_json`` one per diagnostic and per span;
+``oracle_report_document``, ``oracle_coverage_document`` and
+``oracle_diff_document`` assemble the documents ``report_json``,
+``coverage_json`` and ``diff_json`` wrote through ``json.dumps(...,
+indent=2, ensure_ascii=False)``. For any model, analysis bundle, change set
+and impact report, the text of the document, or the error it raises, is
+what the current writers must give. Nothing here is imported from
 ``phasekit.export``, so no writer is checked against itself.
+
+The writers write a document section by section, so a value of the wrong
+type raises the error of the first section, in document order, that holds
+one. An oracle builds its whole document before json sees it: a section's
+``AttributeError`` comes before an earlier section's ``TypeError``. So the
+comparisons hold for bad values in one section.
 """
 
 from __future__ import annotations
 
 from phasekit.analysis import AnalysisBundle, CellState, CoverageMatrix, Hint, Metrics
 from phasekit.diagnostics import Diagnostic
-from phasekit.model import ENUM, GUIDE_TYPES, IDLIST, SCHEMA, ElementClass, Model, Ref
+from phasekit.diff import ChangeSet, ImpactReport
+from phasekit.model import ENUM, GUIDE_TYPES, IDLIST, SCHEMA, ElementClass, Model, Ref, enum_text
 
 
 def _span_json(diagnostic: Diagnostic) -> dict | None:
@@ -129,3 +137,47 @@ def oracle_report_document(model: Model, analyses: AnalysisBundle) -> dict:
         "metrics": metrics,
         "schema_version": "1",
     }
+
+
+#: The id lists of an impact entry, in the order both diff views write them.
+_IMPACT_LISTS = ("ucas", "scenarios", "hazards", "losses")
+
+
+def oracle_diff_document(changes: ChangeSet, report: ImpactReport | None) -> dict:
+    """The document ``diff_json`` wrote."""
+    document = {
+        "added": [_ref_json(r) for r in changes.added],
+        "removed": [_ref_json(r) for r in changes.removed],
+        "modified": [
+            {
+                "ref": _ref_json(entry.ref),
+                "changes": [
+                    {
+                        "field": change.field,
+                        "old": enum_text(change.old),
+                        "new": enum_text(change.new),
+                    }
+                    for change in entry.changes
+                ],
+            }
+            for entry in changes.modified
+        ],
+    }
+    if report is not None:
+        document["impact"] = {
+            "re_review": [
+                {
+                    "subject": _ref_json(entry.subject),
+                    **{name: list(getattr(entry, name)) for name in _IMPACT_LISTS},
+                }
+                for entry in report.re_review
+            ],
+            "dangling": [
+                {
+                    "removed": _ref_json(entry.removed),
+                    "referenced_by": [_ref_json(r) for r in entry.referenced_by],
+                }
+                for entry in report.dangling
+            ],
+        }
+    return document

@@ -11,27 +11,32 @@ from hypothesis import strategies as st
 
 from phasekit import (
     Assessment,
+    Diagnostic,
     Hazard,
     Loss,
     LossCategory,
     Model,
     RenderOptions,
     SystemBoundary,
+    Severity,
+    Span,
     UnknownReferenceError,
     analyze,
     coverage,
     coverage_csv,
+    diff,
+    impact,
     parse,
     report_json,
     report_markdown,
     to_dot,
 )
 from phasekit.analysis import CellState, Hint, HintCode, control_hierarchy, trace_loss
-from phasekit.export import _json_text, _trace_line, coverage_json
+from phasekit.export import _json_text, _trace_line, coverage_json, diff_json
 from phasekit.model import IDLIST, SCHEMA, STRING, EdgeKind, GuideType, Ref
 
-from .json_oracle import oracle_coverage_document, oracle_report_document
-from .strategies import valid_models
+from .json_oracle import oracle_coverage_document, oracle_diff_document, oracle_report_document
+from .strategies import model_pairs, valid_models
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 
@@ -539,6 +544,125 @@ def test_coverage_writer_matches_oracle_on_wrong_cells(cell_change, c1):
         changed[position] = dataclasses.replace(row, cells=tuple(cells))
         matrix = dataclasses.replace(analyses.coverage, rows=tuple(changed))
         assert_writers_match_oracle(c1, dataclasses.replace(analyses, coverage=matrix))
+
+
+def test_report_writers_raise_section_by_section(c1):
+    # The writers raise the first bad section's error; the oracle builds the
+    # whole document first, so a later section's AttributeError wins there.
+    analyses = analyze(c1)
+    model = dataclasses.replace(
+        c1, losses=(dataclasses.replace(c1.losses[0], description=object()), *c1.losses[1:])
+    )
+    hints = (dataclasses.replace(analyses.hints[0], subjects=("not a ref",)), *analyses.hints[1:])
+    analyses = dataclasses.replace(analyses, hints=hints)
+    assert _outcome(report_json, model, analyses) == (
+        TypeError, "Object of type object is not JSON serializable"
+    )
+    assert _outcome(_oracle_report, model, analyses) == (
+        AttributeError, "'str' object has no attribute 'cls'"
+    )
+
+
+_GOOD_DIAGNOSTIC = Diagnostic(Severity.WARNING, "V100", "good", Span("f.phase", 3, 4))
+_WRONG_DIAGNOSTICS = {
+    "no-span": Diagnostic(Severity.ERROR, "V001", "no span"),
+    "tuple-span": Diagnostic(Severity.ERROR, "V001", "tuple span", ("f.phase", 1, 2)),
+    "text-severity": Diagnostic("error", "V001", "text severity", Span("f.phase", 1, 2)),
+    "object-message": Diagnostic(Severity.ERROR, "V001", object(), Span("f.phase", 1, 2)),
+    "odd-span": Diagnostic(Severity.ERROR, "V001", "odd span", Span("f", "5", float("nan"))),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_DIAGNOSTICS))
+def test_report_writers_match_oracle_on_wrong_diagnostics(case, c1):
+    analyses = analyze(c1)
+    diagnostics = (_GOOD_DIAGNOSTIC, _WRONG_DIAGNOSTICS[case], _GOOD_DIAGNOSTIC)
+    assert_writers_match_oracle(c1, dataclasses.replace(analyses, diagnostics=diagnostics))
+    matrix = dataclasses.replace(analyses.coverage, warnings=diagnostics)
+    assert_writers_match_oracle(c1, dataclasses.replace(analyses, coverage=matrix))
+
+
+# ---------------------------------------------------------------------------
+# The diff writer against the dict oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_diff(changes, report):
+    return _json_text(oracle_diff_document(changes, report)) + "\n"
+
+
+def assert_diff_writer_matches_oracle(old, new):
+    changes = diff(old, new)
+    for report in (None, impact(changes, new)):
+        expected = reference_json(oracle_diff_document(changes, report)) + "\n"
+        assert diff_json(changes, report) == expected
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+def test_diff_writer_matches_oracle_on_case_studies(name, request):
+    model = request.getfixturevalue(name)
+    revision = model_of((GOLDENS / "inputs" / f"{name}_rev.phase").read_text(encoding="utf-8"))
+    assert_diff_writer_matches_oracle(model, revision)
+    assert_diff_writer_matches_oracle(revision, model)
+    assert_diff_writer_matches_oracle(model, model)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(model_pairs())
+def test_diff_writer_matches_oracle_on_model_pairs(pair):
+    assert_diff_writer_matches_oracle(*pair)
+    assert_diff_writer_matches_oracle(*reversed(pair))
+
+
+def _first_replaced(records, **changes):
+    return (dataclasses.replace(records[0], **changes), *records[1:])
+
+
+def _with_field_changes(changes, change):
+    """``changes`` with ``change`` applied to the field changes of its first
+    modified element."""
+    modified = _first_replaced(changes.modified, changes=change(changes.modified[0].changes))
+    return dataclasses.replace(changes, modified=modified)
+
+
+# One bad value per document: (how it changes the change set and the impact
+# report, what the writers raise, or None when they write it as json does).
+_WRONG_DIFFS = {
+    "added-text": (
+        lambda c, r: (dataclasses.replace(c, added=(*c.added, "not a ref")), r),
+        (AttributeError, "'str' object has no attribute 'cls'"),
+    ),
+    "old-object": (
+        lambda c, r: (_with_field_changes(c, lambda fc: _first_replaced(fc, old=object())), r),
+        (TypeError, "Object of type object is not JSON serializable"),
+    ),
+    "change-text": (
+        lambda c, r: (_with_field_changes(c, lambda fc: (*fc, "not a change")), r),
+        (AttributeError, "'str' object has no attribute 'field'"),
+    ),
+    "ucas-list": (
+        lambda c, r: (c, dataclasses.replace(r, re_review=_first_replaced(r.re_review, ucas=[7]))),
+        None,
+    ),
+    "referenced-by-text": (
+        lambda c, r: (c, dataclasses.replace(r, dangling=_first_replaced(
+            r.dangling, referenced_by=(*r.dangling[0].referenced_by, "not a ref")))),
+        (AttributeError, "'str' object has no attribute 'cls'"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_WRONG_DIFFS))
+def test_diff_writer_matches_oracle_on_wrong_types(case, c1):
+    revision = model_of((GOLDENS / "inputs" / "c1_rev.phase").read_text(encoding="utf-8"))
+    changes = diff(c1, revision)
+    change, raised = _WRONG_DIFFS[case]
+    changes, report = change(changes, impact(changes, revision))
+    outcome = _outcome(diff_json, changes, report)
+    assert outcome == _outcome(_oracle_diff, changes, report)
+    assert outcome == raised or (raised is None and isinstance(outcome, str))
+    without_impact = _outcome(diff_json, changes, None)
+    assert without_impact == _outcome(_oracle_diff, changes, None)
 
 
 # ---------------------------------------------------------------------------

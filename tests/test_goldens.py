@@ -72,6 +72,8 @@ def _cases() -> dict[str, list[str]]:
         # Against an edited revision: together the three revisions change a
         # field of every element class and remove referenced elements.
         cases[f"{name}_diff_rev_impact"] = ["diff", path, revision, "--impact"]
+        # Without --impact: the JSON document with no impact section.
+        cases[f"{name}_diff_rev_json"] = ["diff", path, revision, "--format", "json"]
         cases[f"{name}_diff_rev_impact_json"] = [
             "diff", path, revision, "--impact", "--format", "json",
         ]
