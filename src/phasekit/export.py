@@ -12,11 +12,11 @@ leakage. A fragment two artifacts share, such as the coverage header row,
 the totals line or the line of a hint, is written by one function.
 
 Every JSON document is the text of ``json.dumps(..., indent=2,
-ensure_ascii=False)``. The model, coverage and hints sections, nearly all
-of a report, are written a field at a time over whole collections, with the
-fields of each element class taken from ``SCHEMA``, and filled into one
-template per kind of object. The other sections and the diff document are
-json's own text, re-indented to the depth they sit at (``_json_text``).
+ensure_ascii=False)``. Its records, down to a diagnostic's span and a
+hint's subjects, are written a field at a time over whole collections
+(``_objects_text``) from ``SCHEMA`` and the field tables here. Only plain
+values (the model name, guide types, coverage counts and ratio, metrics)
+are json's own text, re-indented to their depth (``_json_text``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import csv
 import io
 import json
 from itertools import accumulate, chain, compress
-from operator import attrgetter, not_
+from operator import attrgetter, itemgetter, not_
 
 from .analysis import (
     AccountabilityReport,
@@ -40,7 +40,7 @@ from .analysis import (
     _coverage_ratio,
     control_hierarchy,
 )
-from .diagnostics import Diagnostic, record
+from .diagnostics import record
 from .diff import ChangeSet, ImpactReport
 from .model import (
     ENUM,
@@ -155,29 +155,6 @@ def _json_text(value, newline: str = "\n") -> str:
     return json.dumps(value, indent=2, ensure_ascii=False).replace("\n", newline)
 
 
-def _span_json(diagnostic: Diagnostic) -> dict | None:
-    if diagnostic.span is None:
-        return None
-    return {
-        "file": diagnostic.span.file,
-        "line": diagnostic.span.line,
-        "column": diagnostic.span.column,
-    }
-
-
-def _diagnostic_json(diagnostic: Diagnostic) -> dict:
-    return {
-        "severity": diagnostic.severity.value,
-        "code": diagnostic.code,
-        "message": diagnostic.message,
-        "span": _span_json(diagnostic),
-    }
-
-
-def _ref_json(ref: Ref) -> dict:
-    return {"class": ref.cls, "id": ref.id}
-
-
 #: What json's C text encoder writes as its JSON value: text, and the enums
 #: of SCHEMA, which mix in str with their value.
 _TEXT_TYPES = {str, *(type(m) for c in SCHEMA for s in c.slots if s.members
@@ -189,10 +166,12 @@ def _column_text(values: list, kind, newline: str) -> list[str]:
 
     Text, ids and enum members go through json's C encoder in one map, and a
     tuple of ids none of which needs escaping is joined whole. A column with
-    any other value (None, a list, an enum given as text, a wrong type) is
-    written value by value: text through the same encoder, None as ``null``,
-    and anything else through :func:`_json_text`, so the text is the same.
-    A kind that is a function writes the column itself.
+    any other value (None, a number, a list, an enum given as text, a wrong
+    type) is written value by value: text through the same encoder, None as
+    ``null``, and anything else through :func:`_json_text`, so the text is
+    the same. A kind that is a function writes the column itself: records
+    as objects (:func:`_objects`), tuples of records as lists of objects
+    (:func:`_lists`), or coverage cells (:func:`_cells`).
     """
     if callable(kind):
         return kind(values, newline)
@@ -235,13 +214,45 @@ def _objects_text(records, fields, newline: str) -> list[str]:
     return list(map(template.__mod__, zip(*columns)))
 
 
-def _ref_lists(ref_lists: list, newline: str) -> list[str]:
-    """Each tuple of refs as a JSON list at ``newline``: the refs of all of
-    them written as one column of objects, then regrouped per tuple."""
-    fields = [(key, attrgetter(name), ID) for key, name in (("class", "cls"), ("id", "id"))]
-    refs = _objects_text(list(chain.from_iterable(ref_lists)), fields, newline + "  ")
-    ends = list(accumulate(map(len, ref_lists)))
-    return [_list_text(refs[start:end], newline) for start, end in zip([0, *ends], ends)]
+def _records_text(records, fields, newline: str) -> str:
+    """A JSON list at ``newline`` of an object of ``fields`` per record."""
+    return _list_text(_objects_text(records, fields, newline + "  "), newline)
+
+
+def _objects(fields):
+    """The kind of a field whose value is a record written as an object of
+    ``fields``, or None written as ``null``."""
+    def column(records: list, newline: str) -> list[str]:
+        objects = iter(_objects_text([r for r in records if r is not None], fields, newline))
+        return ["null" if r is None else next(objects) for r in records]
+    return column
+
+
+def _lists(fields):
+    """The kind of a field whose value is a tuple of records, each written as
+    an object of ``fields``: the records of all tuples are written as one
+    column, then regrouped per tuple."""
+    def column(record_lists: list, newline: str) -> list[str]:
+        objects = _objects_text(list(chain.from_iterable(record_lists)), fields, newline + "  ")
+        ends = list(accumulate(map(len, record_lists)))
+        return [_list_text(objects[start:end], newline) for start, end in zip([0, *ends], ends)]
+    return column
+
+
+_REF_FIELDS = [("class", attrgetter("cls"), ID), ("id", attrgetter("id"), ID)]
+#: A span's line and column go through ``_column_text``'s per-value path.
+_SPAN_FIELDS = [(key, attrgetter(key), STRING) for key in ("file", "line", "column")]
+_DIAGNOSTIC_FIELDS = [
+    ("severity", attrgetter("severity.value"), STRING),
+    ("code", attrgetter("code"), STRING),
+    ("message", attrgetter("message"), STRING),
+    ("span", attrgetter("span"), _objects(_SPAN_FIELDS)),
+]
+_HINT_FIELDS = [
+    ("code", attrgetter("code.value"), STRING),
+    ("subjects", attrgetter("subjects"), _lists(_REF_FIELDS)),
+    ("message", attrgetter("message"), STRING),
+]
 
 
 def _model_text(model: Model, newline: str) -> str:
@@ -252,16 +263,13 @@ def _model_text(model: Model, newline: str) -> str:
             ("class" if s.field == "scenario_class" else s.field, attrgetter(s.field), s.kind)
             for s in c.slots
         ]
-        texts = _objects_text(getattr(model, c.collection), fields, inner + "  ")
-        pairs.append((c.collection, _list_text(texts, inner)))
+        pairs.append((c.collection, _records_text(getattr(model, c.collection), fields, inner)))
     return _object_text(pairs, newline)
 
 
-def _row_cells(row_cells: list, newline: str) -> list[str]:
-    """Each row's cells as a JSON object of guide types at ``newline``, the
-    cells of all rows written a shape (covered or not, assessed or not) at a
-    time."""
-    cells = list(chain.from_iterable(row_cells))
+def _cells(cells: list, newline: str) -> list[str]:
+    """Each coverage cell as a JSON object at ``newline``, the cells written
+    a shape (covered or not, assessed or not) at a time."""
     shapes: dict[tuple[bool, bool], list[int]] = {}
     for at, cell in enumerate(cells):
         shape = (cell.state is CellState.COVERED, cell.assessment is not None)
@@ -271,24 +279,26 @@ def _row_cells(row_cells: list, newline: str) -> list[str]:
         fields = [("state", attrgetter("state.value"), STRING)]
         fields += [("ucas", attrgetter("uca_ids"), IDLIST)] * covered
         fields += [("rationale", attrgetter("assessment.rationale"), STRING)] * assessed
-        shaped = _objects_text([cells[at] for at in positions], fields, newline + "  ")
+        shaped = _objects_text([cells[at] for at in positions], fields, newline)
         texts.update(zip(positions, shaped))
-    guides = _object_text([(g.value, "%s") for g in GUIDE_TYPES], newline)
-    by_row = zip(*[map(texts.__getitem__, range(len(cells)))] * len(GUIDE_TYPES))
-    return list(map(guides.__mod__, by_row))
+    return [texts[at] for at in range(len(cells))]
+
+
+#: A row's cells as an object of guide types, a column of cells per type.
+_GUIDE_FIELDS = [(g.value, itemgetter(at), _cells) for at, g in enumerate(GUIDE_TYPES)]
 
 
 def _coverage_text(matrix: CoverageMatrix, newline: str) -> str:
     inner = newline + "  "
     fields = [(key, attrgetter(key), ID) for key in ("controller", "action")]
-    fields.append(("cells", attrgetter("cells"), _row_cells))
+    fields.append(("cells", attrgetter("cells"), _objects(_GUIDE_FIELDS)))
     covered, waived, gap = matrix.counts()
     return _object_text([
         ("guide_types", _json_text([g.value for g in GUIDE_TYPES], inner)),
-        ("rows", _list_text(_objects_text(matrix.rows, fields, inner + "  "), inner)),
+        ("rows", _records_text(matrix.rows, fields, inner)),
         ("counts", _json_text({"covered": covered, "waived": waived, "gap": gap}, inner)),
         ("ratio", _json_text(_coverage_ratio(covered, waived, gap), inner)),
-        ("warnings", _json_text([_diagnostic_json(d) for d in matrix.warnings], inner)),
+        ("warnings", _records_text(matrix.warnings, _DIAGNOSTIC_FIELDS, inner)),
     ], newline)
 
 
@@ -299,22 +309,19 @@ def coverage_json(matrix: CoverageMatrix) -> str:
 
 def report_json(model: Model, analyses: AnalysisBundle) -> str:
     """One structured document with model, diagnostics, coverage, hints and
-    metrics sections and a mandatory schema version."""
+    metrics sections and a mandatory schema version. A value of the wrong
+    type raises the error of the first section, in document order, that
+    holds one."""
     # The counts, then every ratio in Metrics field order.
     metrics = dict(analyses.metrics.counts)
     for field in Metrics.__record_fields__[1:]:
         metrics[field.name] = getattr(analyses.metrics, field.name)
-    hint_fields = [
-        ("code", attrgetter("code.value"), STRING),
-        ("subjects", attrgetter("subjects"), _ref_lists),
-        ("message", attrgetter("message"), STRING),
-    ]
     inner = "\n  "
     return _object_text([
         ("model", _model_text(model, inner)),
-        ("diagnostics", _json_text([_diagnostic_json(d) for d in analyses.diagnostics], inner)),
+        ("diagnostics", _records_text(analyses.diagnostics, _DIAGNOSTIC_FIELDS, inner)),
         ("coverage", _coverage_text(analyses.coverage, inner)),
-        ("hints", _list_text(_objects_text(analyses.hints, hint_fields, "\n    "), inner)),
+        ("hints", _records_text(analyses.hints, _HINT_FIELDS, inner)),
         ("metrics", _json_text(metrics, inner)),
         ("schema_version", '"1"'),
     ], "\n") + "\n"
@@ -323,46 +330,37 @@ def report_json(model: Model, analyses: AnalysisBundle) -> str:
 #: The id lists of an impact entry, in the order both diff views write them.
 _IMPACT_LISTS = ("ucas", "scenarios", "hazards", "losses")
 
+#: A field change's name is written as given, its values as enum text.
+_CHANGE_FIELDS = [("field", attrgetter("field"), STRING)]
+_CHANGE_FIELDS += [(key, attrgetter(key), ENUM) for key in ("old", "new")]
+_MODIFIED_FIELDS = [
+    ("ref", attrgetter("ref"), _objects(_REF_FIELDS)),
+    ("changes", attrgetter("changes"), _lists(_CHANGE_FIELDS)),
+]
+_RE_REVIEW_FIELDS = [("subject", attrgetter("subject"), _objects(_REF_FIELDS))]
+_RE_REVIEW_FIELDS += [(name, attrgetter(name), IDLIST) for name in _IMPACT_LISTS]
+_DANGLING_FIELDS = [
+    ("removed", attrgetter("removed"), _objects(_REF_FIELDS)),
+    ("referenced_by", attrgetter("referenced_by"), _lists(_REF_FIELDS)),
+]
+
 
 def diff_json(changes: ChangeSet, report: ImpactReport | None) -> str:
     """A change set, and its impact when ``report`` is given, as a JSON
-    document."""
-    document = {
-        "added": [_ref_json(r) for r in changes.added],
-        "removed": [_ref_json(r) for r in changes.removed],
-        "modified": [
-            {
-                "ref": _ref_json(entry.ref),
-                "changes": [
-                    {
-                        "field": change.field,
-                        "old": enum_text(change.old),
-                        "new": enum_text(change.new),
-                    }
-                    for change in entry.changes
-                ],
-            }
-            for entry in changes.modified
-        ],
-    }
+    document. A value of the wrong type raises the error of the first
+    section, in document order, that holds one."""
+    inner = "\n  "
+    pairs = [
+        ("added", _records_text(changes.added, _REF_FIELDS, inner)),
+        ("removed", _records_text(changes.removed, _REF_FIELDS, inner)),
+        ("modified", _records_text(changes.modified, _MODIFIED_FIELDS, inner)),
+    ]
     if report is not None:
-        document["impact"] = {
-            "re_review": [
-                {
-                    "subject": _ref_json(entry.subject),
-                    **{name: list(getattr(entry, name)) for name in _IMPACT_LISTS},
-                }
-                for entry in report.re_review
-            ],
-            "dangling": [
-                {
-                    "removed": _ref_json(entry.removed),
-                    "referenced_by": [_ref_json(r) for r in entry.referenced_by],
-                }
-                for entry in report.dangling
-            ],
-        }
-    return _json_text(document) + "\n"
+        pairs.append(("impact", _object_text([
+            ("re_review", _records_text(report.re_review, _RE_REVIEW_FIELDS, inner + "  ")),
+            ("dangling", _records_text(report.dangling, _DANGLING_FIELDS, inner + "  ")),
+        ], inner)))
+    return _object_text(pairs, "\n") + "\n"
 
 
 # ---------------------------------------------------------------------------

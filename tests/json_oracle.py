@@ -16,7 +16,12 @@ The writers write a document section by section, so a value of the wrong
 type raises the error of the first section, in document order, that holds
 one. An oracle builds its whole document before json sees it: a section's
 ``AttributeError`` comes before an earlier section's ``TypeError``. So the
-comparisons hold for bad values in one section.
+comparisons hold for bad values in one section. Within a section the
+writers raise the ``TypeError`` of the first value json cannot write in
+document order, as json does, but a record's ``AttributeError`` when they
+read the column that holds it, before or after that; the oracle raises any
+``AttributeError`` first. The tests that put several bad values in one
+section keep them where the two orders agree.
 """
 
 from __future__ import annotations

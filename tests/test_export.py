@@ -31,7 +31,14 @@ from phasekit import (
     report_markdown,
     to_dot,
 )
-from phasekit.analysis import CellState, Hint, HintCode, control_hierarchy, trace_loss
+from phasekit.analysis import (
+    CellState,
+    CoverageCell,
+    Hint,
+    HintCode,
+    control_hierarchy,
+    trace_loss,
+)
 from phasekit.export import _json_text, _trace_line, coverage_json, diff_json
 from phasekit.model import IDLIST, SCHEMA, STRING, EdgeKind, GuideType, Ref
 
@@ -663,6 +670,26 @@ def test_diff_writer_matches_oracle_on_wrong_types(case, c1):
     assert outcome == raised or (raised is None and isinstance(outcome, str))
     without_impact = _outcome(diff_json, changes, None)
     assert without_impact == _outcome(_oracle_diff, changes, None)
+
+
+def test_coverage_writers_raise_for_the_first_bad_cell_in_document_order(c1):
+    # The third cell has the first's shape, so a writer that took a row's
+    # cells a shape at a time would meet its bad ucas before the second's
+    # bad rationale.
+    analyses = analyze(c1)
+    row = analyses.coverage.rows[0]
+    cells = (
+        CoverageCell(CellState.COVERED, ("U1",)),
+        CoverageCell(CellState.GAP, (), Assessment("CA1", GuideType.PROVIDED, 3 + 4j)),
+        CoverageCell(CellState.COVERED, (object(),)),
+        CoverageCell(CellState.GAP),
+    )
+    rows = (dataclasses.replace(row, cells=cells), *analyses.coverage.rows[1:])
+    matrix = dataclasses.replace(analyses.coverage, rows=rows)
+    assert _outcome(coverage_json, matrix) == (
+        TypeError, "Object of type complex is not JSON serializable"
+    )
+    assert_writers_match_oracle(c1, dataclasses.replace(analyses, coverage=matrix))
 
 
 # ---------------------------------------------------------------------------
