@@ -812,7 +812,8 @@ def trace_loss(model: Model, loss_id: str) -> TraceTree:
 
 
 def trace_node(model: Model, node_id: str) -> AccountabilityReport:
-    """Accountability view for one node; raises
+    """Accountability view for one node; the hazards and losses reached are
+    first declarations, each once, in declaration order. Raises
     :class:`UnknownReferenceError` for an unknown node id."""
     if lookup(model, "node", node_id) is None:
         raise UnknownReferenceError("node", node_id)
@@ -823,18 +824,12 @@ def trace_node(model: Model, node_id: str) -> AccountabilityReport:
         if e.kind == EdgeKind.CONTROL_ACTION and e.source == node_id
     )
     action_set = set(actions)
-    ucas = tuple(u.id for u in model.ucas if u.action in action_set)
-    uca_set = set(ucas)
-    hazard_ids = dict.fromkeys(
-        hid for u in model.ucas if u.id in uca_set for hid in u.hazards
-    )
-    hazards = tuple(h.id for h in model.hazards if h.id in hazard_ids)
-    loss_ids = dict.fromkeys(
-        lid for h in model.hazards if h.id in hazard_ids for lid in h.leads_to
-    )
-    losses = tuple(l.id for l in model.losses if l.id in loss_ids)
+    ucas = [u for u in model.ucas if u.action in action_set]
+    hazards = model.index.declared("hazard", {hid for u in ucas for hid in u.hazards})
+    losses = model.index.declared("loss", {lid for h in hazards for lid in h.leads_to})
     scenarios = tuple(s.id for s in model.scenarios if node_id in s.elements)
-    return AccountabilityReport(node_id, actions, ucas, hazards, losses, scenarios)
+    ids = (tuple(e.id for e in found) for found in (ucas, hazards, losses))
+    return AccountabilityReport(node_id, actions, *ids, scenarios)
 
 
 # ---------------------------------------------------------------------------

@@ -168,16 +168,14 @@ def impact(changes: ChangeSet, new: Model) -> ImpactReport:
         "node": index.referrers("uca", "source"),
     }
     citing = index.referrers("scenario", "elements")
-    hazard_positions = index.positions("hazard")
     entries: list[ImpactEntry] = []
     for subject in subjects:
         ucas = ucas_of[subject.cls].get(subject.id, ())
         hazard_ids = dict.fromkeys(hid for u in ucas for hid in u.hazards)
         # Losses follow hazard declaration order, not the order the ucas
         # name the hazards in.
-        reached = sorted(hazard_positions[h] for h in hazard_ids if h in hazard_positions)
         loss_ids = dict.fromkeys(
-            lid for position in reached for lid in new.hazards[position].leads_to
+            lid for h in index.declared("hazard", hazard_ids) for lid in h.leads_to
         )
         entries.append(
             ImpactEntry(

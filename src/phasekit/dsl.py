@@ -527,8 +527,7 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
         if cls is None:
             headers.append((offset, values[0]))
         else:
-            # A uca stays a value list until its action's source is known.
-            collections[cls].append(values if cls == "uca" else new_record(record_cls, values))
+            collections[cls].append(new_record(record_cls, values))
             offsets[cls].append(offset)
 
     # Repeated headers and ids, each reported with the first declaration.
@@ -536,7 +535,7 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
         diags.append(_error("P002", "model name already declared", at(offset), at(headers[0][0])))
     # Duplicate assessment cells are a semantic error, not a parse error.
     for cls in (c.name for c in SCHEMA if c.identity):
-        ids = [*map(itemgetter(0) if cls == "uca" else attrgetter("id"), collections[cls])]
+        ids = [element.id for element in collections[cls]]
         if len(set(ids)) < len(ids):
             declared: dict[str, int] = {}
             for stmt_id, offset in zip(ids, offsets[cls]):
@@ -551,12 +550,8 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
 
     # A uca's source is the source of its action edge, empty without one.
     sources = {e.id: e.source for e in collections["edge"]}
-    uca_cls = _STATEMENTS["uca"].type
-    source, action = map(uca_cls.__match_args__.index, ("source", "action"))
-    ucas = collections["uca"]
-    for index, values in enumerate(ucas):
-        values[source] = sources.get(values[action], "")
-        ucas[index] = new_record(uca_cls, values)
+    for uca in collections["uca"]:
+        object.__setattr__(uca, "source", sources.get(uca.action, ""))
     # Model's fields: the name, the collections in schema order, the spans.
     name = headers[0][1] if headers else ""
     return ParseResult(Model(name, *map(tuple, collections.values()), spans), tuple(diags))

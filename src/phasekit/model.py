@@ -17,7 +17,8 @@ The element records are the schema. Each is declared with :func:`element`,
 which names its class, statement keywords and ``Model`` collection, and each
 field other than its id with :func:`slot`, which gives its DSL key, value
 kind, whether it is required and which class it refers to. :data:`SCHEMA`
-is read off the records as they are declared. The grammar and serializer in
+is read off the records as they are declared, and :class:`Model`'s
+collections and :data:`Element` off it. The grammar and serializer in
 :mod:`phasekit.dsl`, the fields diff compares, the reference checks of
 validation, the JSON export and the reference topology (:data:`REFERENCES`)
 are all derived from it; the few cases that do not fit a slot are written
@@ -25,7 +26,8 @@ out where they are used.
 
 :attr:`Model.index` is a :class:`ModelIndex`: by-id and referred-by maps,
 each built on first use and then kept with the model, through which lookups,
-traces and impact queries avoid rescanning whole collections.
+traces and impact queries avoid rescanning whole collections and resolve a
+repeated id to its first declaration.
 """
 
 from __future__ import annotations
@@ -290,19 +292,6 @@ class Assessment:
     verdict: str = slot("verdict", (NOT_HAZARDOUS,), default=NOT_HAZARDOUS, required=True)
 
 
-Element = Union[
-    Loss,
-    SystemBoundary,
-    Hazard,
-    Node,
-    Edge,
-    Uca,
-    LossScenario,
-    SafetyRequirement,
-    Assessment,
-]
-
-
 class Ref(NamedTuple):
     """A (element class, id) pair naming one element of a model."""
 
@@ -316,6 +305,9 @@ class Ref(NamedTuple):
 #: reference topology, the reference checks of validation and the JSON export
 #: are derived from it, and follow slot order.
 SCHEMA: tuple[ElementClass, ...] = tuple(_DECLARED)
+
+#: Any element record.
+Element = Union[tuple(c.type for c in SCHEMA)]
 
 #: Element classes in canonical declaration order.
 ELEMENT_CLASSES: tuple[str, ...] = tuple(c.name for c in SCHEMA)
@@ -352,19 +344,15 @@ class Model:
     read-only mapping, resolved on read, that pickles and copies to a dict.
     """
 
-    name: str = ""
-    losses: tuple[Loss, ...] = ()
-    boundaries: tuple[SystemBoundary, ...] = ()
-    hazards: tuple[Hazard, ...] = ()
-    nodes: tuple[Node, ...] = ()
-    edges: tuple[Edge, ...] = ()
-    ucas: tuple[Uca, ...] = ()
-    scenarios: tuple[LossScenario, ...] = ()
-    requirements: tuple[SafetyRequirement, ...] = ()
-    assessments: tuple[Assessment, ...] = ()
-    source_spans: dict[Ref, Span] = field(
-        default_factory=dict, compare=False, repr=False
-    )
+    # The name, a collection per element class, the spans; locals() is the class namespace.
+    __annotations__ = {
+        "name": "str",
+        **{c.collection: f"tuple[{c.type.__name__}, ...]" for c in SCHEMA},
+        "source_spans": "dict[Ref, Span]",
+    }
+    name = ""
+    locals().update(dict.fromkeys(CLASS_FIELDS.values(), ()))
+    source_spans = field(default_factory=dict, compare=False, repr=False)
 
     def elements_of(self, element_class: str) -> tuple[Element, ...]:
         return getattr(self, CLASS_FIELDS[element_class])
@@ -390,7 +378,8 @@ _SLOTS: dict[tuple[str, str], Slot] = {
 
 class ModelIndex:
     """By-id and referred-by maps over one model, each built on first use and
-    then kept. Callers must not mutate the maps it returns."""
+    then kept, and :meth:`declared`, which resolves ids to their first
+    declarations through them. Callers must not mutate the maps it returns."""
 
     def __init__(self, model: Model) -> None:
         # The collections rather than the model, so the model and its index
@@ -413,6 +402,11 @@ class ModelIndex:
             found = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
             self._positions[element_class] = found
         return found
+
+    def declared(self, element_class: str, ids) -> list[Element]:
+        """The first declaration of each of ``ids`` declared, once each, in declaration order."""
+        positions, elements = self.positions(element_class), self._elements[element_class]
+        return [elements[p] for p in sorted({positions[i] for i in ids if i in positions})]
 
     def referrers(self, element_class: str, field_name: str) -> dict[str, list[Element]]:
         """For one reference slot, each id it names mapped to the elements of

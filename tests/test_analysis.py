@@ -18,8 +18,10 @@ from phasekit import (
     Severity,
     UnknownReferenceError,
     coverage,
+    diff,
     hierarchy_ranks,
     hints,
+    impact,
     metrics,
     parse,
     serialize,
@@ -1046,6 +1048,33 @@ def test_trace_node_scenario_citation_only():
 def test_trace_node_unknown_id(c1):
     with pytest.raises(UnknownReferenceError):
         trace_node(c1, "Nobody")
+
+
+def test_trace_node_resolves_repeated_ids_to_their_first_declaration():
+    # Only a model built in code can repeat an id (V008).
+    model = Model(
+        losses=(Loss("L1", "d", "safety-critical"), Loss("L2", "d", "safety-critical")),
+        boundaries=(SystemBoundary("SB", "s"),),
+        hazards=(
+            Hazard("H1", "d", "SB", ("L1",)),
+            Hazard("H1", "d", "SB", ("L2",)),
+            Hazard("H2", "d", "SB", ("L2",)),
+        ),
+        nodes=_ACTION,
+        edges=(
+            Edge("CA1", EdgeKind.CONTROL_ACTION, "A", "B", "act"),
+            Edge("CA2", EdgeKind.CONTROL_ACTION, "B", "A", "act"),
+        ),
+        ucas=(
+            Uca("U1", "A", "CA1", GuideType.PROVIDED, "functional", "c", ("H1",)),
+            Uca("U1", "B", "CA2", GuideType.PROVIDED, "functional", "c", ("H2",)),
+        ),
+    )
+    report = trace_node(model, "A")
+    assert (report.actions, report.ucas) == (("CA1",), ("U1",))
+    assert (report.hazards, report.losses) == (("H1",), ("L1",))
+    (entry,) = [e for e in impact(diff(Model(), model), model).re_review if e.subject.id == "A"]
+    assert (entry.hazards, entry.losses) == (report.hazards, report.losses)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""hints, metrics and the coverage grid against plain scans.
+"""hints, metrics, the coverage grid and node traces against plain scans.
 
 Each oracle below reads the model's collections directly, one scan per
 question, with no index, no referred-by maps and no table per cell; the
@@ -20,6 +20,9 @@ The rules the oracles follow where ids repeat:
   declaration at once; the metrics count declarations.
 - A coverage row is one control-action declaration; a cell lists every uca
   declaration on it, and its assessment is the first declared for the cell.
+- A node's trace reaches the hazards its ucas name and the losses those
+  hazards lead to, each id at its first declaration, once, in declaration
+  order; every uca declaration on one of its control actions counts.
 - A boundary id declared more than once means its first declaration. Its
   scope is every node declaration whose id it includes, and every edge
   declaration whose source and target are both ids of nodes in that scope;
@@ -36,6 +39,7 @@ import pytest
 from hypothesis import given, settings
 
 from phasekit import (
+    AccountabilityReport,
     CellState,
     CoverageCell,
     CoverageMatrix,
@@ -60,6 +64,7 @@ from phasekit import (
     hints,
     metrics,
     to_dot,
+    trace_node,
 )
 
 from .conftest import load_fixture
@@ -141,6 +146,30 @@ def oracle_hints(model):
                 found.append(Hint(code, (Ref(cls, element.id),), f"{cls} '{element.id}' {complaint}"))
     found.sort(key=lambda hint: (hint.code.value, [ref.id for ref in hint.subjects]))
     return found
+
+
+def _first_declarations(elements, ids):
+    found, seen = [], set()
+    for element in elements:
+        if element.id in ids and element.id not in seen:
+            seen.add(element.id)
+            found.append(element)
+    return found
+
+
+def oracle_trace_node(model, node_id):
+    actions = [
+        e.id for e in model.edges
+        if e.kind == EdgeKind.CONTROL_ACTION and e.source == node_id
+    ]
+    ucas = [u for u in model.ucas if u.action in actions]
+    hazards = _first_declarations(model.hazards, {h for u in ucas for h in u.hazards})
+    losses = _first_declarations(model.losses, {l for h in hazards for l in h.leads_to})
+    scenarios = [s.id for s in model.scenarios if node_id in s.elements]
+    return AccountabilityReport(
+        node_id, tuple(actions), tuple(u.id for u in ucas), tuple(h.id for h in hazards),
+        tuple(l.id for l in losses), tuple(scenarios),
+    )
 
 
 def oracle_scope(model, boundary_id):
@@ -293,12 +322,23 @@ def test_metrics_match_scan(large):
         assert list(found.counts) == list(expected.counts)
 
 
+def assert_node_traces_match_scans(model):
+    for node_id in dict.fromkeys(node.id for node in model.nodes):
+        assert trace_node(model, node_id) == oracle_trace_node(model, node_id)
+
+
+def test_node_traces_match_scans(large):
+    for model in _models(large):
+        assert_node_traces_match_scans(model)
+
+
 @settings(max_examples=200, deadline=None)
 @given(tangled_models())
 def test_analyses_match_scans_on_tangled_models(model):
     assert hints(model) == oracle_hints(model)
     assert coverage(model) == oracle_coverage(model)
     assert metrics(model) == oracle_metrics(model)
+    assert_node_traces_match_scans(model)
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ def _cases() -> dict[str, list[str]]:
         ]
     cases["parse_errors_check"] = ["check", f"{INPUTS}/parse_errors.phase"]
     cases["semantic_errors_check"] = ["check", f"{INPUTS}/semantic_errors.phase"]
+    # hints loads a model as check does: errors exit 2 with the same stderr.
+    cases["semantic_errors_hints"] = ["hints", f"{INPUTS}/semantic_errors.phase"]
     cases["coverage_c001"] = ["coverage", f"{INPUTS}/coverage_c001.phase"]
     # The only CLI document with a non-empty warnings list.
     cases["coverage_c001_json"] = [
@@ -148,6 +150,13 @@ def test_cli_golden(case, monkeypatch):
     assert code == entry["exit"]
     assert out == _stored(case, "stdout")
     assert err == _stored(case, "stderr")
+
+
+def test_case_study_reports_match_their_cli_goldens():
+    # The bundled reports are the stdout the CLI goldens pin for report --format md.
+    for name in ("c1", "c2", "c3"):
+        stored = (GOLDENS / f"{name}_report.md").read_bytes().decode("utf-8")
+        assert _stored(f"{name}_report_md", "stdout") == stored
 
 
 def test_validate_programmatic_golden():
