@@ -35,14 +35,6 @@ def field(*, default=MISSING, default_factory=MISSING, repr=True, compare=True,
     return Field("", None, default, default_factory, repr, compare, metadata)
 
 
-def new_record(cls: type, values: Sequence) -> object:
-    """``cls(*values)`` for one value per field, without the argument
-    handling of ``__init__``; the parser builds each span and element so."""
-    self = object.__new__(cls)
-    any(map(_bound_setattr(self), cls.__match_args__, values))
-    return self
-
-
 def _fields_of(names: list[str]):
     """A function from a record to the tuple of its fields ``names``."""
     if len(names) == 1:

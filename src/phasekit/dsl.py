@@ -14,8 +14,9 @@ written model can still be explored.
 
 :func:`parse` reads the document in one loop, statement by statement. One
 table derived from :data:`phasekit.model.SCHEMA`, ``_STATEMENTS``, says per
-keyword which keys a statement takes and requires and at which field position
-each value goes; both readers below consult it and fill a list of values:
+keyword which keys a statement takes and requires, and holds a template of
+its fields; both readers below consult it and fill a copy of the template by
+field name:
 
 * The fast match reads a whole logical statement with one match of one
   compiled pattern (``_STATEMENT_RE``), whose groups hold the keyword, the
@@ -30,9 +31,10 @@ each value goes; both readers below consult it and fill a list of values:
   the only code that reports lexical and statement errors (P001, P002,
   P004), with their spans. The fast match resumes at the next statement.
 
-The loop builds each element from its values and keeps only its keyword's
-offset, in a list per class parallel to the collection; duplicate ids (P003)
-and a repeated ``model`` header (P002) are found after it. One resolver,
+The loop builds every element in one place, its ``__dict__`` the fields
+filled in, and keeps only its keyword's offset, in a list per class parallel
+to the collection; duplicate ids (P003) and a repeated ``model`` header
+(P002) are found after it. One resolver,
 ``_Spans.at``, gives every span, the token fallback's too, from an offset and
 a table of line starts built on first need, so a parsed model's
 ``source_spans`` resolves a span only when it is read.
@@ -52,10 +54,11 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from collections.abc import Callable, Mapping
+from itertools import chain
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, Severity, Span, has_errors, new_record, record
+from .diagnostics import Diagnostic, Severity, Span, has_errors, record
 from .model import (
     DESCRIPTION,
     ID,
@@ -68,6 +71,7 @@ from .model import (
     Ref,
     Slot,
     assessment_ref,
+    enum_text,
     is_valid_identifier,
 )
 
@@ -105,35 +109,32 @@ _EDGE_KEYWORDS = {kind: kw for kw, kind in _EDGE_KINDS.items()}
 
 class _Statement(NamedTuple):
     """What a statement keyword takes and builds, derived from the schema
-    table. A statement fills ``[id, *defaults]`` by field position."""
+    table. A statement fills a copy of ``template`` by field name."""
 
     cls: str | None  # element class name; None for the model header
     type: type | None  # record class
     has_id: bool
-    keys: dict[str | None, tuple[int, Slot]]  # field position, slot; None: the description
+    keys: dict[str | None, Slot]  # None: the description
     required: tuple[str | None, ...]  # reported missing in order: the description, then slots
-    defaults: tuple  # of the fields after the first; an edge's kind is its keyword's
+    template: dict[str, object]  # each field's default; an edge's kind is its keyword's
 
 
 def _statement(element_class: ElementClass, keyword: str) -> _Statement:
-    defaults = {f.name: f.default for f in element_class.type.__record_fields__}
+    template = {f.name: f.default for f in element_class.type.__record_fields__}
     if keyword in _EDGE_KINDS:
-        defaults["kind"] = _EDGE_KINDS[keyword]
-    position = [*defaults].index
+        template["kind"] = _EDGE_KINDS[keyword]
     # The description first; the sort is stable, so the rest keep slot order.
     slots = sorted((s for s in element_class.slots if s.key), key=lambda s: s.key != DESCRIPTION)
-    keys = {None if s.key == DESCRIPTION else s.key: (position(s.field), s) for s in slots}
-    required = tuple(key for key, (_, slot) in keys.items() if slot.required)
-    return _Statement(
-        element_class.name, element_class.type, bool(element_class.identity), keys, required,
-        (*defaults.values(),)[1:],
-    )
+    keys = {None if s.key == DESCRIPTION else s.key: s for s in slots}
+    required = tuple(key for key, slot in keys.items() if slot.required)
+    return _Statement(element_class.name, element_class.type, bool(element_class.identity),
+                      keys, required, template)
 
 
 #: Per statement keyword, read by the plans and the token fallback alike.
 _STATEMENTS: dict[str, _Statement] = {
     "model": _Statement(
-        None, None, False, {None: (0, Slot("name", DESCRIPTION, STRING))}, (None,), ()
+        None, None, False, {None: Slot("name", DESCRIPTION, STRING)}, (None,), {"name": ""}
     ),
     **{kw: _statement(c, kw) for c in SCHEMA for kw in c.keywords},
 }
@@ -254,8 +255,8 @@ class _StatementError(Exception):
 def _parse_statement(
     tokens: list[_Token], at: Callable[[int], Span], diags: list[Diagnostic]
 ) -> tuple | None:
-    """One statement as (class name, record class, id, field values, keyword
-    offset), or None when it has an error, which is recorded in ``diags``."""
+    """One statement as (class name, record class, fields, keyword offset),
+    or None when it has an error, which is recorded in ``diags``."""
     rest = iter(tokens)
 
     def fail(code: str, message: str, token: _Token | None = None) -> None:
@@ -323,7 +324,7 @@ def _parse_statement(
         if statement is None:
             fail("P002", f"unknown statement '{keyword}'", head)
 
-        stmt_id: str | None = None
+        fields = statement.template.copy()
         if statement.has_id:
             tok = next(rest, None)
             if tok is None or tok.kind != "word":
@@ -332,9 +333,8 @@ def _parse_statement(
                 fail(
                     "P002", f"invalid identifier '{tok.value}' (must start with a letter)", tok
                 )
-            stmt_id = tok.value
+            fields["id"] = tok.value
 
-        values = [stmt_id, *statement.defaults]
         written: set[str | None] = set()
         for tok in rest:
             if tok.kind == "string":
@@ -352,15 +352,15 @@ def _parse_statement(
                 if key in written:
                     fail("P002", f"duplicate attribute '{key}'", tok)
             written.add(key)
-            position, slot = statement.keys[key]
-            values[position] = tok.value if key is None else value(key, slot)
+            slot = statement.keys[key]
+            fields[slot.field] = tok.value if key is None else value(key, slot)
 
         for key in statement.required:
             if key not in written:
                 message = f"missing attribute '{key}=' on '{keyword}'"
                 fail("P002", message if key else f"'{keyword}' needs a quoted description", head)
 
-        return statement.cls, statement.type, stmt_id, values, head.offset
+        return statement.cls, statement.type, fields, head.offset
     except _StatementError:
         return None
 
@@ -375,15 +375,16 @@ class _Decline(Exception):
     fallback."""
 
 
-#: :func:`_plan` per statement shape; threads may build one at once, either is kept.
+#: :func:`_plan` per statement shape; threads may build one at once, either is
+#: kept. A plan's template is copied per statement, never filled itself.
 _PLANS: dict[tuple, tuple] = {}
 
 
 def _plan(shape: tuple) -> tuple:
     """The plan of a shape (keyword and keys, and whether the id is absent):
-    class name, record class, (group, field position, kind, enum members,
-    nonempty) per value, and the defaults of the fields after the first; kept
-    once every key is known, none repeated and every required key present."""
+    class name, record class, (group, field name, kind, enum members,
+    nonempty) per value, and the statement's template; kept once every key
+    is known, none repeated and every required key present."""
     (keyword, *keys), no_id = shape
     statement = _STATEMENTS.get(keyword)
     written = set(keys)  # a keyless value, the description, has the key None
@@ -395,10 +396,10 @@ def _plan(shape: tuple) -> tuple:
     ):
         raise _Decline
     items = tuple(
-        (2 * group, position, slot.kind, slot.members, slot.nonempty)
-        for group, (position, slot) in enumerate(map(statement.keys.get, keys), 2)
+        (2 * group, slot.field, slot.kind, slot.members, slot.nonempty)
+        for group, slot in enumerate(map(statement.keys.get, keys), 2)
     )
-    _PLANS[shape] = plan = (statement.cls, statement.type, items, statement.defaults)
+    _PLANS[shape] = plan = (statement.cls, statement.type, items, statement.template)
     return plan
 
 
@@ -481,6 +482,7 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
     at = spans.at
     plan_of = _PLANS.get
     match_statement = _STATEMENT_RE.match
+    new, set_field = object.__new__, object.__setattr__
     pos, end = 0, len(text)
     while pos < end:
         m = match_statement(text, pos)
@@ -490,9 +492,11 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
             groups = m.groups()
             stmt_id = groups[2]
             shape = (groups[1 : m.lastindex : 2], stmt_id is None)
-            cls, record_cls, items, defaults = plan_of(shape) or _plan(shape)
-            values = [stmt_id, *defaults]
-            for group, position, kind, members, nonempty in items:
+            cls, record_cls, items, template = plan_of(shape) or _plan(shape)
+            fields = template.copy()
+            if stmt_id is not None:
+                fields["id"] = stmt_id
+            for group, name, kind, members, nonempty in items:
                 value = groups[group]
                 # The first character tells the value's kind: '"' a string,
                 # '[' a list, a letter an identifier or enum word.
@@ -515,7 +519,7 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
                     value = members.get(value)
                     if value is None:
                         raise _Decline
-                values[position] = value
+                fields[name] = value
             offset = m.start(2)
             pos = m.end()
         except _Decline:
@@ -523,11 +527,12 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
             statement = tokens and _parse_statement(tokens, at, diags)
             if not statement:
                 continue
-            cls, record_cls, stmt_id, values, offset = statement
+            cls, record_cls, fields, offset = statement
         if cls is None:
-            headers.append((offset, values[0]))
+            headers.append((offset, fields["name"]))
         else:
-            collections[cls].append(new_record(record_cls, values))
+            collections[cls].append(element := new(record_cls))
+            set_field(element, "__dict__", fields)
             offsets[cls].append(offset)
 
     # Repeated headers and ids, each reported with the first declaration.
@@ -583,35 +588,59 @@ def _idlist(ids: tuple[str, ...]) -> str:
     return "[" + ",".join(_ident(i) for i in ids) + "]"
 
 
-def _writer(slot: Slot) -> Callable[[object], str]:
-    if slot.key == DESCRIPTION:
-        return _quote
-    prefix = f"{slot.key}="
-    if slot.kind == STRING:
-        return lambda value: prefix + _quote(value)
-    if slot.kind == ID:
-        return lambda value: prefix + _ident(value)
-    if slot.kind == IDLIST:
-        return lambda value: prefix + _idlist(value)
-    # An enum member, or the plain-text assessment verdict.
-    return lambda value: prefix + getattr(value, "value", value)
-
-
 _ALWAYS = object()  # compares unequal to every field value
+#: What checks and writes one value of each kind; an enum's is its text.
+_WRITE = {STRING: _quote, ID: _ident, IDLIST: _idlist}
+#: Ids joined by line breaks, as :func:`_cells` checks a column of them.
+_IDS = rf"{_IDENT}(?:\n{_IDENT})*+"
 
 
 def _serializer_steps(element_class: ElementClass) -> tuple:
-    """(getter, writer, value left out) per written slot, in slot order. An
-    optional field is left out when it equals its default."""
+    """(getter, value writer, value left out, kind, cell prefix, enum table)
+    per column: an edge's keyword, the id, then each written slot in slot
+    order. An optional field equal to its default is left out, its cell
+    empty. The first column, never left out, leads with the keyword."""
     defaults = {f.name: f.default for f in element_class.type.__record_fields__}
-    return tuple(
-        (attrgetter(s.field), _writer(s), _ALWAYS if s.required else defaults[s.field])
-        for s in element_class.slots
-        if s.key is not None
-    )
+    steps, lead = [], element_class.keywords[0]
+    if element_class.name == "edge":
+        kinds = _EDGE_KEYWORDS
+        steps, lead = [(attrgetter("kind"), kinds.__getitem__, _ALWAYS, None, "", kinds)], ""
+    for s in [Slot(f, "", ID) for f in element_class.identity] + [*element_class.slots]:
+        if s.key is not None:
+            prefix, lead = f"{lead} " + ("" if s.key in ("", DESCRIPTION) else f"{s.key}="), ""
+            left_out = _ALWAYS if s.required else defaults[s.field]
+            table = s.members and {**{m: prefix + t for t, m in s.members.items()}, left_out: ""}
+            steps.append((attrgetter(s.field), _WRITE.get(s.kind, enum_text), left_out, s.kind,
+                          prefix, table))
+    return tuple(steps)
 
 
 _SERIALIZER_STEPS = tuple((c, _serializer_steps(c)) for c in SCHEMA)
+
+
+def _cells(values: list, kind: str, prefix: str, table: dict | None) -> list[str] | None:
+    """The cell of each value, written from one pass over the column, or None
+    when that pass meets a value it does not write (not a str, a line break
+    in a text, a bad id, a value not in the enum ``table``) or nothing to
+    check: no value, or lists that are all empty."""
+    try:
+        if table is not None:
+            return [*map(table.__getitem__, values)]
+        ids = [*chain.from_iterable(values)] if kind == IDLIST else values
+        text = "\n".join(ids)
+    except (KeyError, TypeError):
+        return None
+    # A line break in a value adds one to the count of those joining them.
+    bad = "\r" in text if kind == STRING else re.fullmatch(_IDS, text) is None
+    if bad or text.count("\n") >= len(ids):
+        return None
+    opening = closing = ""
+    if kind == STRING:
+        text, opening, closing = text.replace("\\", "\\\\").replace('"', '\\"'), '"', '"'
+    elif kind == IDLIST:
+        text, opening, closing = "\n".join(map(",".join, values)), "[", "]"
+    text = text.replace("\n", f"{closing}\n{prefix}{opening}")
+    return f"{prefix}{opening}{text}{closing}".split("\n")
 
 
 def serialize(model: Model) -> str:
@@ -619,22 +648,31 @@ def serialize(model: Model) -> str:
 
     Statement classes appear in a fixed order, declarations keep their order
     within each class, and spacing and quoting are normalized, so equal
-    models serialize to byte-equal documents.
+    models serialize to byte-equal documents. A class is written a column at
+    a time; a column that fails its check is walked value by value, and the
+    first bad value in row order raises.
     """
-    lines: list[str] = []
-    if model.name:
-        lines.append(f"model {_quote(model.name)}")
+    lines = [f"model {_quote(model.name)}"] if model.name else []
     for element_class, steps in _SERIALIZER_STEPS:
-        keyword = element_class.keywords[0]
-        for element in model.elements_of(element_class.name):
-            if element_class.name == "edge":
-                keyword = _EDGE_KEYWORDS[element.kind]
-            parts = [keyword]
-            if element_class.identity:
-                parts.append(_ident(element.id))
-            for get, write, left_out in steps:
-                value = get(element)
-                if value != left_out:
-                    parts.append(write(value))
-            lines.append(" ".join(parts))
-    return "".join(line + "\n" for line in lines)
+        elements = model.elements_of(element_class.name)
+        columns, failures = [], []
+        for get, write, left_out, kind, prefix, table in steps:
+            values = [*map(get, elements)]
+            blank = table is None and left_out is not _ALWAYS
+            present = [value for value in values if value != left_out] if blank else values
+            cells = _cells(present, kind, prefix, table)
+            if cells is None:
+                cells = []
+                try:
+                    for value in values:
+                        cells.append(prefix + write(value) if value != left_out else "")
+                except (KeyError, TypeError, ValueError) as error:  # raised below, row first
+                    failures.append((len(cells), error))
+            elif blank:
+                cells = iter(cells)
+                cells = [next(cells) if value != left_out else "" for value in values]
+            columns.append(cells)
+        if failures:
+            raise min(failures, key=itemgetter(0))[1]
+        lines += map("".join, zip(*columns))
+    return "\n".join([*lines, ""])

@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterator
 from operator import itemgetter
 from typing import NamedTuple
 
-from phasekit.diagnostics import Diagnostic, Severity, Span, has_errors, new_record
+from phasekit.diagnostics import Diagnostic, Severity, Span, has_errors
 from phasekit.dsl import ParseResult
 from phasekit.model import (
     DESCRIPTION,
@@ -52,6 +52,13 @@ class _Token(NamedTuple):
 
 def _error(code: str, message: str, span: Span, related: Span | None = None) -> Diagnostic:
     return Diagnostic(Severity.ERROR, code, message, span, related)
+
+
+def new_record(cls: type, values) -> object:
+    """``cls(*values)`` for one value per field, without ``__init__``."""
+    self = object.__new__(cls)
+    any(map(object.__setattr__.__get__(self), cls.__match_args__, values))
+    return self
 
 
 class _Shape(NamedTuple):

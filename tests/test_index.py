@@ -33,6 +33,7 @@ from phasekit.model import (
     Edge,
     EdgeKind,
     GuideType,
+    Hazard,
     Loss,
     LossCategory,
     Model,
@@ -134,9 +135,13 @@ def oracle_impact(changes, new):
         field = "action" if subject.cls == "edge" else "source"
         ucas = [u for u in new.ucas if getattr(u, field) == subject.id]
         hazard_ids = dict.fromkeys(hid for u in ucas for hid in u.hazards)
-        # Losses in hazard declaration order.
+        # Losses in hazard declaration order, a repeated hazard id meaning its
+        # first declaration.
+        first = {}
+        for h in new.hazards:
+            first.setdefault(h.id, h)
         loss_ids = dict.fromkeys(
-            lid for h in new.hazards if h.id in hazard_ids for lid in h.leads_to
+            lid for h in first.values() if h.id in hazard_ids for lid in h.leads_to
         )
         entries.append(
             ImpactEntry(
@@ -198,6 +203,33 @@ def _revision(model: Model) -> Model:
     collections = {CLASS_FIELDS[cls]: kept[cls] for cls in CLASS_FIELDS}
     collections.update(nodes=(*nodes, added), edges=(*edges, action))
     return dataclasses.replace(model, **collections)
+
+
+def _repeated_ids_pair() -> tuple[Model, Model]:
+    """A model built in code that declares hazard H1 and uca U1 twice (V008),
+    and a revision of it that edits both actions and node A and drops L2."""
+    text = (
+        'loss L1 "a" category=safety-critical\nloss L2 "b" category=safety-critical\n'
+        'loss L3 "c" category=safety-critical\nboundary SB "s" includes=[A,B]\n'
+        'hazard H1 "h1" boundary=SB leads_to=[L1]\nhazard H2 "h2" boundary=SB leads_to=[L2]\n'
+        'node A "a" kind=human\nnode B "b" kind=human\n'
+        'action CA1 from=A to=B "one"\naction CA2 from=B to=A "two"\n'
+        'uca U1 action=CA1 type=provided category=functional context="c" hazards=[H1]\n'
+        'uca U2 action=CA2 type=provided category=functional context="c" hazards=[H2,H1]\n'
+        'scenario S1 uca=U1 class=technical "d" elements=[A,CA1]\n'
+    )
+    base = parse(text).model
+    again = Hazard("H1", "again", "SB", ("L3", "L2"))
+    uca = dataclasses.replace(base.ucas[0], source="B", action="CA2", hazards=("H1", "H2"))
+    old = dataclasses.replace(base, hazards=(*base.hazards, again), ucas=(*base.ucas, uca))
+    edits = (('"one"', '"1"'), ('"two"', '"2"'), ('"a" kind', '"a2" kind'),
+             ('loss L2 "b" category=safety-critical\n', ""))
+    for before, after in edits:
+        text = text.replace(before, after)
+    revised = parse(text).model
+    new = dataclasses.replace(revised, hazards=(*revised.hazards, again),
+                              ucas=(*revised.ucas, uca))
+    return old, new
 
 
 def _models(large):
@@ -272,7 +304,7 @@ def test_referencers_match_scan(large):
 def test_impact_matches_scan(large):
     fixtures = [load_fixture(name) for name in ("c1", "c2", "c3")]
     pairs = [(old, new) for old in fixtures for new in fixtures]
-    pairs.append((large, _revision(large)))
+    pairs += [(large, _revision(large)), _repeated_ids_pair()]
     for old, new in pairs:
         changes = diff(old, new)
         assert impact(changes, new) == oracle_impact(changes, new)
@@ -308,6 +340,22 @@ def test_repeated_id_in_a_list_counts_the_referrer_once():
         assert _referencers(new, ref) == oracle_referencers(new, ref)
     changes = diff(old, new)
     assert impact(changes, new) == oracle_impact(changes, new)
+
+
+def test_impact_resolves_a_repeated_hazard_to_its_first_declaration():
+    old, new = _repeated_ids_pair()
+    changes = diff(old, new)
+    report = impact(changes, new)
+    assert report == oracle_impact(changes, new)
+    entries = {entry.subject.id: entry for entry in report.re_review}
+    # The second uca U1 is on CA2. H1 means its first declaration, which
+    # leads to L1 alone, not to the second's L3 and L2.
+    assert entries["CA1"].ucas == ("U1",) and entries["CA1"].losses == ("L1",)
+    assert entries["CA2"].ucas == ("U2", "U1")
+    assert entries["CA2"].hazards == ("H2", "H1") and entries["CA2"].losses == ("L1", "L2")
+    assert entries["A"].ucas == ("U1",) and entries["A"].losses == ("L1",)
+    (dangling,) = report.dangling
+    assert dangling.referenced_by == (Ref("hazard", "H2"), Ref("hazard", "H1"))
 
 
 def test_hazard_order_of_impact_losses():

@@ -329,6 +329,45 @@ def test_equality_compares_tuples_which_match_an_object_to_itself():
     assert a != dataclasses.replace(metrics, coverage_ratio=float("nan"))
 
 
+def test_parsed_elements_hold_their_own_fields():
+    """The parser fills a copy of one template per statement shape and makes
+    it the element's ``__dict__``: after many statements of one shape no two
+    elements share fields, no template or plan has changed, and each element
+    behaves as the one its constructor builds."""
+    from phasekit.dsl import _PLANS, _STATEMENTS, _plan, _statement
+    from phasekit.model import SCHEMA
+
+    lines = ['model "shapes"', 'loss L "l" category=safety-critical',
+             'boundary SB "s" stage=other includes=[A]', 'hazard H "h" boundary=SB leads_to=[L]',
+             'node A "a" kind=human', 'node B "b" kind=team process_model="p"']
+    for i in range(60):
+        lines += [f'{("action", "feedback", "iolink")[i % 3]} E{i} from={"AB"[i % 2]} to=B "e{i}"',
+                  f'uca U{i} action=E{i} type=provided category=functional context="c" hazards=[H]',
+                  f'scenario S{i} uca=U{i} class=technical "d"',
+                  f'requirement R{i} scenarios=[S{i}] "r"']
+    lines.append('assess action=E0 type=wrong-timing verdict=not-hazardous rationale="r"')
+    model = phasekit.parse("\n".join(lines)).model
+    elements = [e for c in SCHEMA for e in model.elements_of(c.name)]
+    assert len(elements) == 6 + 4 * 60 and len({id(vars(e)) for e in elements}) == len(elements)
+    for c in SCHEMA:
+        for keyword in c.keywords:
+            assert _STATEMENTS[keyword] == _statement(c, keyword), keyword
+    for shape, plan in list(_PLANS.items()):
+        assert _plan(shape) == plan, shape
+    sources = {edge.id: edge.source for edge in model.edges}
+    assert {uca.source for uca in model.ucas} == {"A", "B"}
+    for uca in model.ucas:
+        assert vars(uca)["source"] == sources[uca.action], uca
+    for element in elements:
+        built = type(element)(*(getattr(element, f.name) for f in dataclasses.fields(element)))
+        assert list(vars(element).items()) == list(vars(built).items())
+        assert element == built and hash(element) == hash(built) and repr(element) == repr(built)
+        for duplicate in (copy.copy(element), dataclasses.replace(element),
+                          pickle.loads(pickle.dumps(element))):
+            assert type(duplicate) is type(element) and duplicate == built
+            assert repr(duplicate) == repr(built) and vars(duplicate) is not vars(element)
+
+
 if __name__ == "__main__":
     for test_name, test in list(globals().items()):
         if test_name.startswith("test_") and callable(test):
