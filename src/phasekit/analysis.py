@@ -813,7 +813,8 @@ def trace_loss(model: Model, loss_id: str) -> TraceTree:
 
 def trace_node(model: Model, node_id: str) -> AccountabilityReport:
     """Accountability view for one node; the hazards and losses reached are
-    first declarations, each once, in declaration order. Raises
+    first declarations, each once, in declaration order, with undeclared ids
+    left out, as :func:`phasekit.diff.impact` lists them. Raises
     :class:`UnknownReferenceError` for an unknown node id."""
     if lookup(model, "node", node_id) is None:
         raise UnknownReferenceError("node", node_id)
@@ -825,8 +826,7 @@ def trace_node(model: Model, node_id: str) -> AccountabilityReport:
     )
     action_set = set(actions)
     ucas = [u for u in model.ucas if u.action in action_set]
-    hazards = model.index.declared("hazard", {hid for u in ucas for hid in u.hazards})
-    losses = model.index.declared("loss", {lid for h in hazards for lid in h.leads_to})
+    hazards, losses = model.index.reached(ucas)
     scenarios = tuple(s.id for s in model.scenarios if node_id in s.elements)
     ids = (tuple(e.id for e in found) for found in (ucas, hazards, losses))
     return AccountabilityReport(node_id, actions, *ids, scenarios)

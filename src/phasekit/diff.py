@@ -68,7 +68,9 @@ class ChangeSet:
 @record
 class ImpactEntry:
     """Elements to re-review because one added or modified subject touches
-    them."""
+    them. The hazards and losses are first declarations, each once, in
+    declaration order; ids that are not declared are left out (a removed
+    target shows under the report's ``dangling``)."""
 
     subject: Ref
     ucas: tuple[str, ...]
@@ -148,9 +150,11 @@ def impact(changes: ChangeSet, new: Model) -> ImpactReport:
     """What the changes touch downstream, computed against the new version.
 
     Every added or modified node or edge is flagged for re-review together
-    with the ucas, scenarios, hazards, and losses it reaches. Every removed
-    element is listed with the references in the new model that now dangle
-    (semantic validation reports the same breakage).
+    with the ucas, scenarios, hazards, and losses it reaches; the hazards and
+    losses are first declarations, each once, in declaration order, with
+    undeclared ids left out, as :func:`phasekit.analysis.trace_node` lists
+    them. Every removed element is listed with the references in the new
+    model that now dangle (semantic validation reports the same breakage).
     """
     subjects = sorted(
         (
@@ -171,21 +175,8 @@ def impact(changes: ChangeSet, new: Model) -> ImpactReport:
     entries: list[ImpactEntry] = []
     for subject in subjects:
         ucas = ucas_of[subject.cls].get(subject.id, ())
-        hazard_ids = dict.fromkeys(hid for u in ucas for hid in u.hazards)
-        # Losses follow hazard declaration order, not the order the ucas
-        # name the hazards in.
-        loss_ids = dict.fromkeys(
-            lid for h in index.declared("hazard", hazard_ids) for lid in h.leads_to
-        )
-        entries.append(
-            ImpactEntry(
-                subject,
-                tuple(u.id for u in ucas),
-                tuple(s.id for s in citing.get(subject.id, ())),
-                tuple(hazard_ids),
-                tuple(loss_ids),
-            )
-        )
+        found = (ucas, citing.get(subject.id, ()), *index.reached(ucas))
+        entries.append(ImpactEntry(subject, *(tuple(e.id for e in f) for f in found)))
 
     dangling = tuple(
         DanglingReport(removed, _referencers(new, removed))

@@ -378,8 +378,9 @@ _SLOTS: dict[tuple[str, str], Slot] = {
 
 class ModelIndex:
     """By-id and referred-by maps over one model, each built on first use and
-    then kept, and :meth:`declared`, which resolves ids to their first
-    declarations through them. Callers must not mutate the maps it returns."""
+    then kept; :meth:`declared`, which resolves ids to their first
+    declarations through them; and :meth:`reached`, the one walk from ucas up
+    to hazards and losses. Callers must not mutate the maps it returns."""
 
     def __init__(self, model: Model) -> None:
         # The collections rather than the model, so the model and its index
@@ -407,6 +408,12 @@ class ModelIndex:
         """The first declaration of each of ``ids`` declared, once each, in declaration order."""
         positions, elements = self.positions(element_class), self._elements[element_class]
         return [elements[p] for p in sorted({positions[i] for i in ids if i in positions})]
+
+    def reached(self, ucas) -> tuple[list[Element], list[Element]]:
+        """The hazards ``ucas`` name and the losses those hazards lead to,
+        each by :meth:`declared`: undeclared ids are left out."""
+        hazards = self.declared("hazard", {hid for u in ucas for hid in u.hazards})
+        return hazards, self.declared("loss", {lid for h in hazards for lid in h.leads_to})
 
     def referrers(self, element_class: str, field_name: str) -> dict[str, list[Element]]:
         """For one reference slot, each id it names mapped to the elements of

@@ -7,13 +7,16 @@ import sys
 from enum import Enum
 from pathlib import Path
 
+import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from phasekit import Ref, diff, impact, lookup, parse
+from phasekit import Ref, diff, impact, lookup, parse, trace_node, validate
+from phasekit.diagnostics import has_errors
 from phasekit.diff import ChangeSet, FieldChange
 from phasekit.model import ELEMENT_CLASSES, SCHEMA, STRING
 
+from .conftest import FIXTURES, load_fixture
 from .diff_oracle import diff as oracle_diff
 from .strategies import model_pairs, valid_models
 
@@ -310,3 +313,55 @@ def test_diff_matches_oracle_on_the_benchmark_revision():
     changes = diff(old, new)
     assert changes.added and changes.removed and changes.modified
     assert_diff_matches_oracle(old, new)
+
+
+# ---------------------------------------------------------------------------
+# One chain walk: impact of a node is its trace
+# ---------------------------------------------------------------------------
+
+
+def assert_node_impact_is_its_trace(old, new):
+    """On a validated new model, the impact entry of each node subject lists
+    the ucas, scenarios, hazards and losses trace_node lists for that node.
+    Returns the node entries."""
+    assert not has_errors(validate(new))
+    entries = [e for e in impact(diff(old, new), new).re_review if e.subject.cls == "node"]
+    for entry in entries:
+        trace = trace_node(new, entry.subject.id)
+        assert (entry.ucas, entry.scenarios, entry.hazards, entry.losses) == (
+            trace.ucas, trace.scenarios, trace.hazards, trace.losses
+        )
+    return entries
+
+
+@pytest.mark.parametrize("name", ["c1", "c2", "c3"])
+def test_node_impact_is_its_trace_on_the_case_studies(name):
+    case = load_fixture(name)
+    path = FIXTURES.parent / "tests" / "goldens" / "inputs" / f"{name}_rev.phase"
+    revision = model_of(path.read_text(encoding="utf-8"))
+    assert assert_node_impact_is_its_trace(case, revision)
+    assert assert_node_impact_is_its_trace(revision, case)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 8])
+def test_node_impact_is_its_trace_on_the_benchmark_revision(seed):
+    synth = _synth()
+    document = synth.generate(1000, seed)
+    old = model_of(synth.authored(document, seed))
+    new = model_of(synth.authored(synth.revise(document, seed, 10), f"{seed}/new"))
+    entries = assert_node_impact_is_its_trace(old, new)
+    # The pair has teeth: some node's ucas name its hazards out of
+    # declaration order.
+    ucas = {u.id: u for u in new.ucas}
+    assert any(
+        e.hazards != tuple(dict.fromkeys(h for u in e.ucas for h in ucas[u].hazards))
+        for e in entries
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(model_pairs())
+def test_node_impact_is_its_trace_on_model_pairs(pair):
+    old, new = pair
+    assume(not has_errors(validate(new)))
+    assert_node_impact_is_its_trace(old, new)

@@ -93,21 +93,28 @@ def oracle_trace_loss(model, loss_id):
     return tree("loss", loss_id)
 
 
+def _first_declared(elements, ids):
+    """The first declaration of each of ``ids`` among ``elements``, in
+    declaration order."""
+    first = {}
+    for element in elements:
+        if element.id in ids:
+            first.setdefault(element.id, element)
+    return list(first.values())
+
+
 def oracle_trace_node(model, node_id):
     actions = [
         e.id for e in model.edges
         if e.kind is EdgeKind.CONTROL_ACTION and e.source == node_id
     ]
     ucas = [u for u in model.ucas if u.action in actions]
-    hazards = [h.id for h in model.hazards if any(h.id in u.hazards for u in ucas)]
-    losses = [
-        l.id for l in model.losses
-        if any(l.id in h.leads_to for h in model.hazards if h.id in hazards)
-    ]
+    hazards = _first_declared(model.hazards, {hid for u in ucas for hid in u.hazards})
+    losses = _first_declared(model.losses, {lid for h in hazards for lid in h.leads_to})
     scenarios = [s.id for s in model.scenarios if node_id in s.elements]
     return AccountabilityReport(
-        node_id, tuple(actions), tuple(u.id for u in ucas), tuple(hazards),
-        tuple(losses), tuple(scenarios),
+        node_id, tuple(actions), tuple(u.id for u in ucas), tuple(h.id for h in hazards),
+        tuple(l.id for l in losses), tuple(scenarios),
     )
 
 
@@ -134,22 +141,16 @@ def oracle_impact(changes, new):
     for subject in subjects:
         field = "action" if subject.cls == "edge" else "source"
         ucas = [u for u in new.ucas if getattr(u, field) == subject.id]
-        hazard_ids = dict.fromkeys(hid for u in ucas for hid in u.hazards)
-        # Losses in hazard declaration order, a repeated hazard id meaning its
-        # first declaration.
-        first = {}
-        for h in new.hazards:
-            first.setdefault(h.id, h)
-        loss_ids = dict.fromkeys(
-            lid for h in first.values() if h.id in hazard_ids for lid in h.leads_to
-        )
+        # Hazards and losses as oracle_trace_node lists them.
+        hazards = _first_declared(new.hazards, {hid for u in ucas for hid in u.hazards})
+        losses = _first_declared(new.losses, {lid for h in hazards for lid in h.leads_to})
         entries.append(
             ImpactEntry(
                 subject,
                 tuple(u.id for u in ucas),
                 tuple(s.id for s in new.scenarios if subject.id in s.elements),
-                tuple(hazard_ids),
-                tuple(loss_ids),
+                tuple(h.id for h in hazards),
+                tuple(l.id for l in losses),
             )
         )
     dangling = tuple(
@@ -288,7 +289,7 @@ def test_trace_loss_matches_scan_for_every_loss(large):
 
 
 def test_trace_node_matches_scan_for_every_node(large):
-    for model in _models(large):
+    for model in (*_models(large), *_repeated_ids_pair()):
         for node in model.nodes:
             assert trace_node(model, node.id) == oracle_trace_node(model, node.id)
 
@@ -349,17 +350,18 @@ def test_impact_resolves_a_repeated_hazard_to_its_first_declaration():
     assert report == oracle_impact(changes, new)
     entries = {entry.subject.id: entry for entry in report.re_review}
     # The second uca U1 is on CA2. H1 means its first declaration, which
-    # leads to L1 alone, not to the second's L3 and L2.
+    # leads to L1 alone, not to the second's L3 and L2. H2 leads to L2, which
+    # the revision removes: it is left out here and shows under dangling.
     assert entries["CA1"].ucas == ("U1",) and entries["CA1"].losses == ("L1",)
     assert entries["CA2"].ucas == ("U2", "U1")
-    assert entries["CA2"].hazards == ("H2", "H1") and entries["CA2"].losses == ("L1", "L2")
+    assert entries["CA2"].hazards == ("H1", "H2") and entries["CA2"].losses == ("L1",)
     assert entries["A"].ucas == ("U1",) and entries["A"].losses == ("L1",)
     (dangling,) = report.dangling
     assert dangling.referenced_by == (Ref("hazard", "H2"), Ref("hazard", "H1"))
 
 
 def test_hazard_order_of_impact_losses():
-    # The uca names H2 before H1, yet losses follow hazard declaration order.
+    # The uca names H2 before H1, yet hazards and losses follow declaration order.
     text = (
         'loss L1 "a" category=safety-critical\n'
         'loss L2 "b" category=safety-critical\n'
@@ -373,7 +375,7 @@ def test_hazard_order_of_impact_losses():
     old = parse(text).model
     new = parse(text.replace('"act"', '"acts"')).model
     (entry,) = impact(diff(old, new), new).re_review
-    assert entry.hazards == ("H2", "H1")
+    assert entry.hazards == ("H1", "H2")
     assert entry.losses == ("L1", "L2")
 
 
