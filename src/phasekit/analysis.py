@@ -25,7 +25,6 @@ C001   coverage cell both waived and covered by a uca (warning)
 
 from __future__ import annotations
 
-import re
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter, eq, is_
@@ -51,7 +50,7 @@ from .model import (
     Slot,
     Uca,
     UnknownReferenceError,
-    _IDENT_RE,
+    are_identifiers,
     assessment_key,
     assessment_ref,
     elements_in_boundary,
@@ -191,22 +190,6 @@ def _dangling(
 _FIELD_TYPES = {ID: str, STRING: str, IDLIST: tuple}
 #: What a V007 message says each kind of field must hold.
 _EXPECTED = {ID: "an id", STRING: "a string", IDLIST: "a tuple of ids"}
-#: Identifiers (see :func:`phasekit.model.is_valid_identifier`) joined by
-#: line breaks.
-_IDENTIFIERS_RE = re.compile(rf"{_IDENT_RE.pattern}(?:\n{_IDENT_RE.pattern})*")
-
-
-def _bad_ids(ids: list) -> bool:
-    """Whether any of a class's ids is not an identifier, which serialize
-    could not write. One type pass and one match over them all decide
-    whether the class needs checking element by element; the joined ids
-    match only if none holds a line break of its own."""
-    if not all(map(isinstance, ids, repeat(str))):
-        return True
-    text = "\n".join(ids)
-    return bool(ids) and (
-        text.count("\n") != len(ids) - 1 or _IDENTIFIERS_RE.fullmatch(text) is None
-    )
 
 
 def _mistyped(slot: Slot, values: list) -> bool:
@@ -403,7 +386,7 @@ def validate(model: Model) -> list[Diagnostic]:
     # The classes holding an id that is not an identifier. Their id sets and
     # the edges by id leave out any id that is not a str, which may not even
     # be hashable.
-    bad_ids = {cls for cls, column in id_columns.items() if _bad_ids(column)}
+    bad_ids = {cls for cls, column in id_columns.items() if not are_identifiers(column)}
     ids = {
         cls: {i for i in column if isinstance(i, str)} if cls in bad_ids else set(column)
         for cls, column in id_columns.items()
@@ -443,7 +426,7 @@ def validate(model: Model) -> list[Diagnostic]:
         occurrences: dict[str, int] = {}
         seen_ids: set[str] = set()
         for element in elements:
-            if bad_id and _bad_ids([element.id]):
+            if bad_id and not are_identifiers([element.id]):
                 # Its other checks would name the element by that id, so
                 # they wait until it has a valid one.
                 diags.append(

@@ -144,8 +144,8 @@ def _read_source(path: str, streams: _Streams) -> tuple[str, str]:
 
 
 def _write(document: str, path: str | None, streams: _Streams) -> None:
-    """Write ``document`` to the file at ``path``, or to stdout without one."""
-    if not path:
+    """Write ``document`` to the file at ``path``, or to stdout for none or ``-``."""
+    if not path or path == "-":
         streams.stdout.write(document)
         return
     try:
@@ -155,18 +155,24 @@ def _write(document: str, path: str | None, streams: _Streams) -> None:
         raise _UsageError(f"cannot write {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def _load(path: str, streams: _Streams) -> tuple[Model, list[Diagnostic]]:
-    """Parse and validate: the model and the diagnostics found. On any
-    error print the diagnostics and raise :class:`_Invalid`."""
-    result = parse(*_read_source(path, streams))
+def _parsed(text: str, name: str, streams: _Streams) -> Model:
+    """The parsed model; on a parse error print the diagnostics, raise _Invalid."""
+    result = parse(text, name)
     if result.model is None:
         _print_diagnostics(result.diagnostics, streams)
         raise _Invalid
-    problems = validate(result.model)
+    return result.model
+
+
+def _load(path: str, streams: _Streams) -> tuple[Model, list[Diagnostic]]:
+    """Parse and validate: the model and its warnings, as a parse that gives a
+    model reports nothing. On any error print the diagnostics, raise _Invalid."""
+    model = _parsed(*_read_source(path, streams), streams)
+    problems = validate(model)
     if has_errors(problems):
         _print_diagnostics(problems, streams)
         raise _Invalid
-    return result.model, problems
+    return model, problems
 
 
 # ---------------------------------------------------------------------------
@@ -175,16 +181,9 @@ def _load(path: str, streams: _Streams) -> tuple[Model, list[Diagnostic]]:
 
 
 def _cmd_check(args: argparse.Namespace, streams: _Streams) -> int:
-    result = parse(*_read_source(args.file, streams))
-    diagnostics = list(result.diagnostics)
-    if result.model is not None:
-        diagnostics.extend(validate(result.model))
-    _print_diagnostics(diagnostics, streams)
-    if has_errors(diagnostics):
-        return EXIT_INVALID
-    if args.strict and diagnostics:
-        return EXIT_FINDINGS
-    return EXIT_OK
+    _, warnings = _load(args.file, streams)
+    _print_diagnostics(warnings, streams)
+    return EXIT_FINDINGS if args.strict and warnings else EXIT_OK
 
 
 def _cmd_coverage(args: argparse.Namespace, streams: _Streams) -> int:
@@ -246,11 +245,7 @@ def _cmd_fmt(args: argparse.Namespace, streams: _Streams) -> int:
     if args.write and args.file == "-":
         raise _UsageError("--write cannot be used with stdin")
     text, name = _read_source(args.file, streams)
-    result = parse(text, name)
-    if result.model is None:
-        _print_diagnostics(result.diagnostics, streams)
-        return EXIT_INVALID
-    canonical = serialize(result.model)
+    canonical = serialize(_parsed(text, name, streams))
     if args.check:
         if text != canonical:
             print(f"{name}: not in canonical form", file=streams.stderr)

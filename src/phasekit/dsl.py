@@ -62,6 +62,9 @@ from .diagnostics import Diagnostic, Severity, Span, has_errors, record
 from .model import (
     DESCRIPTION,
     ID,
+    IDENT,
+    IDENT_CHAR,
+    IDENT_LINES_RE,
     IDLIST,
     SCHEMA,
     STRING,
@@ -144,14 +147,12 @@ _STATEMENTS: dict[str, _Statement] = {
 # Patterns
 # ---------------------------------------------------------------------------
 
-# The repeats are possessive (``++``, ``*+``, Python 3.11 and later): what one
-# has matched is never given back. So a word only ever matches whole, as the
-# tokenizer reads it, with no lookahead after each, and items written with no
-# space between them (``a=b=c=...``) cannot be split in exponentially many
-# ways before the pattern gives up.
-_W = "[A-Za-z0-9_-]"
-_WORD = rf"{_W}++"
-_IDENT = rf"[A-Za-z]{_W}*+"
+# The repeats are possessive (``++``, ``*+``, Python 3.11 and later), as in
+# ``IDENT``: what one has matched is never given back. So a word only ever
+# matches whole, as the tokenizer reads it, with no lookahead after each, and
+# items written with no space between them (``a=b=c=...``) cannot be split in
+# exponentially many ways before the pattern gives up.
+_WORD = rf"{IDENT_CHAR}++"
 _QUOTED = r'"[^"\\\r\n]*+(?:\\["\\][^"\\\r\n]*+)*+"'
 # A lone \r must not match the first half of \r\n, or a statement could end
 # between the two and the next one begin inside a line break.
@@ -172,12 +173,12 @@ _ITEM = rf"{_GAP}(?:({_WORD}){_GAP}={_GAP}|)({_QUOTED}|{_WORD}|\[[^\]]*\])"
 #: in the one before it: the items present are the first, the last one's value
 #: is the last group matched. ``(?:X|)``, unlike ``(?:X)?``, sets up no repeat.
 _STATEMENT_RE = re.compile(
-    rf"({_BLANK_LINES})[ \t]*({_WORD})(?:{_GAP}({_IDENT})|)"
+    rf"({_BLANK_LINES})[ \t]*({_WORD})(?:{_GAP}({IDENT})|)"
     + f"(?:{_ITEM}" * _MAX_ITEMS + "|)" * _MAX_ITEMS
     + rf"{_GAP}(?:#[^\r\n]*)?{_END}"
 )
 #: An id list as the token parser reads it: ids, commas, blanks, continuations.
-_LIST_RE = re.compile(rf"\[{_GAP}(?:{_IDENT}{_GAP}(?:,{_GAP}{_IDENT}{_GAP})*)?\]")
+_LIST_RE = re.compile(rf"\[{_GAP}(?:{IDENT}{_GAP}(?:,{_GAP}{IDENT}{_GAP})*)?\]")
 _LIST_ITEM_RE = re.compile(_WORD)
 _BREAK_RE = re.compile(_BREAK)
 #: A backslash in a string and the character it escapes, none when that is
@@ -189,7 +190,7 @@ _ESCAPE_RE = re.compile(r'\\(["\\]?)')
 _TOKEN_RE = re.compile(
     rf"(?P<newline>{_BREAK})|(?P<continuation>\\{_END})|(?P<blank>[ \t]+|#[^\r\n]*)"
     r'|(?P<string>"(?P<body>[^"\\\r\n]*(?:\\[^\r\n]?[^"\\\r\n]*)*)(?P<close>"?))'
-    rf"|(?P<punct>[=\[\],])|(?P<word>{_W}+)|(?P<other>.)"
+    rf"|(?P<punct>[=\[\],])|(?P<word>{IDENT_CHAR}+)|(?P<other>.)"
 )
 
 
@@ -591,8 +592,6 @@ def _idlist(ids: tuple[str, ...]) -> str:
 _ALWAYS = object()  # compares unequal to every field value
 #: What checks and writes one value of each kind; an enum's is its text.
 _WRITE = {STRING: _quote, ID: _ident, IDLIST: _idlist}
-#: Ids joined by line breaks, as :func:`_cells` checks a column of them.
-_IDS = rf"{_IDENT}(?:\n{_IDENT})*+"
 
 
 def _serializer_steps(element_class: ElementClass) -> tuple:
@@ -631,7 +630,7 @@ def _cells(values: list, kind: str, prefix: str, table: dict | None) -> list[str
     except (KeyError, TypeError):
         return None
     # A line break in a value adds one to the count of those joining them.
-    bad = "\r" in text if kind == STRING else re.fullmatch(_IDS, text) is None
+    bad = "\r" in text if kind == STRING else IDENT_LINES_RE.fullmatch(text) is None
     if bad or text.count("\n") >= len(ids):
         return None
     opening = closing = ""

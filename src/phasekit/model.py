@@ -35,18 +35,31 @@ from __future__ import annotations
 import re
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter
 from typing import NamedTuple, Union
 
 from .diagnostics import MISSING, Field, Span, field, record
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
+IDENT_CHAR = "[A-Za-z0-9_-]"  # what a DSL word is made of
+IDENT = rf"[A-Za-z]{IDENT_CHAR}*+"  # the id syntax, possessive; every id reader builds on it
+_IDENT_RE = re.compile(IDENT)
+IDENT_LINES_RE = re.compile(rf"{IDENT}(?:\n{IDENT})*+")  # ids joined by line breaks
 
 
 def is_valid_identifier(text: str) -> bool:
     """True if ``text`` is a legal element id: a letter followed by letters,
     digits, ``_`` or ``-``."""
     return bool(_IDENT_RE.fullmatch(text))
+
+
+def are_identifiers(ids: list) -> bool:
+    """Whether every one of ``ids`` is a str and an id, by one match of them joined
+    by line breaks; an id that holds a line break adds one to their count."""
+    if not all(map(isinstance, ids, repeat(str))):
+        return False
+    text = "\n".join(ids)
+    return not ids or (text.count("\n") < len(ids) and IDENT_LINES_RE.fullmatch(text) is not None)
 
 
 class LossCategory(str, Enum):

@@ -39,7 +39,6 @@ import pytest
 from hypothesis import given, settings
 
 from phasekit import (
-    AccountabilityReport,
     CellState,
     CoverageCell,
     CoverageMatrix,
@@ -69,7 +68,7 @@ from phasekit import (
 
 from .conftest import load_fixture
 from .strategies import tangle, tangled_models
-from .test_index import _large_model
+from .test_index import _large_model, oracle_trace_node
 
 # ---------------------------------------------------------------------------
 # Oracles: plain scans over the collections
@@ -146,30 +145,6 @@ def oracle_hints(model):
                 found.append(Hint(code, (Ref(cls, element.id),), f"{cls} '{element.id}' {complaint}"))
     found.sort(key=lambda hint: (hint.code.value, [ref.id for ref in hint.subjects]))
     return found
-
-
-def _first_declarations(elements, ids):
-    found, seen = [], set()
-    for element in elements:
-        if element.id in ids and element.id not in seen:
-            seen.add(element.id)
-            found.append(element)
-    return found
-
-
-def oracle_trace_node(model, node_id):
-    actions = [
-        e.id for e in model.edges
-        if e.kind == EdgeKind.CONTROL_ACTION and e.source == node_id
-    ]
-    ucas = [u for u in model.ucas if u.action in actions]
-    hazards = _first_declarations(model.hazards, {h for u in ucas for h in u.hazards})
-    losses = _first_declarations(model.losses, {l for h in hazards for l in h.leads_to})
-    scenarios = [s.id for s in model.scenarios if node_id in s.elements]
-    return AccountabilityReport(
-        node_id, tuple(actions), tuple(u.id for u in ucas), tuple(h.id for h in hazards),
-        tuple(l.id for l in losses), tuple(scenarios),
-    )
 
 
 def oracle_scope(model, boundary_id):

@@ -18,6 +18,7 @@ from .conftest import fixture_path
 C1 = str(fixture_path("c1"))
 C1_TEXT = fixture_path("c1").read_text(encoding="utf-8")
 C1_REV = fixture_path("c1").parent.parent / "tests/goldens/inputs/c1_rev.phase"
+C1_REPORT = C1_REV.parent.parent / "c1_report.md"
 C2 = str(fixture_path("c2"))
 
 INVALID_REF = (
@@ -205,6 +206,19 @@ def test_report_json_and_md(tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8").startswith("# Hazard analysis report")
+
+
+@pytest.mark.parametrize(
+    "argv, golden", [(["report", C1, "--format", "md"], C1_REPORT), (["render", C1], None)]
+)
+def test_output_dash_writes_to_stdout(monkeypatch, tmp_path, argv, golden):
+    """``-o -`` writes the artifact to stdout, as no ``-o`` does, and creates
+    no file named ``-``."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = cli(*argv, "-o", "-")
+    assert (code, err) == (0, "")
+    assert out == (golden.read_text(encoding="utf-8") if golden else cli(*argv)[1])
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt", ["md", "json"])
@@ -436,11 +450,12 @@ def test_fmt_write_of_stdin_exit_3_before_reading():
 
 
 # Placeholders the totality property draws; the test maps them to paths
-# under tmp_path, so every file the runs read or write lives there.
+# under tmp_path, so every file the runs read or write lives there. An output
+# of "-" is the run's stdout.
 _INPUTS = (
     "GOOD", "REV", "INVALID", "BROKEN", "BINARY", "MISSING", "DIR", "SURROGATE", "-", "a\x00b",
 )
-_OUTPUTS = ("OUT", "DIR", "MISSING_DIR", "SURROGATE_OUT", "x\x00y")
+_OUTPUTS = ("OUT", "DIR", "MISSING_DIR", "SURROGATE_OUT", "x\x00y", "-")
 _STDINS = ("text", "bytes", "non-utf8", "surrogate", "closed")
 
 

@@ -3,13 +3,18 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import phasekit.dsl
 from phasekit import (
     Model,
     UnknownReferenceError,
     elements_in_boundary,
     lookup,
     parse,
+    serialize,
+    validate,
 )
 from phasekit.model import (
     CLASS_FIELDS,
@@ -19,6 +24,10 @@ from phasekit.model import (
     IDLIST,
     REFERENCES,
     SCHEMA,
+    Hazard,
+    Loss,
+    LossCategory,
+    SystemBoundary,
     is_valid_identifier,
 )
 
@@ -39,6 +48,71 @@ from phasekit.model import (
 )
 def test_identifier_shape(text, ok):
     assert is_valid_identifier(text) is ok
+
+
+_BASE = 'boundary SB "s"\nloss L0 "l" category=safety-critical\n'
+
+
+def _read(statement):
+    """Parse ``statement`` after two statements it may refer to: the model,
+    the diagnostics, and whether the token fallback read anything."""
+    calls, tokenize_alone = [], phasekit.dsl._tokenize
+
+    def tokenize(*args):
+        calls.append(args)
+        return tokenize_alone(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phasekit.dsl, "_tokenize", tokenize)
+        result = parse(_BASE + statement + "\n")
+    return result.model, [(d.code, d.message) for d in result.diagnostics], bool(calls)
+
+
+def _raises_value_error(model):
+    try:
+        serialize(model)
+    except ValueError:
+        return True
+    return False
+
+
+@given(st.text(alphabet="aZ09_-.\u00e9", max_size=5))
+@example("")
+@example("a-b")
+@example("a_-9")
+@example("a.b")
+@example("\u00e9")
+@example("_a")
+def test_every_reader_of_ids_accepts_exactly_the_identifiers(text):
+    valid = is_valid_identifier(text)
+    # The fast match alone reads a valid id, as a statement's id and in a
+    # list; it declines an invalid one, which the token fallback rejects.
+    for statement, read in [
+        (f'loss {text} "l" category=safety-critical', lambda m: m.losses[-1].id),
+        (f'hazard H1 "h" boundary=SB leads_to=[L0,{text}]', lambda m: m.hazards[0].leads_to[1]),
+    ]:
+        model, diagnostics, fell_back = _read(statement)
+        assert fell_back is not valid, statement
+        assert (read(model) if model else None) == (text if valid else None), statement
+        assert bool(diagnostics) is not valid, statement
+    # The token fallback, made to read the statement by a repeated key, reads
+    # the id before it meets that key.
+    for statement, key in [
+        (f'loss {text} "l" category=safety-critical category=safety-critical', "category"),
+        (f'hazard H1 "h" leads_to=[L0,{text}] boundary=SB boundary=SB', "boundary"),
+    ]:
+        model, diagnostics, _ = _read(statement)
+        expected = [("P002", f"duplicate attribute '{key}'")]
+        assert (diagnostics == expected) is valid, statement
+    # serialize writes the id, as an id and in a list, or raises ValueError;
+    # validate reports V007 on an element id that is not an identifier.
+    category = LossCategory.SAFETY_CRITICAL
+    losses = (Loss("L0", "l", category), Loss(text, "l", category))
+    boundaries = (SystemBoundary("SB", "s"),)
+    hazards = (Hazard("H1", "h", "SB", ("L0", text)),)
+    assert _raises_value_error(Model(losses=losses)) is not valid
+    assert _raises_value_error(Model(boundaries=boundaries, hazards=hazards)) is not valid
+    assert ("V007" in {d.code for d in validate(Model(losses=losses))}) is not valid
 
 
 def test_lookup_finds_declared_loss(c1):
