@@ -51,8 +51,7 @@ from .model import (
     Uca,
     UnknownReferenceError,
     are_identifiers,
-    assessment_key,
-    assessment_ref,
+    declared_names,
     elements_in_boundary,
     enum_text,
     lookup,
@@ -415,7 +414,8 @@ def validate(model: Model) -> list[Diagnostic]:
         loops = cls == "edge" and any(map(eq, columns["source"], columns["target"]))
         duplicates = False
         if cls == "assessment":
-            keys = list(map(assessment_key, elements))
+            keys = list(map(attrgetter("id"), elements))
+            names = iter(declared_names(keys))
             duplicates = len(set(keys)) < len(keys)
         # An id set smaller than its column: an id repeats, or a bad id is out.
         repeated = cls in ids and len(ids[cls]) < len(id_columns[cls])
@@ -423,7 +423,6 @@ def validate(model: Model) -> list[Diagnostic]:
         if not (bad_id or suspects or links or loops or duplicates or repeated):
             continue
 
-        occurrences: dict[str, int] = {}
         seen_ids: set[str] = set()
         for element in elements:
             if bad_id and not are_identifiers([element.id]):
@@ -445,9 +444,7 @@ def validate(model: Model) -> list[Diagnostic]:
                     diags.append(Diagnostic(Severity.ERROR, "V008", message, _span(model, ref)))
                 seen_ids.add(element.id)
             else:
-                key = assessment_key(element)
-                occurrences[key] = occurrences.get(key, 0) + 1
-                ref = assessment_ref(element.action, element.guide_type, occurrences[key])
+                ref = Ref(cls, next(names))
             if links:
                 diags.extend(
                     _check_uca_action(model, element, ref, ids["node"], edge_by_id)
@@ -464,7 +461,7 @@ def validate(model: Model) -> list[Diagnostic]:
                         _span(model, ref),
                     )
                 )
-            if duplicates and occurrences[key] > 1:
+            if duplicates and ref.id != element.id:
                 diags.append(
                     Diagnostic(
                         Severity.ERROR,
@@ -472,7 +469,7 @@ def validate(model: Model) -> list[Diagnostic]:
                         f"duplicate assessment for action '{element.action}' and "
                         f"guide type '{enum_text(element.guide_type)}'",
                         _span(model, ref),
-                        _span(model, assessment_ref(element.action, element.guide_type)),
+                        _span(model, Ref(cls, element.id)),
                     )
                 )
 
@@ -632,7 +629,7 @@ def coverage(model: Model, boundary_id: str | None = None) -> CoverageMatrix:
                             "C001",
                             f"action '{action.id}' guide type '{guide.value}' is "
                             f"waived but covered by uca(s) {', '.join(uca_ids)}",
-                            model.source_spans.get(assessment_ref(action.id, guide)),
+                            model.source_spans.get(Ref("assessment", assessment.id)),
                         )
                     )
             elif assessment is not None:

@@ -118,15 +118,15 @@ def _print_diagnostics(diagnostics: Sequence[Diagnostic], streams: _Streams) -> 
 
 def _read_stdin(stdin: TextIO | None) -> str:
     """Read stdin the way a file is read: strict UTF-8 with universal
-    newlines. Streams without a byte buffer (such as an injected
-    ``io.StringIO``) are already decoded and are read as they are. A process
-    started with its stdin closed has None there."""
+    newlines, a leading byte order mark skipped. Streams without a byte
+    buffer (such as an injected ``io.StringIO``) are already decoded and are
+    read as they are. A process started with its stdin closed has None there."""
     if stdin is None:
         raise _UsageError("cannot read <stdin>: standard input is closed")
     buffer = getattr(stdin, "buffer", None)
     if buffer is None:
         return stdin.read()
-    return io.StringIO(buffer.read().decode("utf-8"), newline=None).read()
+    return io.StringIO(buffer.read().decode("utf-8-sig"), newline=None).read()
 
 
 def _read_source(path: str, streams: _Streams) -> tuple[str, str]:
@@ -134,7 +134,7 @@ def _read_source(path: str, streams: _Streams) -> tuple[str, str]:
     try:
         if path == "-":
             return _read_stdin(streams.stdin), name
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read(), name
     except UnicodeDecodeError as exc:
         raise _UsageError(f"cannot read {name}: not valid UTF-8 ({exc.reason})") from exc

@@ -26,7 +26,6 @@ from .model import (
     Model,
     Ref,
     class_rank,
-    element_id,
 )
 
 #: Fields compared per class, with whether the field is an id list, compared
@@ -138,7 +137,7 @@ def _referencers(model: Model, target: Ref) -> tuple[Ref, ...]:
         for slot, targets in REFERENCES[src_cls]:
             if target.cls in targets:
                 hits.extend(
-                    Ref(src_cls, element_id(src_cls, element))
+                    Ref(src_cls, element.id)
                     for element in model.index.referrers(src_cls, slot.field).get(
                         target.id, ()
                     )

@@ -73,7 +73,7 @@ from .model import (
     Model,
     Ref,
     Slot,
-    assessment_ref,
+    declared_names,
     enum_text,
     is_valid_identifier,
 )
@@ -406,9 +406,10 @@ def _plan(shape: tuple) -> tuple:
 
 class _Spans(Mapping):
     """``Model.source_spans`` of a parsed model, resolved from keyword offsets
-    on read. A read builds its class's id-to-offset map alone, the first
-    declaration winning; ``len``, iteration and ``==`` build the whole dict,
-    which a pickle or copy gives. Tables are kept once complete, as in ModelIndex."""
+    on read. A read builds its class's map alone, from the ``declared_names``
+    of its declarations to their offsets; ``len``, iteration and ``==`` build
+    the whole dict, which a pickle or copy gives. Tables are kept once
+    complete, as in ModelIndex."""
 
     def __init__(self, text: str, filename: str, collections: dict, offsets: dict) -> None:
         self._text, self._filename, self._collections = text, filename, collections
@@ -428,15 +429,8 @@ class _Spans(Mapping):
     def _map(self, cls: str) -> dict[str, int]:
         found = self._maps.get(cls)
         if found is None:
-            if cls == "assessment":
-                ids, seen = [], {}
-                for cell in map(attrgetter("action", "guide_type"), self._collections[cls]):
-                    seen[cell] = seen.get(cell, 0) + 1
-                    ids.append(assessment_ref(*cell, seen[cell]).id)
-            else:
-                ids = [element.id for element in self._collections[cls]]
-            # Filled from the last declaration back, so the first one wins.
-            found = dict(zip(reversed(ids), reversed(self._offsets[cls])))
+            ids = declared_names(element.id for element in self._collections[cls])
+            found = dict(zip(ids, self._offsets[cls]))
             self._maps[cls] = found
         return found
 
@@ -564,7 +558,7 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
 
 
 def parse_file(path: str) -> ParseResult:
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:  # a leading byte order mark is skipped
         return parse(handle.read(), path)
 
 

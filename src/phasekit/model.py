@@ -294,8 +294,8 @@ class SafetyRequirement:
 class Assessment:
     """A deliberate "examined and not hazardous" waiver for one coverage cell.
 
-    Assessments carry no declared id; they are identified by the
-    (action, guide_type) pair, which must be unique across the model.
+    Assessments carry no declared id; each is named by its cell,
+    (action, guide_type), which must be unique across the model.
     """
 
     action: str = slot("action", ID, target="edge")
@@ -303,6 +303,12 @@ class Assessment:
     rationale: str = slot("rationale", STRING)
     # Written in every statement, though a record built in code may leave it out.
     verdict: str = slot("verdict", (NOT_HAZARDOUS,), default=NOT_HAZARDOUS, required=True)
+
+    @property
+    def id(self) -> str:
+        """The cell key ``action/guide``, which names the assessment as an
+        id names any other element; not a field of the record."""
+        return f"{self.action}/{enum_text(self.guide_type)}"
 
 
 class Ref(NamedTuple):
@@ -404,14 +410,10 @@ class ModelIndex:
 
     def positions(self, element_class: str) -> dict[str, int]:
         """Each id of a class mapped to the position of its first declaration
-        in the class's collection; assessments under their cell key."""
+        in the class's collection."""
         found = self._positions.get(element_class)
         if found is None:
-            elements = self._elements[element_class]
-            if element_class == "assessment":
-                ids = [assessment_key(a) for a in elements]
-            else:
-                ids = [e.id for e in elements]
+            ids = [e.id for e in self._elements[element_class]]
             # Filled from the last declaration back, so the first one wins.
             found = dict(zip(reversed(ids), range(len(ids) - 1, -1, -1)))
             self._positions[element_class] = found
@@ -459,23 +461,15 @@ class UnknownReferenceError(ValueError):
         self.element_id = element_id
 
 
-def assessment_ref(action: str, guide_type: GuideType, occurrence: int = 1) -> Ref:
-    """The ref of an assessment of one coverage cell: the cell key
-    ``action/guide``, and for the second and later declarations of the same
-    cell an occurrence suffix ``#n`` so each keeps its own span."""
-    key = f"{action}/{enum_text(guide_type)}"
-    return Ref("assessment", key if occurrence == 1 else f"{key}#{occurrence}")
-
-
-def assessment_key(assessment: Assessment) -> str:
-    """Synthetic id for an assessment, unique when the model is valid."""
-    return assessment_ref(assessment.action, assessment.guide_type).id
-
-
-def element_id(element_class: str, element: Element) -> str:
-    if element_class == "assessment":
-        return assessment_key(element)  # type: ignore[arg-type]
-    return element.id  # type: ignore[union-attr]
+def declared_names(ids) -> list[str]:
+    """The name of each declaration of ``ids``, in order: its id, and for the
+    n-th declaration of a repeated id, n > 1, ``id#n``, so each keeps its own span."""
+    counts: dict[str, int] = {}
+    names = []
+    for key in ids:
+        n = counts[key] = counts.get(key, 0) + 1
+        names.append(key if n == 1 else f"{key}#{n}")
+    return names
 
 
 def class_rank(element_class: str) -> int:
@@ -487,7 +481,7 @@ def lookup(model: Model, element_class: str, element_id_text: str):
 
     Classes are namespaced: looking up a loss id among hazards is a miss,
     never an error. When several elements of a class share an id, the first
-    declared wins. An assessment is found by its cell key ``action/guide``.
+    declared wins. An assessment's id is its cell key ``action/guide``.
     """
     if element_class not in CLASS_FIELDS:
         return None

@@ -22,7 +22,7 @@ from phasekit.model import (
     Model,
     Ref,
     class_rank,
-    element_id,
+    enum_text,
 )
 
 _FIELDS: dict[str, tuple[tuple[str, bool], ...]] = {
@@ -40,7 +40,10 @@ def element_map(model: Model) -> dict[Ref, Element]:
     mapping: dict[Ref, Element] = {}
     for cls in ELEMENT_CLASSES:
         for element in model.elements_of(cls):
-            mapping[Ref(cls, element_id(cls, element))] = element
+            if cls == "assessment":
+                mapping[Ref(cls, f"{element.action}/{enum_text(element.guide_type)}")] = element
+            else:
+                mapping[Ref(cls, element.id)] = element
     return mapping
 
 

@@ -34,7 +34,6 @@ from phasekit.model import (
     Model,
     Ref,
     Slot,
-    assessment_ref,
     is_valid_identifier,
 )
 
@@ -423,7 +422,8 @@ def _assemble(statements: Iterator[tuple | None], diags: list[Diagnostic]) -> Pa
             # error; keep every declaration, each with its own span.
             cell = (element.action, element.guide_type)
             occurrences[cell] = occurrences.get(cell, 0) + 1
-            spans[assessment_ref(*cell, occurrences[cell])] = span
+            key = f"{element.action}/{element.guide_type.value}"
+            spans[Ref(cls, key if occurrences[cell] == 1 else f"{key}#{occurrences[cell]}")] = span
             collections[cls].append(element)
 
     # A statement's lexical errors come before its syntax error and assembly

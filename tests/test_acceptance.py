@@ -26,7 +26,7 @@ from phasekit import (
     validate,
 )
 from phasekit.cli import run
-from phasekit.model import Ref, assessment_key
+from phasekit.model import Ref
 
 from .conftest import fixture_path, load_fixture
 from .diff_oracle import element_map
@@ -296,7 +296,7 @@ def _oracle_validate(model):
 
     occurrences = {}
     for assessment in model.assessments:
-        key = assessment_key(assessment)
+        key = f"{assessment.action}/{assessment.guide_type.value}"
         count = occurrences.get(key, 0)
         occurrences[key] = count + 1
         ref = Ref("assessment", key if count == 0 else f"{key}#{count + 1}")

@@ -371,6 +371,39 @@ def test_stdin_reads_like_a_file(tmp_path):
     assert (code, out.getvalue(), err.getvalue()) == from_file
 
 
+_BOM = b"\xef\xbb\xbf"
+
+
+def _run_stdin_bytes(argv, data: bytes):
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv, stdin=_bytes_stdin(data), stdout=out, stderr=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_leading_byte_order_mark_is_skipped(tmp_path):
+    data = _BOM + fixture_path("c1").read_bytes()
+    path = tmp_path / "bom.phase"
+    path.write_bytes(data)
+    assert cli("check", str(path)) == (0, "", "")
+    assert _run_stdin_bytes(["check", "-"], data) == (0, "", "")
+    canonical = cli("fmt", C1)
+    assert not canonical[1].startswith("\ufeff")
+    assert cli("fmt", str(path)) == canonical
+    assert _run_stdin_bytes(["fmt", "-"], data) == canonical
+
+
+def test_byte_order_mark_after_the_start_is_an_unknown_character(tmp_path):
+    data = b'loss L1 "x" category=safety-critical\n' + _BOM + b'loss L2 "y" category=sociotechnical\n'
+    path = tmp_path / "bom2.phase"
+    path.write_bytes(data)
+    code, out, err = cli("check", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"{path}:2:1: error[P001]: unknown character '\\ufeff'")
+    code, out, err = _run_stdin_bytes(["check", "-"], data)
+    assert (code, out) == (2, "")
+    assert err.startswith("<stdin>:2:1: error[P001]: unknown character '\\ufeff'")
+
+
 def test_stdout_stderr_separation(tmp_path):
     path = write(tmp_path, 'node A "a" kind=human\naction CA1 from=A to=A "self"')
     code, out, err = cli("hints", path)

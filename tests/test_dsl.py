@@ -29,7 +29,7 @@ from phasekit.model import (
     STRING,
     EdgeKind,
     GuideType,
-    assessment_ref,
+    Ref,
 )
 
 from .parse_oracle import _parse_exact
@@ -253,6 +253,24 @@ def test_parse_file_matches_parse(c1):
     from .conftest import fixture_path
 
     assert parse_file(str(fixture_path("c1"))).model == c1
+
+
+def test_parse_file_skips_a_leading_byte_order_mark(c1, tmp_path):
+    """Only at the start of a file: ``parse`` of a str reads a BOM as text."""
+    from phasekit import parse_file
+
+    from .conftest import fixture_path
+
+    path = tmp_path / "bom.phase"
+    path.write_bytes(b"\xef\xbb\xbf" + fixture_path("c1").read_bytes())
+    result = parse_file(str(path))
+    assert result.model == c1 and result.diagnostics == ()
+    spans = {ref: (s.line, s.column) for ref, s in result.model.source_spans.items()}
+    assert spans == {ref: (s.line, s.column) for ref, s in c1.source_spans.items()}
+    bom_text = parse("\ufeff" + fixture_path("c1").read_text(encoding="utf-8"))
+    assert [d.format() for d in bom_text.diagnostics] == [
+        "<input>:1:1: error[P001]: unknown character '\\ufeff'"
+    ]
 
 
 def test_canonical_statement_order(c1):
@@ -785,5 +803,5 @@ def test_parsed_source_spans_contract(name):
     with pytest.raises(TypeError):
         spans[("loss", "L1")] = None  # type: ignore[index]
     if name != "c1":
-        cell = ("CA1", GuideType.PROVIDED)
-        assert [spans[assessment_ref(*cell, n)].line for n in (1, 2, 3)] == [2, 6, 8]
+        key = "CA1/provided"
+        assert [spans[Ref("assessment", k)].line for k in (key, f"{key}#2", f"{key}#3")] == [2, 6, 8]

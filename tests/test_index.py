@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,18 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import assume, given, settings
 
-from phasekit import Ref, diff, impact, lookup, parse, trace_loss, trace_node
+from phasekit import (
+    Ref,
+    analyze,
+    diff,
+    impact,
+    lookup,
+    parse,
+    report_json,
+    trace_loss,
+    trace_node,
+    validate,
+)
 from phasekit.analysis import (
     AccountabilityReport,
     TraceTree,
@@ -39,7 +51,6 @@ from phasekit.model import (
     Model,
     Node,
     NodeKind,
-    element_id,
 )
 
 from .conftest import load_fixture
@@ -49,6 +60,14 @@ from .validate_oracle import referenced_ids
 # ---------------------------------------------------------------------------
 # Oracles: one linear scan per query
 # ---------------------------------------------------------------------------
+
+
+def element_id(element_class, element):
+    """An element's id; an assessment's is its cell key, written out here."""
+    if element_class == "assessment":
+        return f"{element.action}/{element.guide_type.value}"
+    return element.id
+
 
 #: Each class of the accountability chain and the class that refers to it.
 _REFERRED_BY = {cls: link[0] for cls, link in _CHAIN.items()}
@@ -436,3 +455,84 @@ def test_threads_sharing_a_fresh_index_see_complete_maps(large):
             assert all(result == expected for result in results)
     finally:
         sys.setswitchinterval(interval)
+
+
+# ---------------------------------------------------------------------------
+# One name per assessment: its cell key, written out here
+# ---------------------------------------------------------------------------
+
+
+def _first_of_cell(model, assessment):
+    cell = (assessment.action, assessment.guide_type)
+    return next(a for a in model.assessments if (a.action, a.guide_type) == cell)
+
+
+def _assert_assessments_named_by_cell(model):
+    for assessment in model.assessments:
+        assert assessment.id == f"{assessment.action}/{assessment.guide_type.value}"
+        assert lookup(model, "assessment", assessment.id) is _first_of_cell(model, assessment)
+    for edge in model.edges:
+        named = {Ref("assessment", element_id("assessment", a))
+                 for a in model.assessments if a.action == edge.id}
+        referencers = _referencers(model, Ref("edge", edge.id))
+        assert {ref for ref in referencers if ref.cls == "assessment"} == named
+
+
+def test_fixture_assessments_are_named_by_their_cell():
+    for name in ("c1", "c2", "c3"):
+        _assert_assessments_named_by_cell(load_fixture(name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_models(unique_assessment_cells=False))
+def test_assessments_are_named_by_their_cell(model):
+    _assert_assessments_named_by_cell(model)
+
+
+def test_diff_names_assessments_by_their_cell():
+    edges = (Edge("CA1", EdgeKind.CONTROL_ACTION, "A", "B", "act"),)
+    kept = Assessment("CA1", GuideType.PROVIDED, "kept")
+    dropped = Assessment("CA1", GuideType.WRONG_TIMING, "dropped")
+    old = Model(edges=edges, assessments=(kept, dropped))
+    new = Model(edges=edges, assessments=(dataclasses.replace(kept, rationale="revised"),))
+    changes = diff(old, new)
+    assert changes.removed == (Ref("assessment", "CA1/wrong-timing"),)
+    assert [m.ref for m in changes.modified] == [Ref("assessment", "CA1/provided")]
+    assert _referencers(new, Ref("edge", "CA1")) == (Ref("assessment", "CA1/provided"),)
+
+
+_CELL_THREE_TIMES = (
+    'node A "a" kind=human\nnode B "b" kind=human\n'
+    'action CA1 from=A to=B "act"\n'
+    'assess action=CA1 type=provided verdict=not-hazardous rationale="one"\n'
+    'assess action=CA1 type=not-provided verdict=not-hazardous rationale="other"\n'
+    'assess action=CA1 type=provided verdict=not-hazardous rationale="two"\n'
+    'loss L1 "l" category=sociotechnical\n'
+    'assess type=provided action=CA1 verdict=not-hazardous rationale="three"\n'
+)
+
+
+def test_each_declaration_of_a_repeated_cell_keeps_its_span():
+    model = parse(_CELL_THREE_TIMES, "doc.phase").model
+    spans = model.source_spans
+    key = "CA1/provided"
+    assert [spans[Ref("assessment", k)].line for k in (key, f"{key}#2", f"{key}#3")] == [4, 6, 8]
+    assert spans[Ref("assessment", "CA1/not-provided")].line == 5
+    assert Ref("assessment", f"{key}#1") not in spans
+    assert Ref("assessment", f"{key}#4") not in spans
+    assert lookup(model, "assessment", key).rationale == "one"
+    found = [(d.code, d.span.line, d.related_span.line) for d in validate(model)]
+    assert found == [("V005", 6, 4), ("V005", 8, 4)]
+
+
+def test_assessment_id_is_not_a_field():
+    assessment = Assessment("CA1", GuideType.PROVIDED, "r")
+    assert "id" not in [f.name for f in dataclasses.fields(Assessment)]
+    assert "id" not in Assessment.__match_args__
+    with pytest.raises(AttributeError):
+        assessment.id = "CA1/not-provided"
+    assert assessment.id == "CA1/provided"
+    model = load_fixture("c1")
+    (written,) = json.loads(report_json(model, analyze(model)))["model"]["assessments"]
+    assert "id" not in written
+    assert written["action"] == model.assessments[0].action

@@ -27,7 +27,6 @@ from phasekit.model import (
     Ref,
     Slot,
     Uca,
-    assessment_ref,
     enum_text,
 )
 
@@ -170,7 +169,8 @@ def oracle_validate(model: Model) -> list[Diagnostic]:
             else:
                 cell = (element.action, element.guide_type)
                 occurrences[cell] = occurrences.get(cell, 0) + 1
-                ref = assessment_ref(*cell, occurrences[cell])
+                key = f"{element.action}/{enum_text(element.guide_type)}"
+                ref = Ref(cls, key if occurrences[cell] == 1 else f"{key}#{occurrences[cell]}")
             if cls == "uca":
                 diags.extend(
                     _check_uca_action(model, element, ref, ids["node"], edge_by_id)
