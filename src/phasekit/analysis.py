@@ -117,7 +117,8 @@ class CoverageMatrix:
 
     def ratio(self) -> float:
         """Examined share of the grid; 1.0 for an empty grid."""
-        return _coverage_ratio(*self.counts())
+        covered, waived, gap = self.counts()
+        return _ratio(covered + waived, covered + waived + gap)
 
 
 @record
@@ -823,11 +824,6 @@ def _ratio(numerator: int, denominator: int) -> float:
     if denominator == 0:
         return 1.0
     return numerator / denominator
-
-
-def _coverage_ratio(covered: int, waived: int, gap: int) -> float:
-    """The examined share of a grid with these cell counts."""
-    return _ratio(covered + waived, covered + waived + gap)
 
 
 def metrics(model: Model) -> Metrics:

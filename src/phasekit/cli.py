@@ -21,7 +21,7 @@ import io
 import math
 import os
 import sys
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 from . import __version__
 from .analysis import (
@@ -82,37 +82,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         super()._print_message(message, self._stdout if file is sys.stdout else file)
 
 
-class _Streams:
-    def __init__(self, stdin: TextIO | None, stdout: TextIO | None, stderr: TextIO) -> None:
-        self.stdin = stdin
-        self._stdout = stdout
-        self.stderr = stderr
-
-    @property
-    def stdout(self) -> TextIO:
-        """Where the artifact goes. A process started with its stdout closed
-        has None there, so only writing an artifact is an error."""
-        if self._stdout is None:
-            raise _UsageError("cannot write <stdout>: standard output is closed")
-        return self._stdout
+class _Streams(NamedTuple):
+    stdin: TextIO | None
+    stdout: TextIO | None
+    stderr: TextIO
 
 
-def _styled(stream: TextIO, text: str, color: str) -> str:
-    if os.environ.get("NO_COLOR"):
-        return text
-    if not getattr(stream, "isatty", lambda: False)():
-        return text
-    codes = {"red": "31", "yellow": "33"}
-    return f"\x1b[{codes[color]}m{text}\x1b[0m"
+#: The ANSI colour of each severity's diagnostics on a terminal.
+_COLORS = {Severity.ERROR: "31", Severity.WARNING: "33"}
 
 
 def _print_diagnostics(diagnostics: Sequence[Diagnostic], streams: _Streams) -> None:
+    # With lines to print, colour them on a terminal unless NO_COLOR is non-empty.
+    styled = diagnostics and not os.environ.get("NO_COLOR") and streams.stderr.isatty()
     for diagnostic in diagnostics:
         line = diagnostic.format()
-        if diagnostic.severity is Severity.ERROR:
-            line = _styled(streams.stderr, line, "red")
-        else:
-            line = _styled(streams.stderr, line, "yellow")
+        if styled:
+            line = f"\x1b[{_COLORS[diagnostic.severity]}m{line}\x1b[0m"
         print(line, file=streams.stderr)
 
 
@@ -144,8 +130,11 @@ def _read_source(path: str, streams: _Streams) -> tuple[str, str]:
 
 
 def _write(document: str, path: str | None, streams: _Streams) -> None:
-    """Write ``document`` to the file at ``path``, or to stdout for none or ``-``."""
+    """Write ``document`` to the file at ``path``, or to stdout for none or
+    ``-``; a process started with its stdout closed has None there."""
     if not path or path == "-":
+        if streams.stdout is None:
+            raise _UsageError("cannot write <stdout>: standard output is closed")
         streams.stdout.write(document)
         return
     try:
@@ -191,7 +180,7 @@ def _cmd_coverage(args: argparse.Namespace, streams: _Streams) -> int:
     matrix = coverage(model, args.boundary)
     _print_diagnostics(matrix.warnings, streams)
     writer = {"table": coverage_table, "csv": coverage_csv, "json": coverage_json}[args.format]
-    streams.stdout.write(writer(matrix))
+    _write(writer(matrix), None, streams)
     if args.fail_under is not None and matrix.ratio() < args.fail_under:
         return EXIT_FINDINGS
     return EXIT_OK
@@ -200,15 +189,15 @@ def _cmd_coverage(args: argparse.Namespace, streams: _Streams) -> int:
 def _cmd_trace(args: argparse.Namespace, streams: _Streams) -> int:
     model, _ = _load(args.file, streams)
     if args.loss is not None:
-        streams.stdout.write(trace_loss_text(model, trace_loss(model, args.loss)))
+        _write(trace_loss_text(model, trace_loss(model, args.loss)), None, streams)
     else:
-        streams.stdout.write(trace_node_text(model, trace_node(model, args.node)))
+        _write(trace_node_text(model, trace_node(model, args.node)), None, streams)
     return EXIT_OK
 
 
 def _cmd_hints(args: argparse.Namespace, streams: _Streams) -> int:
     model, _ = _load(args.file, streams)
-    streams.stdout.write(hints_text(hints(model)))
+    _write(hints_text(hints(model)), None, streams)
     return EXIT_OK
 
 
@@ -234,7 +223,7 @@ def _cmd_diff(args: argparse.Namespace, streams: _Streams) -> int:
     changes = diff(old_model, new_model)
     report = impact(changes, new_model) if args.impact else None
     writer = diff_json if args.format == "json" else diff_text
-    streams.stdout.write(writer(changes, report))
+    _write(writer(changes, report), None, streams)
     if args.fail_on_change and not changes.is_empty():
         return EXIT_FINDINGS
     return EXIT_OK
@@ -360,7 +349,8 @@ def run(
     streams = _Streams(
         stdin if stdin is not None else sys.stdin,
         stdout if stdout is not None else sys.stdout,
-        stderr if stderr is not None else sys.stderr,
+        # Without fd 2, sys.stderr is None, which print() takes for stdout.
+        stderr if stderr is not None else sys.stderr or io.StringIO(),
     )
     enabled = gc.isenabled()
     gc.disable()
@@ -372,7 +362,7 @@ def run(
 
 
 def _run(argv: Sequence[str], streams: _Streams) -> int:
-    parser = _build_parser(streams._stdout)
+    parser = _build_parser(streams.stdout)
     try:
         args = parser.parse_args(list(argv))
         return args.handler(args, streams)

@@ -37,7 +37,6 @@ from .analysis import (
     Metrics,
     TraceTree,
     _chain_levels,
-    _coverage_ratio,
     control_hierarchy,
 )
 from .diagnostics import record
@@ -297,7 +296,7 @@ def _coverage_text(matrix: CoverageMatrix, newline: str) -> str:
         ("guide_types", _json_text([g.value for g in GUIDE_TYPES], inner)),
         ("rows", _records_text(matrix.rows, fields, inner)),
         ("counts", _json_text({"covered": covered, "waived": waived, "gap": gap}, inner)),
-        ("ratio", _json_text(_coverage_ratio(covered, waived, gap), inner)),
+        ("ratio", _json_text(matrix.ratio(), inner)),
         ("warnings", _records_text(matrix.warnings, _DIAGNOSTIC_FIELDS, inner)),
     ], newline)
 
@@ -389,8 +388,7 @@ def _coverage_rows(matrix: CoverageMatrix, cell_text=coverage_cell_text) -> list
 
 def _coverage_totals(matrix: CoverageMatrix) -> str:
     covered, waived, gap = matrix.counts()
-    ratio = _coverage_ratio(covered, waived, gap)
-    return f"{covered} covered, {waived} waived, {gap} gaps; ratio {ratio!r}"
+    return f"{covered} covered, {waived} waived, {gap} gaps; ratio {matrix.ratio()!r}"
 
 
 def coverage_table(matrix: CoverageMatrix) -> str:

@@ -412,6 +412,82 @@ def test_stdout_stderr_separation(tmp_path):
     assert err == ""
 
 
+class _Terminal(io.StringIO):
+    """A text stream that says it is a terminal."""
+
+    def isatty(self) -> bool:
+        return True
+
+
+SEMANTIC_ERRORS = str(C1_REV.parent / "semantic_errors.phase")
+SEMANTIC_ERRORS_STDERR = (C1_REV.parent.parent / "cli/semantic_errors_check.stderr").read_text(
+    encoding="utf-8"
+)
+
+
+def _check_on(stderr, monkeypatch, no_color=None):
+    if no_color is None:
+        monkeypatch.delenv("NO_COLOR", raising=False)
+    else:
+        monkeypatch.setenv("NO_COLOR", no_color)
+    out = io.StringIO()
+    assert run(["check", SEMANTIC_ERRORS], stdout=out, stderr=stderr) == 2
+    assert out.getvalue() == ""
+    # The golden names the input by its path from the repository root.
+    return stderr.getvalue().replace(SEMANTIC_ERRORS, "tests/goldens/inputs/semantic_errors.phase")
+
+
+@pytest.mark.parametrize("no_color", [None, ""], ids=["unset", "empty"])
+def test_diagnostics_on_a_terminal_are_coloured_by_severity(monkeypatch, no_color):
+    # no-color.org: only a non-empty NO_COLOR turns colour off.
+    lines = _check_on(_Terminal(), monkeypatch, no_color).splitlines()
+    plain = SEMANTIC_ERRORS_STDERR.splitlines()
+    assert len(lines) == len(plain) == 15
+    for line, text in zip(lines, plain):
+        code = "33" if "warning[V100]" in text else "31"
+        assert line == f"\x1b[{code}m{text}\x1b[0m"
+    assert sum(line.startswith("\x1b[33m") for line in lines) == 1
+
+
+@pytest.mark.parametrize(
+    "stderr,no_color",
+    [(_Terminal, "1"), (io.StringIO, None)],
+    ids=["terminal-no-color", "not-a-terminal"],
+)
+def test_diagnostics_are_plain_with_no_color_or_off_a_terminal(monkeypatch, stderr, no_color):
+    assert _check_on(stderr(), monkeypatch, no_color) == SEMANTIC_ERRORS_STDERR
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["hints", C1], ["coverage", C1], ["report", C1, "--format", "md"], ["fmt", C1]],
+)
+def test_an_artifact_on_a_terminal_is_never_styled(monkeypatch, argv):
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    plain, terminal = io.StringIO(), _Terminal()
+    assert run(argv, stdout=plain, stderr=io.StringIO()) == 0
+    assert run(argv, stdout=terminal, stderr=_Terminal()) == 0
+    assert terminal.getvalue() == plain.getvalue()
+    assert "\x1b" not in terminal.getvalue()
+
+
+def test_diff_of_an_optional_field_that_is_set_or_cleared(tmp_path):
+    pump = 'node InsulinPump "Insulin pump" kind=technical-artifact'
+    old_text = fixture_path("c2").read_text(encoding="utf-8")
+    new_text = old_text.replace(pump, f'{pump} process_model="dose queue"')
+    assert new_text != old_text
+    new = write(tmp_path, new_text, "c2_pump.phase")
+    code, out, err = cli("diff", C2, new)
+    assert (code, err) == (0, "")
+    assert out == 'modified:\n  node InsulinPump:\n    process_model: (unset) -> "dose queue"\n'
+    # The reverse diff clears the field, and JSON writes an unset value as null.
+    code, out, err = cli("diff", new, C2, "--format", "json")
+    assert (code, err) == (0, "")
+    (entry,) = json.loads(out)["modified"]
+    assert entry["ref"] == {"class": "node", "id": "InsulinPump"}
+    assert entry["changes"] == [{"field": "process_model", "old": "dose queue", "new": None}]
+
+
 @pytest.mark.parametrize("flag", ["--help", "--version"])
 def test_help_and_version_exit_zero(flag, capsys):
     code = run([flag])
@@ -452,6 +528,13 @@ def test_closed_stdin_stream_exit_3():
     out, err = io.StringIO(), io.StringIO()
     assert run(["check", "-"], stdin=stdin, stdout=out, stderr=err) == 3
     assert err.getvalue().startswith("cannot read <stdin>: I/O operation on closed file")
+
+
+@pytest.mark.parametrize("argv", [["check", C1], ["coverage", C1]])
+def test_a_closed_stderr_stream_is_not_asked_when_there_is_nothing_to_print(argv):
+    stderr = io.StringIO()
+    stderr.close()
+    assert run(argv, stdout=io.StringIO(), stderr=stderr) == 0
 
 
 @pytest.mark.parametrize("flags", [[], ["--fail-on-change"], ["--impact", "--format", "json"]])

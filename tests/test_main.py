@@ -22,14 +22,17 @@ from .conftest import fixture_path
 SRC = Path(phasekit.__file__).resolve().parent.parent
 C1 = str(fixture_path("c1"))
 C3 = str(fixture_path("c3"))
+INPUTS = SRC.parent / "tests" / "goldens" / "inputs"
+SEMANTIC_ERRORS = str(INPUTS / "semantic_errors.phase")
+C1_REV = str(INPUTS / "c1_rev.phase")
 INVALID = 'loss L1 "l" category=sociotechnical\nhazard H1 "h" boundary=SB leads_to=[L1]\n'
 SELF_LOOP = 'node A "a" kind=human\naction CA1 from=A to=A "self"\n'
 
 
 def _python(*args: str, stdin: str = "", closed: int | None = None) -> subprocess.CompletedProcess:
-    """Run Python on ``args``; ``closed`` names a descriptor, 0 or 1, that the
-    child starts without, as after ``<&-`` or ``>&-`` in a shell (CPython
-    then sets that stream to None)."""
+    """Run Python on ``args``; ``closed`` names a descriptor, 0, 1 or 2, that
+    the child starts without, as after ``<&-``, ``>&-`` or ``2>&-`` in a shell
+    (CPython then sets that stream to None)."""
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
@@ -202,10 +205,23 @@ def test_dataclasses_imported_after_phasekit_sees_the_twins_fields_and_replace()
         # Nothing to write: check reports only on stderr.
         (1, ["check", C1], 0, None),
         (0, ["check", C1], 0, None),
+        # An unknown id is named before any artifact is written.
+        (1, ["trace", C1, "--loss", "Nope"], 3, b"phasekit: unknown loss 'Nope'"),
+        (1, ["render", C1, "--boundary", "Nope"], 3, b"phasekit: unknown boundary 'Nope'"),
+        (1, ["coverage", C1, "--boundary", "Nope"], 3, b"phasekit: unknown boundary 'Nope'"),
+        # With no stderr, diagnostics and messages are dropped, never sent to
+        # stdout, and the exit code stays.
+        (2, ["check", SEMANTIC_ERRORS], 2, None),
+        (2, ["check", "--bogus"], 3, None),
+        (2, ["fmt", "--check", C1_REV], 1, None),
+        (2, ["trace", C1, "--loss", "Nope"], 3, None),
     ],
     ids=[
         "check-no-stdin", "fmt-no-stdin", "report-no-stdout", "fmt-no-stdout",
-        "check-no-stdout", "file-no-stdin",
+        "check-no-stdout", "file-no-stdin", "trace-unknown-loss-no-stdout",
+        "render-unknown-boundary-no-stdout", "coverage-unknown-boundary-no-stdout",
+        "check-errors-no-stderr", "usage-error-no-stderr", "fmt-check-no-stderr",
+        "trace-unknown-loss-no-stderr",
     ],
 )
 def test_a_closed_standard_stream_is_a_usage_error(fd, argv, code, message):
@@ -217,6 +233,13 @@ def test_a_closed_standard_stream_is_a_usage_error(fd, argv, code, message):
         assert process.stderr.splitlines()[0] == message
         assert b"Traceback" not in process.stderr
     assert process.stdout == b""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor in the child")
+def test_an_artifact_needs_no_stderr():
+    process = _python("-m", "phasekit", "report", C1, "--format", "md", closed=2)
+    assert (process.returncode, process.stderr) == (0, b"")
+    assert process.stdout == _in_process(["report", C1, "--format", "md"])[1]
 
 
 @pytest.mark.skipif(os.name != "posix", reason="closes a descriptor in the child")
