@@ -36,6 +36,7 @@ from .model import (
     GUIDE_TYPES,
     ID,
     IDLIST,
+    MODEL_NAME,
     REFERENCES,
     SCHEMA,
     STRING,
@@ -227,9 +228,6 @@ def _wrong_type(model: Model, ref: Ref, slot: Slot, value: object) -> Diagnostic
     )
 
 
-#: The model's name, which serialize writes as required text.
-_MODEL_NAME = Slot("name", None, STRING)
-
 #: A uca's source and action, which _check_uca_action checks together.
 _UCA_LINKS = tuple(
     slot for slot, _ in REFERENCES["uca"] if slot.field in ("source", "action")
@@ -352,7 +350,7 @@ def _findings(model: Model, ref: Ref, slot: Slot, value: object, known: set[str]
             yield Diagnostic(
                 Severity.ERROR,
                 "V004",
-                f"{ref.cls} '{ref.id}' must {slot.nonempty} at least one {slot.target}",
+                f"{ref.cls} '{ref.id}' must {slot.nonempty} at least one {' or '.join(targets)}",
                 _span(model, ref),
             )
         for target_id in values:
@@ -374,8 +372,8 @@ def validate(model: Model) -> list[Diagnostic]:
     does.
     """
     diags: list[Diagnostic] = []
-    if _mistyped(_MODEL_NAME, [model.name]):
-        expected = _expected(_MODEL_NAME, model.name)
+    if _mistyped(MODEL_NAME, [model.name]):
+        expected = _expected(MODEL_NAME, model.name)
         message = f"model has invalid name {model.name!r} (expected {expected})"
         diags.append(Diagnostic(Severity.ERROR, "V007", message))
     id_columns = {

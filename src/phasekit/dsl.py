@@ -61,14 +61,15 @@ from typing import NamedTuple
 from .diagnostics import Diagnostic, Severity, Span, has_errors, record
 from .model import (
     DESCRIPTION,
+    EDGE_KEYWORDS,
     ID,
     IDENT,
     IDENT_CHAR,
     IDENT_LINES_RE,
     IDLIST,
+    MODEL_NAME,
     SCHEMA,
     STRING,
-    EdgeKind,
     ElementClass,
     Model,
     Ref,
@@ -102,14 +103,6 @@ def _error(code: str, message: str, span: Span, related: Span | None = None) -> 
 # Statement table
 # ---------------------------------------------------------------------------
 
-_EDGE_KINDS = {
-    "action": EdgeKind.CONTROL_ACTION,
-    "feedback": EdgeKind.FEEDBACK,
-    "iolink": EdgeKind.IO_LINK,
-}
-_EDGE_KEYWORDS = {kind: kw for kw, kind in _EDGE_KINDS.items()}
-
-
 class _Statement(NamedTuple):
     """What a statement keyword takes and builds, derived from the schema
     table. A statement fills a copy of ``template`` by field name."""
@@ -124,8 +117,8 @@ class _Statement(NamedTuple):
 
 def _statement(element_class: ElementClass, keyword: str) -> _Statement:
     template = {f.name: f.default for f in element_class.type.__record_fields__}
-    if keyword in _EDGE_KINDS:
-        template["kind"] = _EDGE_KINDS[keyword]
+    if keyword in EDGE_KEYWORDS:
+        template["kind"] = EDGE_KEYWORDS[keyword]
     # The description first; the sort is stable, so the rest keep slot order.
     slots = sorted((s for s in element_class.slots if s.key), key=lambda s: s.key != DESCRIPTION)
     keys = {None if s.key == DESCRIPTION else s.key: s for s in slots}
@@ -136,9 +129,7 @@ def _statement(element_class: ElementClass, keyword: str) -> _Statement:
 
 #: Per statement keyword, read by the plans and the token fallback alike.
 _STATEMENTS: dict[str, _Statement] = {
-    "model": _Statement(
-        None, None, False, {None: Slot("name", DESCRIPTION, STRING)}, (None,), {"name": ""}
-    ),
+    "model": _Statement(None, None, False, {None: MODEL_NAME}, (None,), {"name": ""}),
     **{kw: _statement(c, kw) for c in SCHEMA for kw in c.keywords},
 }
 
@@ -584,6 +575,8 @@ def _idlist(ids: tuple[str, ...]) -> str:
 
 
 _ALWAYS = object()  # compares unequal to every field value
+#: The keyword column of an edge: each kind's statement keyword.
+_EDGE_KEYWORDS = {kind: kw for kw, kind in EDGE_KEYWORDS.items()}
 #: What checks and writes one value of each kind; an enum's is its text.
 _WRITE = {STRING: _quote, ID: _ident, IDLIST: _idlist}
 

@@ -133,9 +133,8 @@ _encode_text = json.encoder.encode_basestring
 
 
 def _object_text(pairs, newline: str) -> str:
-    """A JSON object of keys and values already written as JSON text."""
-    if not pairs:
-        return "{}"
+    """A JSON object of keys and values already written as JSON text; every
+    caller gives at least one pair."""
     inner = newline + "  "
     pairs = ("," + inner).join([f"{_encode_text(key)}: {text}" for key, text in pairs])
     return "".join(["{", inner, pairs, newline, "}"])

@@ -16,13 +16,17 @@ written document can still be parsed and explored.
 The element records are the schema. Each is declared with :func:`element`,
 which names its class, statement keywords and ``Model`` collection, and each
 field other than its id with :func:`slot`, which gives its DSL key, value
-kind, whether it is required and which class it refers to. :data:`SCHEMA`
+kind, whether it is required and the classes its ids may name. :data:`SCHEMA`
 is read off the records as they are declared, and :class:`Model`'s
 collections and :data:`Element` off it. The grammar and serializer in
 :mod:`phasekit.dsl`, the fields diff compares, the reference checks of
 validation, the JSON export and the reference topology (:data:`REFERENCES`)
-are all derived from it; the few cases that do not fit a slot are written
-out where they are used.
+are all derived from it, with :data:`EDGE_KEYWORDS` (the kind each edge
+keyword declares), :data:`GUIDE_TYPES` and :data:`MODEL_NAME` (the header's
+one slot). Three facts are kept outside the slots, where they are used: a
+uca's source, which the parser derives from its action; an assessment's
+id, its cell key; and the JSON key ``class`` of a scenario's
+``scenario_class``.
 
 :attr:`Model.index` is a :class:`ModelIndex`: by-id and referred-by maps,
 each built on first use and then kept with the model, through which lookups,
@@ -90,6 +94,14 @@ class EdgeKind(str, Enum):
     IO_LINK = "io-link"
 
 
+#: The edge kind each edge statement keyword declares, in keyword order.
+EDGE_KEYWORDS: dict[str, EdgeKind] = {
+    "action": EdgeKind.CONTROL_ACTION,
+    "feedback": EdgeKind.FEEDBACK,
+    "iolink": EdgeKind.IO_LINK,
+}
+
+
 class GuideType(str, Enum):
     PROVIDED = "provided"
     NOT_PROVIDED = "not-provided"
@@ -98,12 +110,7 @@ class GuideType(str, Enum):
 
 
 #: Canonical guide-type order used by coverage columns and exports.
-GUIDE_TYPES: tuple[GuideType, ...] = (
-    GuideType.PROVIDED,
-    GuideType.NOT_PROVIDED,
-    GuideType.WRONG_TIMING,
-    GuideType.STOPPED_TOO_SOON_APPLIED_TOO_LONG,
-)
+GUIDE_TYPES: tuple[GuideType, ...] = tuple(GuideType)
 
 
 class UcaCategory(str, Enum):
@@ -147,8 +154,9 @@ class Slot(NamedTuple):
     """One field of an element class, other than its ``id``.
 
     ``key`` is the field's DSL key, :data:`DESCRIPTION`, or ``None`` for a
-    field the statement never writes (the edge keyword implies the edge
-    kind; a uca's source is derived from its action).
+    field the statement never writes: an edge's kind, which its keyword
+    declares (:data:`EDGE_KEYWORDS`), and a uca's source, which is derived
+    from its action. ``target`` holds the classes the field's ids may name.
     """
 
     field: str
@@ -156,8 +164,12 @@ class Slot(NamedTuple):
     kind: str
     members: dict[str, object] | None = None  # enum value text -> member
     required: bool = True
-    target: str | None = None  # element class the ids refer to
+    target: tuple[str, ...] | None = None  # element classes the ids may name
     nonempty: str | None = None  # V004 verb when the id list must not be empty
+
+
+#: The one slot of the ``model`` header: the name, written as its description.
+MODEL_NAME = Slot("name", DESCRIPTION, STRING)
 
 
 class ElementClass(NamedTuple):
@@ -169,8 +181,9 @@ class ElementClass(NamedTuple):
     slots: tuple[Slot, ...]
 
 
-def slot(key: str | None, kind, *, target: str | None = None, nonempty: str | None = None,
-         required: bool | None = None, default: object = MISSING) -> Field:
+def slot(key: str | None, kind, *, target: tuple[str, ...] | None = None,
+         nonempty: str | None = None, required: bool | None = None,
+         default: object = MISSING) -> Field:
     """A field of an element record, declared as its :class:`Slot`.
 
     ``kind`` is a value kind, or for an enum field the members it takes: an
@@ -219,7 +232,7 @@ class SystemBoundary:
     id: str
     name: str = slot(DESCRIPTION, STRING)
     stage: BoundaryStage | None = slot("stage", BoundaryStage, default=None)
-    includes: tuple[str, ...] = slot("includes", IDLIST, target="node", default=())
+    includes: tuple[str, ...] = slot("includes", IDLIST, target=("node",), default=())
 
 
 @element("hazard", ("hazard",), "hazards")
@@ -227,8 +240,8 @@ class Hazard:
     """A system state within a boundary that leads to losses."""
     id: str
     description: str = slot(DESCRIPTION, STRING)
-    boundary: str = slot("boundary", ID, target="boundary")
-    leads_to: tuple[str, ...] = slot("leads_to", IDLIST, target="loss", nonempty="lead to")
+    boundary: str = slot("boundary", ID, target=("boundary",))
+    leads_to: tuple[str, ...] = slot("leads_to", IDLIST, target=("loss",), nonempty="lead to")
 
 
 @element("node", ("node",), "nodes")
@@ -241,13 +254,13 @@ class Node:
     control_algorithm: str | None = slot("control_algorithm", STRING, default=None)
 
 
-@element("edge", ("action", "feedback", "iolink"), "edges")
+@element("edge", tuple(EDGE_KEYWORDS), "edges")
 class Edge:
     """A control action, feedback or io link from one node to another."""
     id: str
     kind: EdgeKind = slot(None, EdgeKind)
-    source: str = slot("from", ID, target="node")
-    target: str = slot("to", ID, target="node")
+    source: str = slot("from", ID, target=("node",))
+    target: str = slot("to", ID, target=("node",))
     label: str = slot(DESCRIPTION, STRING)
 
 
@@ -261,30 +274,29 @@ class Uca:
     """
 
     id: str
-    source: str = slot(None, ID, target="node")
-    action: str = slot("action", ID, target="edge")
+    source: str = slot(None, ID, target=("node",))
+    action: str = slot("action", ID, target=("edge",))
     guide_type: GuideType = slot("type", GuideType)
     category: UcaCategory = slot("category", UcaCategory)
     context: str = slot("context", STRING)
-    hazards: tuple[str, ...] = slot("hazards", IDLIST, target="hazard", nonempty="link to")
+    hazards: tuple[str, ...] = slot("hazards", IDLIST, target=("hazard",), nonempty="link to")
 
 
 @element("scenario", ("scenario",), "scenarios")
 class LossScenario:
     """A causal account of how an unsafe control action comes about."""
     id: str
-    uca: str = slot("uca", ID, target="uca")
+    uca: str = slot("uca", ID, target=("uca",))
     scenario_class: ScenarioClass = slot("class", ScenarioClass)
     description: str = slot(DESCRIPTION, STRING)
-    # Elements name nodes or edges; see REFERENCES.
-    elements: tuple[str, ...] = slot("elements", IDLIST, default=())
+    elements: tuple[str, ...] = slot("elements", IDLIST, target=("node", "edge"), default=())
 
 
 @element("requirement", ("requirement",), "requirements")
 class SafetyRequirement:
     """A requirement that prevents or mitigates loss scenarios."""
     id: str
-    scenarios: tuple[str, ...] = slot("scenarios", IDLIST, target="scenario", nonempty="cover")
+    scenarios: tuple[str, ...] = slot("scenarios", IDLIST, target=("scenario",), nonempty="cover")
     text: str = slot(DESCRIPTION, STRING)
 
 
@@ -298,7 +310,7 @@ class Assessment:
     (action, guide_type), which must be unique across the model.
     """
 
-    action: str = slot("action", ID, target="edge")
+    action: str = slot("action", ID, target=("edge",))
     guide_type: GuideType = slot("type", GuideType)
     rationale: str = slot("rationale", STRING)
     # Written in every statement, though a record built in code may leave it out.
@@ -335,21 +347,10 @@ ELEMENT_CLASSES: tuple[str, ...] = tuple(c.name for c in SCHEMA)
 CLASS_FIELDS: dict[str, str] = {c.name: c.collection for c in SCHEMA}
 
 
-def _references(element_class: ElementClass) -> tuple[tuple[Slot, tuple[str, ...]], ...]:
-    found = []
-    for slot in element_class.slots:
-        if element_class.name == "scenario" and slot.field == "elements":
-            # A scenario cites the nodes and edges involved alike.
-            found.append((slot, ("node", "edge")))
-        elif slot.target is not None:
-            found.append((slot, (slot.target,)))
-    return tuple(found)
-
-
 #: Per class, each reference slot with the classes its ids may name, in slot
 #: order.
 REFERENCES: dict[str, tuple[tuple[Slot, tuple[str, ...]], ...]] = {
-    c.name: _references(c) for c in SCHEMA
+    c.name: tuple((s, s.target) for s in c.slots if s.target) for c in SCHEMA
 }
 
 

@@ -633,7 +633,7 @@ def _inject_faults(model: Model, rnd: random.Random, rate: float = 0.05) -> Mode
             if slot.kind == IDLIST:
                 value = () if rnd.random() < 0.5 else (*getattr(element, slot.field), "ZZ")
             elif slot.kind == ID:
-                value = rnd.choice(["ZZ", *(e.id for e in model.elements_of(slot.target))])
+                value = rnd.choice(["ZZ", *(e.id for e in model.elements_of(slot.target[0]))])
             elif (element_class.name, slot.field) == ("edge", "kind"):
                 # Another kind: the walk cannot describe a uca's action
                 # whose kind is not a member.

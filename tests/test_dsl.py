@@ -774,6 +774,15 @@ _REPEATED_CELLS = (
 )
 
 
+def test_parsed_source_spans_repr_is_the_dicts():
+    from .conftest import fixture_path
+
+    spans = parse(fixture_path("c1").read_text(encoding="utf-8"), "c1.phase").model.source_spans
+    assert type(spans) is not dict
+    text = repr(spans)  # read before anything else builds the whole map
+    assert text == repr(dict(spans)) and text.startswith("{Ref(cls='loss', id='L1'): Span(")
+
+
 @pytest.mark.parametrize("name", ["c1", "repeated-cells"])
 def test_parsed_source_spans_contract(name):
     """A parsed model's source_spans equals the oracle's dict, in source

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -150,6 +153,38 @@ def test_cli_golden(case, monkeypatch):
     assert code == entry["exit"]
     assert out == _stored(case, "stdout")
     assert err == _stored(case, "stderr")
+
+
+#: Runs every case of the index in this one process and prints, per case,
+#: its exit code, stdout and stderr as JSON.
+_RUN_ALL = """
+import io, json, sys
+from phasekit.cli import run
+results = {}
+for case, entry in json.load(open(sys.argv[1], encoding="utf-8")).items():
+    out, err = io.StringIO(), io.StringIO()
+    results[case] = [run(entry["argv"], stdin=io.StringIO(), stdout=out, stderr=err),
+                     out.getvalue(), err.getvalue()]
+sys.stdout.write(json.dumps(results))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_cli_goldens_hold_under_a_fixed_hash_seed(seed):
+    """Every case gives its stored bytes and exit code in a child process
+    whose string hashes, and so the order of any set of ids, come from
+    ``seed``: an output that iterated a set would differ under one seed."""
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(ROOT / "src")}
+    child = subprocess.run(
+        [sys.executable, "-c", _RUN_ALL, str(CLI_GOLDENS / "cases.json")],
+        cwd=ROOT, env=env, capture_output=True,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    results = json.loads(child.stdout)
+    assert list(results) == list(_index())
+    for case, entry in _index().items():
+        expected = [entry["exit"], _stored(case, "stdout"), _stored(case, "stderr")]
+        assert results[case] == expected, case
 
 
 def test_case_study_reports_match_their_cli_goldens():

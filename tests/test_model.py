@@ -211,7 +211,7 @@ def test_schema_reference_targets_name_classes():
     names = {c.name for c in SCHEMA}
     for element_class in SCHEMA:
         for slot in element_class.slots:
-            assert slot.target is None or slot.target in names
+            assert slot.target is None or slot.target and set(slot.target) <= names
         for slot, targets in REFERENCES[element_class.name]:
             assert slot in element_class.slots
             assert targets and set(targets) <= names

@@ -2,7 +2,8 @@
 as written, from the repository root, and the session exits as the README
 says. The flags of its CLI block are the parser's, the diagnostic codes it
 lists are those of the ``dsl`` and ``analysis`` tables, it names every hint
-code, and each threshold flag it lists exits 1 on a document that trips it.
+code, each threshold flag it lists exits 1 on a document that trips it, and
+each of its prose rules on streams (``_PROSE_RULES``) holds.
 
 :func:`example_session` is also what the workflow's console-script step runs,
 one ``phasekit`` process per command.
@@ -14,6 +15,7 @@ import argparse
 import io
 import re
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,10 @@ import phasekit.dsl
 from phasekit.analysis import HintCode
 from phasekit.cli import _build_parser, run
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+C1 = str(ROOT / "fixtures" / "c1.phase")
+SEMANTIC_ERRORS = str(ROOT / "tests" / "goldens" / "inputs" / "semantic_errors.phase")
 
 
 def _block(text: str, heading: str, language: str) -> str:
@@ -125,3 +130,81 @@ def test_each_threshold_flag_exits_1_when_tripped(flag, monkeypatch, tmp_path):
     at = argv.index(flag.split()[-1])
     without = argv[:at] + argv[at + 1 + (flag == "--fail-under"):]
     assert run(without, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+
+
+class _Terminal(io.StringIO):
+    """A text stream that says it is a terminal."""
+
+    def isatty(self) -> bool:
+        return True
+
+
+def _dash_o_writes_stdout(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    stdout = io.StringIO()
+    assert run(["report", C1, "--format", "md", "-o", "-"], stdout=stdout) == 0
+    golden = (ROOT / "tests" / "goldens" / "c1_report.md").read_bytes().decode("utf-8")
+    assert stdout.getvalue() == golden
+    assert list(tmp_path.iterdir()) == []  # no file named -
+
+
+def _diff_takes_one_dash(monkeypatch, tmp_path):
+    text = Path(C1).read_text(encoding="utf-8")
+    for argv in (["diff", "-", C1], ["diff", C1, "-"]):
+        assert run(argv, stdin=io.StringIO(text), stdout=io.StringIO()) == 0, argv
+    stdin, stderr = io.StringIO(text), io.StringIO()
+    assert run(["diff", "-", "-"], stdin=stdin, stdout=io.StringIO(), stderr=stderr) == 3
+    assert stdin.tell() == 0 and stderr.getvalue()
+
+
+def _fmt_write_refuses_dash(monkeypatch, tmp_path):
+    copy = tmp_path / "c1.phase"
+    copy.write_text(Path(C1).read_text(encoding="utf-8"), encoding="utf-8")
+    assert run(["fmt", str(copy), "--write"], stdout=io.StringIO()) == 0
+    # Refused before stdin is read, so an invalid document gives no exit 2.
+    stdin = io.StringIO('loss L1 "x" category=zzz\n')
+    assert run(["fmt", "-", "--write"], stdin=stdin, stdout=io.StringIO(),
+               stderr=io.StringIO()) == 3
+    assert stdin.tell() == 0
+
+
+def _closed_stdin_and_stdout_exit_3(monkeypatch, tmp_path):
+    # A process started with fd 0 or fd 1 closed has None for that stream.
+    monkeypatch.setattr(sys, "stdin", None)
+    stderr = io.StringIO()
+    assert run(["check", "-"], stdout=io.StringIO(), stderr=stderr) == 3
+    assert stderr.getvalue().startswith("cannot read <stdin>: standard input is closed")
+    monkeypatch.setattr(sys, "stdout", None)
+    stderr = io.StringIO()
+    assert run(["report", C1, "--format", "md"], stderr=stderr) == 3
+    assert stderr.getvalue().startswith("cannot write <stdout>: standard output is closed")
+
+
+def _no_color_suppresses_styling(monkeypatch, tmp_path):
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    styled = _Terminal()
+    assert run(["check", SEMANTIC_ERRORS], stdout=io.StringIO(), stderr=styled) == 2
+    assert "\x1b[" in styled.getvalue()
+    monkeypatch.setenv("NO_COLOR", "1")
+    plain = _Terminal()
+    assert run(["check", SEMANTIC_ERRORS], stdout=io.StringIO(), stderr=plain) == 2
+    assert "\x1b[" not in plain.getvalue()
+    assert plain.getvalue() == re.sub(r"\x1b\[\d*m", "", styled.getvalue())
+
+
+#: Each prose rule of the README on streams, as written there (line breaks
+#: read as spaces), and the behaviour it states, run through ``cli.run``.
+_PROSE_RULES = {
+    "`-o -` writes to stdout": _dash_o_writes_stdout,
+    "only one of `diff`'s OLD and NEW may be `-`": _diff_takes_one_dash,
+    "`fmt --write` cannot take `-`": _fmt_write_refuses_dash,
+    "Reading `-` when stdin is closed, or writing an artifact when stdout is closed, is an IO "
+    "error (`3`)": _closed_stdin_and_stdout_exit_3,
+    "Set `NO_COLOR` to suppress terminal styling": _no_color_suppresses_styling,
+}
+
+
+@pytest.mark.parametrize("sentence", list(_PROSE_RULES))
+def test_each_prose_rule_is_in_the_readme_and_holds(sentence, monkeypatch, tmp_path):
+    assert sentence in " ".join(README.read_text(encoding="utf-8").split())
+    _PROSE_RULES[sentence](monkeypatch, tmp_path)

@@ -286,6 +286,23 @@ def test_frozen_fields_replace_copy_and_pickle():
                 assert _hash_or_error(duplicate) == _hash_or_error(a)
 
 
+def test_a_subclass_sets_and_deletes_what_is_not_a_field_as_the_twins_do():
+    """A plain subclass of a record, like one of a frozen dataclass, may set
+    and delete an attribute that is not a field; its fields stay frozen."""
+    for cls, instances in INSTANCES.items():
+        values = {f.name: getattr(instances[0], f.name) for f in dataclasses.fields(cls)}
+        pair = [type("Sub", (base,), {})(**values) for base in (cls, TWINS[cls])]
+        for obj in pair:
+            obj.note = 1
+            assert vars(obj)["note"] == 1, cls
+            del obj.note
+            assert "note" not in vars(obj), cls
+            for name in values:
+                assert _frozen(setattr, obj, name, None) and _frozen(delattr, obj, name), cls
+        for action, args in ((setattr, ("note", 0)), (delattr, ("note",)), (delattr, ("note",))):
+            assert _outcome(action, pair[0], *args) == _outcome(action, pair[1], *args), cls
+
+
 def test_records_of_one_field_or_none_equal_their_twins():
     @record
     class One:

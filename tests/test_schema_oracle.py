@@ -57,12 +57,12 @@ EXPECTED: tuple[ElementClass, ...] = (
     ElementClass("boundary", ("boundary",), SystemBoundary, "boundaries", ("id",), (
         Slot("name", DESCRIPTION, STRING),
         _enum("stage", "stage", BoundaryStage, required=False),
-        Slot("includes", "includes", IDLIST, required=False, target="node"),
+        Slot("includes", "includes", IDLIST, required=False, target=("node",)),
     )),
     ElementClass("hazard", ("hazard",), Hazard, "hazards", ("id",), (
         Slot("description", DESCRIPTION, STRING),
-        Slot("boundary", "boundary", ID, target="boundary"),
-        Slot("leads_to", "leads_to", IDLIST, target="loss", nonempty="lead to"),
+        Slot("boundary", "boundary", ID, target=("boundary",)),
+        Slot("leads_to", "leads_to", IDLIST, target=("loss",), nonempty="lead to"),
     )),
     ElementClass("node", ("node",), Node, "nodes", ("id",), (
         Slot("name", DESCRIPTION, STRING),
@@ -72,30 +72,30 @@ EXPECTED: tuple[ElementClass, ...] = (
     )),
     ElementClass("edge", ("action", "feedback", "iolink"), Edge, "edges", ("id",), (
         _enum("kind", None, EdgeKind),
-        Slot("source", "from", ID, target="node"),
-        Slot("target", "to", ID, target="node"),
+        Slot("source", "from", ID, target=("node",)),
+        Slot("target", "to", ID, target=("node",)),
         Slot("label", DESCRIPTION, STRING),
     )),
     ElementClass("uca", ("uca",), Uca, "ucas", ("id",), (
-        Slot("source", None, ID, target="node"),
-        Slot("action", "action", ID, target="edge"),
+        Slot("source", None, ID, target=("node",)),
+        Slot("action", "action", ID, target=("edge",)),
         _enum("guide_type", "type", GuideType),
         _enum("category", "category", UcaCategory),
         Slot("context", "context", STRING),
-        Slot("hazards", "hazards", IDLIST, target="hazard", nonempty="link to"),
+        Slot("hazards", "hazards", IDLIST, target=("hazard",), nonempty="link to"),
     )),
     ElementClass("scenario", ("scenario",), LossScenario, "scenarios", ("id",), (
-        Slot("uca", "uca", ID, target="uca"),
+        Slot("uca", "uca", ID, target=("uca",)),
         _enum("scenario_class", "class", ScenarioClass),
         Slot("description", DESCRIPTION, STRING),
-        Slot("elements", "elements", IDLIST, required=False),
+        Slot("elements", "elements", IDLIST, required=False, target=("node", "edge")),
     )),
     ElementClass("requirement", ("requirement",), SafetyRequirement, "requirements", ("id",), (
-        Slot("scenarios", "scenarios", IDLIST, target="scenario", nonempty="cover"),
+        Slot("scenarios", "scenarios", IDLIST, target=("scenario",), nonempty="cover"),
         Slot("text", DESCRIPTION, STRING),
     )),
     ElementClass("assessment", ("assess",), Assessment, "assessments", (), (
-        Slot("action", "action", ID, target="edge"),
+        Slot("action", "action", ID, target=("edge",)),
         _enum("guide_type", "type", GuideType),
         Slot("verdict", "verdict", ENUM, {NOT_HAZARDOUS: NOT_HAZARDOUS}),
         Slot("rationale", "rationale", STRING),

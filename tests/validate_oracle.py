@@ -196,7 +196,7 @@ def oracle_validate(model: Model) -> list[Diagnostic]:
                             Severity.ERROR,
                             "V004",
                             f"{cls} '{ref.id}' must {slot.nonempty} at least one "
-                            f"{slot.target}",
+                            f"{' or '.join(slot.target)}",
                             _span(model, ref),
                         )
                     )
