@@ -682,73 +682,50 @@ def _chain_children(model: Model) -> dict[str, dict[str, list[Element]]]:
 
 
 def hints(model: Model) -> list[Hint]:
-    """Advisory structural findings, deterministically ordered by code then
-    subject id."""
+    """Advisory structural findings, each naming one element,
+    deterministically ordered by code then subject id."""
     found: list[Hint] = []
 
-    feedback_pairs = {
-        (e.source, e.target) for e in model.edges if e.kind == EdgeKind.FEEDBACK
-    }
+    def hint(code: HintCode, cls: str, element_id: str, message: str) -> None:
+        found.append(Hint(code, (Ref(cls, element_id),), message))
+
+    # One pass over the edges; the control actions are checked after it, once
+    # every feedback edge is known.
+    feedback_pairs, actions, connected = set(), [], set()
     for edge in model.edges:
-        if edge.kind == EdgeKind.CONTROL_ACTION and (
-            edge.target,
-            edge.source,
-        ) not in feedback_pairs:
-            found.append(
-                Hint(
-                    HintCode.MISSING_FEEDBACK,
-                    (Ref("edge", edge.id),),
-                    f"control action '{edge.id}' from '{edge.source}' to "
-                    f"'{edge.target}' has no feedback edge from '{edge.target}' "
-                    f"back to '{edge.source}'",
-                )
-            )
+        connected.update((edge.source, edge.target))
+        if edge.kind == EdgeKind.FEEDBACK:
+            feedback_pairs.add((edge.source, edge.target))
+        elif edge.kind == EdgeKind.CONTROL_ACTION:
+            actions.append(edge)
         if edge.source == edge.target:
-            found.append(
-                Hint(
-                    HintCode.SELF_LOOP,
-                    (Ref("edge", edge.id),),
-                    f"edge '{edge.id}' loops from '{edge.source}' to itself",
-                )
-            )
+            hint(HintCode.SELF_LOOP, "edge", edge.id,
+                 f"edge '{edge.id}' loops from '{edge.source}' to itself")
 
     uca_actions = {u.action for u in model.ucas}
     flagged: set[str] = set()
-    for edge in model.edges:
-        if edge.kind != EdgeKind.CONTROL_ACTION or edge.id not in uca_actions:
-            continue
+    for edge in actions:
+        if (edge.target, edge.source) not in feedback_pairs:
+            hint(HintCode.MISSING_FEEDBACK, "edge", edge.id,
+                 f"control action '{edge.id}' from '{edge.source}' to '{edge.target}' has no "
+                 f"feedback edge from '{edge.target}' back to '{edge.source}'")
         # The first node declared with the id, as lookup and the views read it.
-        node = lookup(model, "node", edge.source)
-        if node is None or node.id in flagged or node.process_model:
-            continue
-        flagged.add(node.id)
-        found.append(
-            Hint(
-                HintCode.NO_PROCESS_MODEL,
-                (Ref("node", node.id),),
-                f"node '{node.id}' issues control actions with identified ucas "
-                "but documents no process model",
-            )
-        )
+        node = lookup(model, "node", edge.source) if edge.id in uca_actions else None
+        if node is not None and node.id not in flagged and not node.process_model:
+            flagged.add(node.id)
+            hint(HintCode.NO_PROCESS_MODEL, "node", node.id, f"node '{node.id}' issues control "
+                 "actions with identified ucas but documents no process model")
 
-    connected = {e.source for e in model.edges} | {e.target for e in model.edges}
     for node in model.nodes:
         if node.id not in connected:
-            found.append(
-                Hint(
-                    HintCode.ORPHAN_NODE,
-                    (Ref("node", node.id),),
-                    f"node '{node.id}' is not connected to any edge",
-                )
-            )
+            hint(HintCode.ORPHAN_NODE, "node", node.id,
+                 f"node '{node.id}' is not connected to any edge")
 
     for cls, referenced in _chain_children(model).items():
         _, _, code, complaint = _CHAIN[cls]
         for element in model.elements_of(cls):
             if element.id not in referenced:
-                found.append(
-                    Hint(code, (Ref(cls, element.id),), f"{cls} '{element.id}' {complaint}")
-                )
+                hint(code, cls, element.id, f"{cls} '{element.id}' {complaint}")
 
     found.sort(key=_hint_order)
     return found

@@ -34,10 +34,11 @@ field name:
 The loop builds every element in one place, its ``__dict__`` the fields
 filled in, and keeps only its keyword's offset, in a list per class parallel
 to the collection; duplicate ids (P003) and a repeated ``model`` header
-(P002) are found after it. One resolver,
-``_Spans.at``, gives every span, the token fallback's too, from an offset and
-a table of line starts built on first need, so a parsed model's
-``source_spans`` resolves a span only when it is read.
+(P002) are found after it. One resolver, ``_Spans.at``, gives every span,
+the token fallback's too, from an offset and a table of line starts built on
+first need. A parsed model's ``source_spans`` is a ``_Spans``: its first read
+builds one table from each declaration's (class, name) to its offset, and a
+span is resolved only when it is read.
 
 Diagnostic codes:
 
@@ -397,14 +398,14 @@ def _plan(shape: tuple) -> tuple:
 
 class _Spans(Mapping):
     """``Model.source_spans`` of a parsed model, resolved from keyword offsets
-    on read. A read builds its class's map alone, from the ``declared_names``
-    of its declarations to their offsets; ``len``, iteration and ``==`` build
-    the whole dict, which a pickle or copy gives. Tables are kept once
-    complete, as in ModelIndex."""
+    on read. One table, built whole on the first read and then kept, maps
+    each declaration's (class, ``declared_names`` name) pair to its keyword
+    offset. Every read goes through it; iteration sorts it by offset and gives
+    each key as a ``Ref``, in source order. A pickle or copy is a plain dict."""
 
     def __init__(self, text: str, filename: str, collections: dict, offsets: dict) -> None:
         self._text, self._filename, self._collections = text, filename, collections
-        self._offsets, self._starts, self._maps, self._whole = offsets, None, {}, None
+        self._offsets, self._starts, self._table = offsets, None, None
 
     def _line_starts(self) -> list[int]:
         """The offset at which each line of the text starts, kept once built."""
@@ -417,40 +418,36 @@ class _Spans(Mapping):
         line = bisect_right(starts, offset)
         return Span(self._filename, line, offset - starts[line - 1] + 1)
 
-    def _map(self, cls: str) -> dict[str, int]:
-        found = self._maps.get(cls)
-        if found is None:
-            ids = declared_names(element.id for element in self._collections[cls])
-            found = dict(zip(ids, self._offsets[cls]))
-            self._maps[cls] = found
-        return found
-
-    def _all(self) -> dict[Ref, Span]:
-        whole = self._whole
-        if whole is None:
-            refs = sorted((offset, Ref(cls, key)) for cls in self._offsets
-                          for key, offset in self._map(cls).items())
-            self._whole = whole = {ref: self.at(offset) for offset, ref in refs}
-        return whole
+    def _declared(self) -> dict[tuple[str, str], int]:
+        """The one table, class by class in schema order."""
+        table = self._table
+        if table is None:
+            self._table = table = {
+                (cls, name): offset
+                for cls, elements in self._collections.items()
+                for name, offset in zip(declared_names(e.id for e in elements), self._offsets[cls])
+            }
+        return table
 
     def __getitem__(self, ref: Ref) -> Span:
-        if isinstance(ref, tuple) and len(ref) == 2 and ref[0] in self._offsets:
-            offset = self._map(ref[0]).get(ref[1])
-            if offset is not None:
-                return self.at(offset)
-        raise KeyError(ref)
+        try:
+            offset = self._declared()[ref]
+        except TypeError:  # a key that cannot be hashed
+            raise KeyError(ref) from None
+        return self.at(offset)
 
     def __len__(self) -> int:
-        return len(self._all())
+        return len(self._declared())
 
     def __iter__(self):
-        return iter(self._all())
+        for key, _ in sorted(self._declared().items(), key=itemgetter(1)):
+            yield Ref(*key)
 
     def __repr__(self) -> str:
-        return repr(self._all())
+        return repr(dict(self))
 
     def __reduce__(self) -> tuple:
-        return dict, (self._all(),)
+        return dict, (dict(self),)
 
 
 def parse(text: str, filename: str = "<input>") -> ParseResult:
@@ -534,7 +531,7 @@ def parse(text: str, filename: str = "<input>") -> ParseResult:
                     message = f"duplicate {cls} id '{stmt_id}'"
                     diags.append(_error("P003", message, at(offset), at(prior)))
     # Present every diagnostic, the duplicates found last too, in source order.
-    diags.sort(key=lambda d: (d.span.line, d.span.column) if d.span else (0, 0))
+    diags.sort(key=lambda d: (d.span.line, d.span.column))
 
     if has_errors(diags):
         return ParseResult(None, tuple(diags))

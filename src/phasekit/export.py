@@ -368,20 +368,24 @@ def diff_json(changes: ChangeSet, report: ImpactReport | None) -> str:
 _COVERAGE_HEADER = ("controller", "action", *(g.value for g in GUIDE_TYPES))
 
 
-def coverage_cell_text(cell: CoverageCell) -> str:
-    """``covered:<uca ids>``, ``waived`` or ``gap``: one cell of the CSV and
-    text coverage tables."""
+#: How a table spells a covered cell (before its uca ids), a waived cell and
+#: a gap: the text and CSV tables, then the markdown report's.
+_PLAIN_CELLS = ("covered:", "waived", "gap")
+_MARKDOWN_CELLS = ("✓ ", "waived", "GAP")
+
+
+def _cell_text(cell: CoverageCell, spelling: tuple[str, str, str]) -> str:
+    covered, waived, gap = spelling
     if cell.state is CellState.COVERED:
-        return "covered:" + ";".join(cell.uca_ids)
-    if cell.state is CellState.WAIVED:
-        return "waived"
-    return "gap"
+        return covered + ";".join(cell.uca_ids)
+    return waived if cell.state is CellState.WAIVED else gap
 
 
-def _coverage_rows(matrix: CoverageMatrix, cell_text=coverage_cell_text) -> list[list[str]]:
+def _coverage_rows(matrix: CoverageMatrix, spelling=_PLAIN_CELLS) -> list[list[str]]:
     """The header row, then one row per control action."""
     return [list(_COVERAGE_HEADER)] + [
-        [row.controller, row.action, *map(cell_text, row.cells)] for row in matrix.rows
+        [row.controller, row.action, *(_cell_text(cell, spelling) for cell in row.cells)]
+        for row in matrix.rows
     ]
 
 
@@ -530,14 +534,6 @@ def _md_section(title: str, lines: list[str], empty: str) -> list[str]:
     return [f"## {title}", "", *(lines or [empty]), ""]
 
 
-def _markdown_cell_text(cell: CoverageCell) -> str:
-    if cell.state is CellState.COVERED:
-        return "✓ " + ";".join(cell.uca_ids)
-    if cell.state is CellState.WAIVED:
-        return "waived"
-    return "GAP"
-
-
 def _trace_line(model: Model, loss_id: str) -> str:
     """A loss and how many distinct ids its trace reaches at each level of
     the chain below it (see :func:`phasekit.analysis._chain_levels`)."""
@@ -549,7 +545,7 @@ def report_markdown(model: Model, analyses: AnalysisBundle) -> str:
     """Human-readable rendering of the same analysis bundle."""
     loss_ids = [l.id for l in model.losses]
     grid = analyses.coverage
-    coverage_rows = _coverage_rows(grid, _markdown_cell_text)
+    coverage_rows = _coverage_rows(grid, _MARKDOWN_CELLS)
     out = [f"# Hazard analysis report: {model.name or '(unnamed model)'}", ""]
     out += _md_section(
         "Losses",

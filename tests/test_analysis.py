@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -720,6 +725,40 @@ def test_hierarchy_cycle_hint_per_component():
     assert tuple(ref.id for ref in cycle_hints[0].subjects) == ("A", "B")
     # Ranks stay defined on the cycle: back edge B->A ignored.
     assert ranks == {"A": 0, "B": 1, "C": 2, "D": 3}
+
+
+#: Prints the hints of hierarchy_ranks over boundary X of the document on
+#: stdin as JSON: code, subject ids and message of each.
+_CYCLE_HINTS = """
+import json, sys
+from phasekit import parse
+from phasekit.analysis import hierarchy_ranks
+_, found = hierarchy_ranks(parse(sys.stdin.read()).model, "X")
+print(json.dumps([[h.code.value, [r.id for r in h.subjects], h.message] for h in found]))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+def test_cycle_hint_lists_its_nodes_sorted_under_a_fixed_hash_seed(seed):
+    """A control cycle of five nodes, declared out of order, gives one
+    hierarchy-cycle hint whose subjects and message list the nodes sorted, in
+    a child process whose string hashes, and so the order of any set of ids,
+    come from ``seed``. No CLI subcommand prints this hint, so the CLI
+    goldens cannot see its order."""
+    ids = ["Pump", "Nurse", "Agent", "Monitor", "Clinician"]
+    text = "".join(f'node {i} "{i}" kind=human\n' for i in ids)
+    text += f'boundary X "all" includes=[{",".join(ids)}]\n'
+    for k, (source, target) in enumerate(zip(ids, ids[1:] + ids[:1]), 1):
+        text += f'action E{k} from={source} to={target} "controls"\n'
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+    child = subprocess.run(
+        [sys.executable, "-c", _CYCLE_HINTS], input=text, env=env, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    order = sorted(ids)
+    message = "control actions form a cycle among nodes " + ", ".join(f"'{i}'" for i in order)
+    assert json.loads(child.stdout) == [["hierarchy-cycle", order, message]]
 
 
 def test_hierarchy_self_loop_is_not_a_cycle_component():

@@ -731,7 +731,7 @@ def _run(argv: list) -> int:
 def test_clean_model_never_resolves_a_span(name, tmp_path):
     """No subcommand builds the line table for a case study, so a clean model
     costs no span; one self-loop edge (V100) makes ``check`` build it once and
-    map the edge class alone."""
+    the table of declarations once."""
     from .conftest import fixture_path, load_fixture
 
     path = fixture_path(name)
@@ -757,10 +757,12 @@ def test_clean_model_never_resolves_a_span(name, tmp_path):
     looped = tmp_path / "looped.phase"
     text = path.read_text(encoding="utf-8")
     looped.write_text(f"{text}\naction Loop \"loop\" from={node} to={node}\n", encoding="utf-8")
-    with _spy("_line_starts") as built, _spy("_map") as mapped:
+    # The table names the declarations of each class once when it is built.
+    naming = mock.patch.object(dsl, "declared_names", side_effect=dsl.declared_names)
+    with _spy("_line_starts") as built, naming as named:
         assert _run(["check", looped]) == 0
     assert built.call_count == 1
-    assert {call.args[1] for call in mapped.call_args_list} == {"edge"}
+    assert named.call_count == len(SCHEMA)
 
 
 _REPEATED_CELLS = (
@@ -783,14 +785,24 @@ def test_parsed_source_spans_repr_is_the_dicts():
     assert text == repr(dict(spans)) and text.startswith("{Ref(cls='loss', id='L1'): Span(")
 
 
-@pytest.mark.parametrize("name", ["c1", "repeated-cells"])
+@pytest.mark.parametrize("name", ["c1", "repeated-cells", "generated"])
 def test_parsed_source_spans_contract(name):
     """A parsed model's source_spans equals the oracle's dict, in source
     order, whether read a ref at a time or whole; it is read only, answers
-    ``get`` as a dict does, and a pickle or copy of it is a plain dict."""
+    ``get`` as a dict does, and a pickle or copy of it is a plain dict. The
+    generated case is the benchmark generator's authored layout, with
+    comments and continuations, and declares every class; at n=160 it has
+    eight losses, so ("loss", "L9") is a miss there too."""
     from .conftest import fixture_path
+    from .test_diff import _synth
 
-    text = _REPEATED_CELLS if name != "c1" else fixture_path(name).read_text(encoding="utf-8")
+    if name == "generated":
+        synth = _synth()
+        text = synth.authored(synth.generate(160, 7), 7)
+    elif name == "c1":
+        text = fixture_path(name).read_text(encoding="utf-8")
+    else:
+        text = _REPEATED_CELLS
     want = _parse_exact(text, "doc.phase").model.source_spans
     fresh = parse(text, "doc.phase").model.source_spans
     assert {ref: fresh[ref] for ref in want} == want
@@ -811,6 +823,16 @@ def test_parsed_source_spans_contract(name):
         assert key not in spans
     with pytest.raises(TypeError):
         spans[("loss", "L1")] = None  # type: ignore[index]
-    if name != "c1":
+    if name == "repeated-cells":
         key = "CA1/provided"
         assert [spans[Ref("assessment", k)].line for k in (key, f"{key}#2", f"{key}#3")] == [2, 6, 8]
+    if name == "generated":
+        assert {ref.cls for ref in spans} == {c.name for c in SCHEMA}
+
+
+def test_parsed_source_spans_miss_a_key_that_cannot_be_hashed():
+    spans = parse('loss L1 "l" category=sociotechnical').model.source_spans
+    for key in (["loss", "L1"], ("loss", ["L1"]), (["loss"], "L1")):
+        with pytest.raises(KeyError):
+            spans[key]
+        assert spans.get(key) is None and key not in spans
